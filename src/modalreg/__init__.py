@@ -9,11 +9,13 @@ from .exosystem import (AdmissibilityReport, ExoSpace, ExoState,
                         group_apply, is_conjugate_symmetric, synthesize_signal,
                         weighted_norm)
 from .regulator import (Assumption1Report, Assumption2Report, FeedforwardGain,
-                        ModalCoupling, SylvesterSolution, build_feedforward,
-                        check_assumption1, check_assumption2, control_signal,
+                        FrequencyGrid, ModalCoupling, SylvesterSolution,
+                        build_feedforward, check_assumption1,
+                        check_assumption2, control_signal,
                         disturbance_transfer, forcing_columns, forcing_matrix,
-                        residual_first_equation, residual_second_equation,
-                        solve_regulator, transfer_function)
+                        frequency_grid, residual_first_equation,
+                        residual_second_equation, solve_regulator,
+                        transfer_function)
 from .scenarios import (ScenarioConfig, build_diagonal_scenario,
                         build_random_scenario, build_scenario,
                         build_wave_scenario, resolve_w0, resolve_z0)
@@ -23,8 +25,8 @@ from .simulator import (DecayCertificate, SimulationResult, certify_decay,
 from .spectral import (DecayReport, DiagonalGenerator, EnvelopeResult,
                        GeometricConditionReport, ModeRange, SpectralVector,
                        TailReport, check_geometric_condition, classify_tail,
-                       decay_envelope, fit_decay_rate, fractional_norm,
-                       resolvent_apply, semigroup_apply)
+                       classify_tails, decay_envelope, fit_decay_rate,
+                       fractional_norm, resolvent_apply, semigroup_apply)
 from .sylvester import (BRegularityReport, ConformityReport, QuadratureSpec,
                         check_b_regularity, conformity_diagnostic,
                         lemma_identity_check, quadrature_pi_column)

@@ -18,9 +18,8 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import AssumptionFailure, ConfigError
-from .exosystem import ExoSpace
 from .regulator import (build_feedforward, check_assumption1,
-                        check_assumption2, forcing_columns,
+                        check_assumption2, forcing_columns, frequency_grid,
                         residual_first_equation, residual_second_equation,
                         solve_regulator)
 from .scenarios import (build_scenario, nominal_geometric_params, resolve_w0,
@@ -71,7 +70,9 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     lines = _scenario_header(cfg)
     failures = []
 
-    a1 = check_assumption1(gen, coupling, space, floor=tol.assumption1_floor)
+    grid = frequency_grid(gen, coupling, space)
+    a1 = check_assumption1(gen, coupling, space, floor=tol.assumption1_floor,
+                           grid=grid)
     lines.append(f"Assumption 1 (nonvanishing frequency response): "
                  f"{'PASS' if a1.passed else 'FAIL'}")
     lines.append(f"  min |H(i omega_k)| = {_fmt(a1.min_magnitude)} at "
@@ -87,7 +88,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     conf = None
     if a1.passed:
         gain = build_feedforward(gen, coupling, space,
-                                 floor=tol.assumption1_floor)
+                                 floor=tol.assumption1_floor, grid=grid)
         a2 = check_assumption2(gain, space)
         status = {"summable": "PASS", "divergent": "FAIL",
                   "inconclusive": "PASS (inconclusive trend)"}[a2.verdict]
@@ -152,7 +153,9 @@ def _solve_pipeline(cfg: RunConfig, force: bool):
     """Shared gate + solve used by solve/simulate/decay."""
     gen, coupling, space = build_scenario(cfg.scenario)
     tol = cfg.tolerances
-    a1 = check_assumption1(gen, coupling, space, floor=tol.assumption1_floor)
+    grid = frequency_grid(gen, coupling, space)
+    a1 = check_assumption1(gen, coupling, space, floor=tol.assumption1_floor,
+                           grid=grid)
     if not a1.passed and not force:
         raise AssumptionFailure(
             f"Assumption 1 failed: min |H| = {a1.min_magnitude:.3e} at "
@@ -161,7 +164,7 @@ def _solve_pipeline(cfg: RunConfig, force: bool):
         )
     gain = build_feedforward(gen, coupling, space,
                              floor=tol.assumption1_floor,
-                             enforce=not force)
+                             enforce=not force, grid=grid)
     solution = solve_regulator(gen, coupling, gain, space)
     return gen, coupling, space, a1, gain, solution
 

@@ -16,7 +16,10 @@ problem is reported separately as tail estimates.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -64,14 +67,6 @@ class ModalCoupling:
                 col[self.modes.position(n)] += val
         return col
 
-    def p_dense(self, exo_modes: ModeRange) -> np.ndarray:
-        """Dense (plant x exo) disturbance matrix."""
-        mat = np.zeros((len(self.modes), len(exo_modes)), dtype=np.complex128)
-        for (n, k), val in self.p_entries.items():
-            if k in exo_modes:
-                mat[self.modes.position(n), exo_modes.position(k)] += val
-        return mat
-
 
 @dataclass
 class TransferEval:
@@ -98,18 +93,45 @@ class Assumption1Report:
 
 
 @dataclass(eq=False)
+class FrequencyGrid:
+    """The denominators ``D[n, k] = i omega_k - mu_n`` of one plant and
+    exosystem, and what is read off them: the frequency response ``h`` and
+    disturbance response ``hd`` at every harmonic and the smallest
+    resolvent gap per harmonic. A run builds it once and passes it down."""
+
+    gen: DiagonalGenerator
+    coupling: ModalCoupling
+    space: ExoSpace
+    denominators: np.ndarray
+    h: np.ndarray
+    hd: np.ndarray
+    gaps: np.ndarray
+
+    def serves(self, gen: DiagonalGenerator, space: ExoSpace) -> bool:
+        """Whether the denominators are those of this generator and space."""
+        return self.gen is gen and self.space is space
+
+
+@dataclass(eq=False)
 class FeedforwardGain:
-    """Modal gain sequence with the frequency-response values it was built
-    from (provenance for the consistency identity H ell + H_d = 1)."""
+    """Modal gain sequence with the frequency grid it was built from
+    (provenance for the consistency identity H ell + H_d = 1)."""
 
     exo_modes: ModeRange
     ell: np.ndarray
-    h_values: np.ndarray
-    hd_values: np.ndarray
+    grid: FrequencyGrid
     floor: float
 
     def __post_init__(self):
         self.ell = np.asarray(self.ell, dtype=np.complex128)
+
+    @property
+    def h_values(self) -> np.ndarray:
+        return self.grid.h
+
+    @property
+    def hd_values(self) -> np.ndarray:
+        return self.grid.hd
 
     def ell_of(self, k: int) -> complex:
         return complex(self.ell[self.exo_modes.position(k)])
@@ -138,13 +160,21 @@ class Assumption2Report:
 @dataclass(eq=False)
 class SylvesterSolution:
     """Modal matrix pi_{n,k} of the steady-state map, one column per
-    exosystem harmonic, plus a power-iteration estimate of its operator
-    norm as a map between the weighted spaces."""
+    exosystem harmonic, with the exosystem weights f_k.
+
+    ``operator_norm_estimate`` is a power-iteration estimate of the norm of
+    the map between the weighted spaces. It is computed on first access
+    and cached; of the CLI commands only ``solve`` reports it, so the
+    others never pay for it."""
 
     plant_modes: ModeRange
     exo_modes: ModeRange
     pi: np.ndarray
-    operator_norm_estimate: float
+    weights: np.ndarray
+
+    @cached_property
+    def operator_norm_estimate(self) -> float:
+        return _weighted_norm_estimate(self.pi, self.weights)
 
     def column(self, k: int) -> SpectralVector:
         return SpectralVector(self.plant_modes,
@@ -154,9 +184,9 @@ class SylvesterSolution:
 def frequency_denominators(gen: DiagonalGenerator, space: ExoSpace) -> np.ndarray:
     """Matrix D[n, k] = i omega_k - mu_n; raises on an exact eigenvalue hit."""
     denom = 1j * space.omegas[None, :] - gen.eigenvalues[:, None]
-    flat = np.argmin(np.abs(denom))
-    n_pos, k_pos = np.unravel_index(flat, denom.shape)
-    if denom[n_pos, k_pos] == 0.0:
+    hits = np.flatnonzero(denom == 0.0)
+    if hits.size:
+        n_pos, _ = np.unravel_index(hits[0], denom.shape)
         raise SingularResolventError(int(gen.modes.indices[n_pos]),
                                      complex(gen.eigenvalues[n_pos]))
     return denom
@@ -211,14 +241,40 @@ def _check_plant(gen: DiagonalGenerator, coupling: ModalCoupling) -> None:
         raise ModeMismatchError("coupling and generator mode ranges differ")
 
 
-def _transfer_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
-                   space: ExoSpace):
-    """H(i omega_k) for every retained harmonic, plus per-k resolvent gaps."""
+def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
+                   space: ExoSpace) -> FrequencyGrid:
+    """Denominators, H(i omega_k), H_d(k) and the resolvent gaps of every
+    retained harmonic, from one build of the denominator matrix."""
+    _check_plant(gen, coupling)
     denom = frequency_denominators(gen, space)
     cb = coupling.c.coeffs * coupling.b.coeffs
-    h = (cb[:, None] / denom).sum(axis=0)
-    gaps = np.abs(denom).min(axis=0)
-    return h, gaps, denom
+    support = np.flatnonzero(cb)  # modes outside it add exact zeros to H
+    return FrequencyGrid(
+        gen=gen, coupling=coupling, space=space, denominators=denom,
+        h=(cb[support, None] / denom[support]).sum(axis=0),
+        hd=_disturbance_grid(gen, coupling, space, denom),
+        gaps=np.abs(denom).min(axis=0),
+    )
+
+
+def _grid_for(grid: Optional[FrequencyGrid], gen: DiagonalGenerator,
+              coupling: ModalCoupling, space: ExoSpace) -> FrequencyGrid:
+    """``grid`` if it was built for these objects, a new grid if None."""
+    if grid is None:
+        return frequency_grid(gen, coupling, space)
+    if not (grid.serves(gen, space) and grid.coupling is coupling):
+        raise ValueError("frequency grid was built for another plant, "
+                         "coupling or exosystem")
+    return grid
+
+
+def _denominators(gain: FeedforwardGain, gen: DiagonalGenerator,
+                  space: ExoSpace) -> np.ndarray:
+    """D for this plant and space: the gain's own when it was designed on
+    them, a new matrix for a gain designed on another truncation."""
+    if gain.grid.serves(gen, space):
+        return gain.grid.denominators
+    return frequency_denominators(gen, space)
 
 
 def _disturbance_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
@@ -236,21 +292,23 @@ def _disturbance_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
 
 
 def check_assumption1(gen: DiagonalGenerator, coupling: ModalCoupling,
-                      space: ExoSpace, floor: float = 1e-8) -> Assumption1Report:
+                      space: ExoSpace, floor: float = 1e-8, *,
+                      grid: Optional[FrequencyGrid] = None) -> Assumption1Report:
     """Nonvanishing frequency response: pass iff min_k |H(i omega_k)| >= floor.
 
     The per-harmonic resolvent gaps are reported alongside, so resonant
-    near-hits that shrink H are visible rather than hidden.
+    near-hits that shrink H are visible rather than hidden. ``grid`` is
+    the run's frequency grid; it is built here when not given.
     """
     if floor <= 0:
         raise ValueError(f"floor must be positive, got {floor}")
-    h, gaps, _ = _transfer_grid(gen, coupling, space)
-    mags = np.abs(h)
+    grid = _grid_for(grid, gen, coupling, space)
+    mags = np.abs(grid.h)
     argmin = int(np.argmin(mags))
     return Assumption1Report(
         exo_modes=space.modes,
         magnitudes=mags,
-        resolvent_gaps=gaps,
+        resolvent_gaps=grid.gaps,
         floor=floor,
         passed=bool(mags[argmin] >= floor),
         min_magnitude=float(mags[argmin]),
@@ -260,14 +318,18 @@ def check_assumption1(gen: DiagonalGenerator, coupling: ModalCoupling,
 
 def build_feedforward(gen: DiagonalGenerator, coupling: ModalCoupling,
                       space: ExoSpace, floor: float = 1e-8,
-                      enforce: bool = True) -> FeedforwardGain:
+                      enforce: bool = True, *,
+                      grid: Optional[FrequencyGrid] = None) -> FeedforwardGain:
     """Gain sequence ell_k = H(i omega_k)^{-1} (1 - H_d(k)).
 
     With ``enforce`` the floor test must pass; ``enforce=False`` skips the
     floor (gains near a response zero then blow up visibly) but an exact
-    zero still raises, since the inversion is impossible.
+    zero still raises, since the inversion is impossible. ``grid`` is the
+    run's frequency grid; it is built here when not given, and the gain
+    keeps it for the solve and the simulation.
     """
-    h, gaps, denom = _transfer_grid(gen, coupling, space)
+    grid = _grid_for(grid, gen, coupling, space)
+    h = grid.h
     mags = np.abs(h)
     if enforce and mags.min() < floor:
         k_bad = int(space.modes.indices[np.argmin(mags)])
@@ -280,12 +342,10 @@ def build_feedforward(gen: DiagonalGenerator, coupling: ModalCoupling,
         raise AssumptionFailure(
             f"frequency response vanishes exactly at harmonic {k_bad}"
         )
-    hd = _disturbance_grid(gen, coupling, space, denom)
     return FeedforwardGain(
         exo_modes=space.modes,
-        ell=(1.0 - hd) / h,
-        h_values=h,
-        hd_values=hd,
+        ell=(1.0 - grid.hd) / h,
+        grid=grid,
         floor=floor,
     )
 
@@ -318,26 +378,51 @@ def forcing_matrix(coupling: ModalCoupling, gain: FeedforwardGain,
                    space: ExoSpace) -> np.ndarray:
     """Columns of the closed-loop forcing operator: g_{n,k} = b_n ell_k + p_{n,k}."""
     mat = np.outer(coupling.b.coeffs, gain.ell)
-    mat += coupling.p_dense(space.modes)
+    plant, exo = coupling.modes, space.modes
+    for (n, k), val in coupling.p_entries.items():
+        if k in exo:
+            mat[plant.position(n), exo.position(k)] += val
     return mat
 
 
+class ForcingColumns(Mapping):
+    """Forcing columns keyed by exosystem mode, held as one dense
+    (plant x exo) matrix; a lookup returns a copy of the column as a
+    spectral vector."""
+
+    def __init__(self, plant_modes: ModeRange, exo_modes: ModeRange,
+                 matrix: np.ndarray):
+        self.plant_modes = plant_modes
+        self.exo_modes = exo_modes
+        self.matrix = matrix
+
+    def __getitem__(self, k) -> SpectralVector:
+        return SpectralVector(self.plant_modes,
+                              self.matrix[:, self.exo_modes.position(k)].copy())
+
+    def __iter__(self):
+        return iter(self.exo_modes)
+
+    def __len__(self) -> int:
+        return len(self.exo_modes)
+
+
 def forcing_columns(coupling: ModalCoupling, gain: FeedforwardGain,
-                    space: ExoSpace) -> dict:
+                    space: ExoSpace) -> ForcingColumns:
     """Forcing columns keyed by exosystem mode, as spectral vectors."""
-    mat = forcing_matrix(coupling, gain, space)
-    return {int(k): SpectralVector(coupling.modes, mat[:, j].copy())
-            for j, k in enumerate(space.modes.indices)}
+    return ForcingColumns(coupling.modes, space.modes,
+                          forcing_matrix(coupling, gain, space))
 
 
 def _weighted_norm_estimate(pi: np.ndarray, weights: np.ndarray,
                             iterations: int = 50) -> float:
     """Power iteration on the f-weighted matrix; deterministic start."""
     m = pi / weights[None, :]
+    m_adj = m.conj().T
     v = np.ones(m.shape[1], dtype=np.complex128) / np.sqrt(m.shape[1])
     for _ in range(iterations):
         w = m @ v
-        v2 = m.conj().T @ w
+        v2 = m_adj @ w
         nv = np.linalg.norm(v2)
         if nv == 0.0:
             return 0.0
@@ -357,13 +442,13 @@ def solve_regulator(gen: DiagonalGenerator, coupling: ModalCoupling,
     _check_plant(gen, coupling)
     if gain.exo_modes != space.modes:
         raise ModeMismatchError("gain and space mode ranges differ")
-    denom = frequency_denominators(gen, space)
-    pi = forcing_matrix(coupling, gain, space) / denom
+    pi = forcing_matrix(coupling, gain, space)
+    pi /= _denominators(gain, gen, space)
     return SylvesterSolution(
         plant_modes=gen.modes,
         exo_modes=space.modes,
         pi=pi,
-        operator_norm_estimate=_weighted_norm_estimate(pi, space.weights),
+        weights=space.weights,
     )
 
 
@@ -375,9 +460,9 @@ def residual_first_equation(solution: SylvesterSolution, gen: DiagonalGenerator,
     Zero in exact arithmetic for a spectral solve; this is the floating
     point self-check.
     """
-    forcing = forcing_matrix(coupling, gain, space)
-    lhs = (1j * space.omegas[None, :] - gen.eigenvalues[:, None]) * solution.pi
-    resid = np.linalg.norm(lhs - forcing, axis=0)
+    lhs = _denominators(gain, gen, space) * solution.pi
+    lhs -= forcing_matrix(coupling, gain, space)
+    resid = np.linalg.norm(lhs, axis=0)
     scale = 1.0 + np.linalg.norm(solution.pi, axis=0)
     return float(np.max(resid / scale))
 

@@ -52,11 +52,15 @@ def simulate_closed_loop(gen: DiagonalGenerator, coupling: ModalCoupling,
         raise ValueError("initial state and generator mode ranges differ")
     t = np.asarray(t_grid, dtype=float)
     space = w0.space
-    denom = frequency_denominators(gen, space)
-    m = forcing_matrix(coupling, gain, space) * w0.coeffs[None, :] / denom
-    exo_phases = np.exp(1j * np.multiply.outer(t, space.omegas))
-    plant_phases = np.exp(np.multiply.outer(t, gen.eigenvalues))
-    z = exo_phases @ m.T + plant_phases * (z0.coeffs - m.sum(axis=1))[None, :]
+    denom = (gain.grid.denominators if gain.grid.serves(gen, space)
+             else frequency_denominators(gen, space))
+    m = forcing_matrix(coupling, gain, space)
+    m *= w0.coeffs[None, :]
+    m /= denom
+    transient = z0.coeffs - m.sum(axis=1)
+    z = np.exp(1j * np.multiply.outer(t, space.omegas)) @ m.T
+    del m  # the largest array; free it before the transient term is added
+    z += np.exp(np.multiply.outer(t, gen.eigenvalues)) * transient[None, :]
     y = z @ coupling.c.coeffs
     y_r = synthesize_signal(w0, t)
     u = control_signal(gain, w0, t)

@@ -417,27 +417,60 @@ def classify_tail(indices, terms, min_points: int = 5) -> TailReport:
     support and is summable by inspection). The verdict uses the module
     thresholds; "inconclusive" is a first-class outcome.
     """
+    a = np.asarray(terms, dtype=float)
+    if a.ndim != 1:
+        raise ValueError("indices and terms lengths differ")
+    return classify_tails(indices, a[:, None], min_points)[0]
+
+
+def classify_tails(indices, terms, min_points: int = 5) -> list:
+    """:func:`classify_tail` for every column of ``terms`` (indices x
+    sequences), one report per column.
+
+    Columns with the same positive terms in the tail window share one
+    least-squares solve, so their fitted exponents may differ from
+    one-column fits in the last digits.
+    """
     idx = np.abs(np.asarray(indices, dtype=float))
     a = np.asarray(terms, dtype=float)
-    if idx.shape != a.shape:
+    if a.ndim != 2 or idx.shape != a.shape[:1]:
         raise ValueError("indices and terms lengths differ")
     if np.any(a < 0):
         raise ValueError("terms must be nonnegative")
     n_max = idx.max() if idx.size else 0
     start = max(2.0, math.ceil(n_max / 2))
     tail = idx >= start
-    pos = tail & (a > 0)
-    if not pos.any():
-        return TailReport(-math.inf, "summable", 0,
-                          "no positive terms beyond the tail window")
-    if pos.sum() < min_points:
-        return TailReport(math.nan, "inconclusive", int(pos.sum()),
-                          "too few positive tail terms to fit")
-    slope = float(np.polyfit(np.log(idx[pos]), np.log(a[pos]), 1)[0])
+    log_idx, a = np.log(idx[tail]), a[tail]
+    positive = a > 0
+    groups = {}
+    for c, key in enumerate(np.packbits(positive, axis=0).T):
+        groups.setdefault(key.tobytes(), []).append(c)
+    reports = [None] * a.shape[1]
+    for cols in groups.values():
+        pos = positive[:, cols[0]]
+        n_fit = int(pos.sum())
+        if n_fit == 0:
+            fit = TailReport(-math.inf, "summable", 0,
+                             "no positive terms beyond the tail window")
+            fits = [fit] * len(cols)
+        elif n_fit < min_points:
+            fit = TailReport(math.nan, "inconclusive", n_fit,
+                             "too few positive tail terms to fit")
+            fits = [fit] * len(cols)
+        else:
+            log_a = a[np.ix_(pos, cols)]
+            np.log(log_a, out=log_a)
+            slopes = np.polyfit(log_idx[pos], log_a, 1)[0]
+            fits = [TailReport(float(q), _tail_verdict(q), n_fit)
+                    for q in slopes]
+        for c, fit in zip(cols, fits):
+            reports[c] = fit
+    return reports
+
+
+def _tail_verdict(slope: float) -> str:
     if slope < SUMMABLE_BELOW:
-        verdict = "summable"
-    elif slope > DIVERGENT_ABOVE:
-        verdict = "divergent"
-    else:
-        verdict = "inconclusive"
-    return TailReport(slope, verdict, int(pos.sum()))
+        return "summable"
+    if slope > DIVERGENT_ABOVE:
+        return "divergent"
+    return "inconclusive"

@@ -61,3 +61,50 @@ def naive_transfer_value(eigenvalues, b, c, lam):
         complex(cn) * complex(bn) / (lam - complex(mn))
         for mn, bn, cn in zip(eigenvalues, b, c)
     )
+
+
+def power_iteration_norm(matrix, weights, iterations=50):
+    """Operator-norm estimate of the f-weighted matrix by plain power
+    iteration, forming the adjoint afresh at every step."""
+    m = matrix / weights[None, :]
+    v = np.ones(m.shape[1], dtype=np.complex128) / np.sqrt(m.shape[1])
+    for _ in range(iterations):
+        v2 = m.conj().T @ (m @ v)
+        nv = np.linalg.norm(v2)
+        if nv == 0.0:
+            return 0.0
+        v = v2 / nv
+    return float(np.linalg.norm(m @ v))
+
+
+def conformity_per_column(gen, columns, space, beta, spec):
+    """Conformity evidence one harmonic at a time: the horizon tails of
+    ``quadrature_pi_column``, the ``classify_tail`` trend and the
+    ``fractional_norm`` bound of every column.
+
+    Returns the f-scaled aggregated tails (per horizon), the column bounds
+    keyed by harmonic and the first column trend of the worst verdict.
+    """
+    from modalreg.spectral import (SpectralVector, classify_tail,
+                                   fractional_norm)
+    from modalreg.sylvester import quadrature_pi_column
+
+    rank = {"summable": 0, "inconclusive": 1, "divergent": 2}
+    mu_pow = np.abs(gen.eigenvalues) ** (2.0 * beta)
+    zero = SpectralVector.zeros(gen.modes)
+    agg = np.zeros(len(spec.horizons))
+    bounds, worst = {}, None
+    for j, k in enumerate(space.modes.indices):
+        col = columns.get(int(k), zero)
+        f_k = space.weights[j]
+        bounds[int(k)] = fractional_norm(gen, beta, col) / f_k
+        if np.any(col.coeffs != 0):
+            tail = classify_tail(gen.modes.indices,
+                                 mu_pow * np.abs(col.coeffs) ** 2)
+            if worst is None or rank[tail.verdict] > rank[worst.verdict]:
+                worst = tail
+        _, report = quadrature_pi_column(gen, col, float(space.omegas[j]),
+                                         spec)
+        tails = np.array([report.tail_norms[h] for h in spec.horizons])
+        agg = np.maximum(agg, tails / f_k)
+    return agg, bounds, worst

@@ -353,3 +353,50 @@ class TestFlags:
               "--seed", "3"])
         assert (tmp_path / "a" / "L.csv").read_bytes() \
             != (tmp_path / "b" / "L.csv").read_bytes()
+
+
+class TestSolveLayerWork:
+    """Each command computes what it reports, and the denominator matrix
+    i omega_k - mu_n once."""
+
+    @pytest.mark.parametrize("command", ["simulate", "decay"])
+    def test_norm_estimate_not_computed_unless_reported(
+            self, command, tmp_path, capsys, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("norm estimate computed")
+
+        monkeypatch.setattr("modalreg.regulator._weighted_norm_estimate",
+                            refuse)
+        code = main([command, "--config", write(tmp_path, DIAG_OK),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+
+    def test_solve_reports_norm_estimate(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write(tmp_path, DIAG_OK),
+                     "--out", str(out)]) == 0
+        line = [ln for ln in (out / "residuals.txt").read_text().splitlines()
+                if ln.startswith("operator norm estimate")]
+        assert len(line) == 1
+        assert float(line[0].split("=")[1]) > 0.0
+
+    @pytest.mark.parametrize("command", ["check", "solve", "simulate", "decay"])
+    def test_denominators_built_once(self, command, tmp_path, capsys,
+                                     monkeypatch):
+        import modalreg.regulator as regulator
+        import modalreg.simulator as simulator
+        import modalreg.sylvester as sylvester
+
+        builds = []
+        inner = regulator.frequency_denominators
+
+        def counting(gen, space):
+            builds.append((len(gen.modes), len(space.modes)))
+            return inner(gen, space)
+
+        for module in (regulator, simulator, sylvester):
+            monkeypatch.setattr(module, "frequency_denominators", counting)
+        code = main([command, "--config", write(tmp_path, DIAG_OK),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert builds == [(121, 121)]

@@ -5,14 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import naive_transfer_value
+from oracles import naive_transfer_value, power_iteration_norm
 
 from modalreg.errors import AssumptionFailure
 from modalreg.exosystem import ExoState
 from modalreg.regulator import (ModalCoupling, build_feedforward,
                                 check_assumption1, check_assumption2,
                                 control_signal, disturbance_transfer,
-                                forcing_matrix, residual_first_equation,
+                                forcing_matrix, frequency_grid,
+                                residual_first_equation,
                                 residual_second_equation, solve_regulator,
                                 transfer_function)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
@@ -143,6 +144,28 @@ class TestFeedforward:
         with pytest.raises(AssumptionFailure, match="vanishes"):
             build_feedforward(gen, coupling, space, enforce=False)
 
+    def test_one_grid_serves_assumption_gain_and_solve(self, wave_resonant):
+        gen, coupling, space = wave_resonant
+        grid = frequency_grid(gen, coupling, space)
+        report = check_assumption1(gen, coupling, space, grid=grid)
+        gain = build_feedforward(gen, coupling, space, grid=grid)
+        assert gain.grid is grid
+        assert report.resolvent_gaps is grid.gaps
+        fresh = build_feedforward(gen, coupling, space)
+        np.testing.assert_array_equal(gain.ell, fresh.ell)
+        np.testing.assert_array_equal(
+            solve_regulator(gen, coupling, gain, space).pi,
+            solve_regulator(gen, coupling, fresh, space).pi)
+
+    def test_grid_of_another_coupling_rejected(self, diagonal):
+        gen, base, space = diagonal
+        grid = frequency_grid(gen, base, space)
+        other = ModalCoupling(b=base.b, c=base.c, p_entries={(0, 1): 0.5})
+        with pytest.raises(ValueError, match="another plant"):
+            check_assumption1(gen, other, space, grid=grid)
+        with pytest.raises(ValueError, match="another plant"):
+            build_feedforward(gen, other, space, grid=grid)
+
     def test_gain_transfer_consistency(self, wave_resonant):
         gen, coupling, space = wave_resonant
         gain = build_feedforward(gen, coupling, space)
@@ -203,6 +226,33 @@ class TestRegulatorSolve:
             col = SpectralVector(gen.modes, forcing[:, j].copy())
             res = resolvent_apply(gen, 1j * space.omegas[j], col)
             np.testing.assert_array_equal(sol.pi[:, j], res.vector.coeffs)
+
+    def test_norm_estimate_matches_plain_power_iteration(self, wave_resonant):
+        gen, coupling, space = wave_resonant
+        gain = build_feedforward(gen, coupling, space)
+        sol = solve_regulator(gen, coupling, gain, space)
+        assert sol.operator_norm_estimate == power_iteration_norm(
+            sol.pi, space.weights)
+
+    def test_norm_estimate_computed_on_first_access_only(self, diagonal,
+                                                         monkeypatch):
+        import modalreg.regulator as regulator
+
+        gen, coupling, space = diagonal
+        gain = build_feedforward(gen, coupling, space)
+        calls = []
+        inner = regulator._weighted_norm_estimate
+
+        def counting(pi, weights):
+            calls.append(pi.shape)
+            return inner(pi, weights)
+
+        monkeypatch.setattr(regulator, "_weighted_norm_estimate", counting)
+        sol = solve_regulator(gen, coupling, gain, space)
+        assert calls == []
+        first = sol.operator_norm_estimate
+        assert sol.operator_norm_estimate == first
+        assert len(calls) == 1
 
     def test_norm_estimate_matches_svd(self, diagonal):
         gen, coupling, space = diagonal

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import conformity_per_column
 
 from modalreg.exosystem import ExoSpace, ExoState
 from modalreg.regulator import (build_feedforward, forcing_columns,
@@ -11,9 +12,9 @@ from modalreg.regulator import (build_feedforward, forcing_columns,
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
                                 build_random_scenario, build_wave_scenario)
 from modalreg.spectral import DiagonalGenerator, ModeRange, SpectralVector
-from modalreg.sylvester import (QuadratureSpec, check_b_regularity,
-                                conformity_diagnostic, lemma_identity_check,
-                                quadrature_pi_column)
+from modalreg.sylvester import (QuadratureSpec, _tail_trend_verdict,
+                                check_b_regularity, conformity_diagnostic,
+                                lemma_identity_check, quadrature_pi_column)
 
 
 def single_mode_gen(mu):
@@ -141,6 +142,86 @@ class TestConformity:
             report = conformity_diagnostic(gen, rank_one, space, alpha, eps)
             if breg.passes_at(alpha + eps):
                 assert report.verdict == "conform-trend"
+
+
+def _random_with_disturbance():
+    for seed in range(20):
+        scenario = build_random_scenario(seed)
+        if scenario[1].p_entries:
+            return scenario
+    raise AssertionError("no random scenario with a disturbance matrix")
+
+
+class TestBatchedConformity:
+    """conformity_diagnostic processes all harmonics together; the
+    per-column loop in the oracle is the reference."""
+
+    @pytest.mark.parametrize("scenario", [
+        lambda: build_wave_scenario(ScenarioConfig(kind="wave", n_plant=200,
+                                                   n_exo=30, period=2.0)),
+        lambda: build_diagonal_scenario(ScenarioConfig(kind="diagonal",
+                                                       n_plant=40, n_exo=40)),
+        _random_with_disturbance,
+    ], ids=["wave_resonant", "diagonal", "random_disturbed"])
+    def test_matches_per_column_oracle(self, scenario):
+        gen, coupling, space = scenario()
+        gain = build_feedforward(gen, coupling, space, floor=1e-4)
+        columns = forcing_columns(coupling, gain, space)
+        alpha, eps, spec = 2.0, 0.25, QuadratureSpec()
+        report = conformity_diagnostic(gen, columns, space, alpha, eps, spec)
+        agg, bounds, worst = conformity_per_column(gen, columns, space,
+                                                   alpha + eps, spec)
+        got = np.array([report.tail_norms[h] for h in spec.horizons])
+        np.testing.assert_allclose(got, agg, rtol=1e-12, atol=0.0)
+        ev = report.sufficient_condition
+        assert ev.column_bounds.keys() == bounds.keys()
+        np.testing.assert_allclose(list(ev.column_bounds.values()),
+                                   list(bounds.values()), rtol=1e-12, atol=0.0)
+        sup_k = max(bounds, key=lambda k: bounds[k])
+        assert (ev.argmax_mode, ev.sup_bound) == (sup_k, bounds[sup_k])
+        assert ev.worst_tail.verdict == worst.verdict
+        assert ev.worst_tail.exponent == pytest.approx(worst.exponent,
+                                                       rel=1e-12)
+        if worst.verdict == "divergent":
+            expected = "non-conform-trend"
+        elif (worst.verdict == "summable" and _tail_trend_verdict(
+                spec.horizons, agg) == "conform-trend"):
+            expected = "conform-trend"
+        else:
+            expected = "inconclusive"
+        assert report.verdict == expected
+
+    def test_plain_mapping_gives_the_same_report(self):
+        gen, coupling, space = _random_with_disturbance()
+        gain = build_feedforward(gen, coupling, space, floor=1e-4)
+        columns = forcing_columns(coupling, gain, space)
+        partial = {k: columns[k] for k in list(columns)[::2]}
+        dense = conformity_diagnostic(gen, columns, space, 1.0, 0.25)
+        plain = conformity_diagnostic(gen, dict(columns), space, 1.0, 0.25)
+        assert plain.tail_norms == dense.tail_norms
+        assert (plain.sufficient_condition.column_bounds
+                == dense.sufficient_condition.column_bounds)
+        sparse = conformity_diagnostic(gen, partial, space, 1.0, 0.25)
+        for k, bound in sparse.sufficient_condition.column_bounds.items():
+            if k not in partial:
+                assert bound == 0.0
+
+    def test_numeric_method_matches_column_quadrature(self):
+        gen = DiagonalGenerator(ModeRange(-2, 2),
+                                np.array([-0.5 + 1j, -0.3 - 2j, -1.0,
+                                          -0.4 + 0.5j, -0.6 - 1j]))
+        space = ExoSpace.power_weights(2.0 * math.pi, ModeRange.symmetric(2),
+                                       2.0)
+        rng = np.random.default_rng(5)
+        columns = {int(k): SpectralVector(gen.modes,
+                                          rng.standard_normal(5) + 1j)
+                   for k in space.modes}
+        spec = QuadratureSpec(horizons=(2.0, 4.0, 8.0), method="numeric",
+                              step=1e-2)
+        report = conformity_diagnostic(gen, columns, space, 1.0, 0.25, spec)
+        agg, _, _ = conformity_per_column(gen, columns, space, 1.25, spec)
+        got = np.array([report.tail_norms[h] for h in spec.horizons])
+        np.testing.assert_allclose(got, agg, rtol=1e-12, atol=0.0)
 
 
 class TestLemmaIdentity:
