@@ -4,8 +4,7 @@ exact closed-loop simulation and decay certification."""
 
 from .errors import (AssumptionFailure, ConfigError, ModeMismatchError,
                      SingularResolventError)
-from .exosystem import (AdmissibilityReport, ExoSpace, ExoState,
-                        check_admissibility, dirac_functional, graph_norm,
+from .exosystem import (ExoSpace, ExoState, dirac_functional, graph_norm,
                         group_apply, is_conjugate_symmetric, synthesize_signal,
                         weighted_norm)
 from .regulator import (Assumption1Report, Assumption2Report, FeedforwardGain,
@@ -20,8 +19,8 @@ from .scenarios import (ScenarioConfig, build_diagonal_scenario,
                         build_random_scenario, build_scenario,
                         build_wave_scenario, resolve_w0, resolve_z0)
 from .simulator import (DecayCertificate, SimulationResult, certify_decay,
-                        decay_certificate, error_formula_check,
-                        simulate_closed_loop, state_deviation_norms)
+                        error_formula_check, simulate_closed_loop,
+                        state_deviation_norms)
 from .spectral import (DecayReport, DiagonalGenerator, EnvelopeResult,
                        GeometricConditionReport, ModeRange, SpectralVector,
                        TailReport, check_geometric_condition, classify_tail,

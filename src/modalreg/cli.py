@@ -9,7 +9,6 @@ error. Identical config and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
+from .csvio import write_csv as _write_csv  # perfbench/tracing.py wraps this name
 from .errors import AssumptionFailure, ConfigError
 from .regulator import (build_feedforward, check_assumption1,
                         check_assumption2, forcing_columns, frequency_grid,
@@ -35,15 +35,6 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if not isinstance(v, str) else v
-                             for v in row])
 
 
 def _write_text(path: Path, lines) -> None:
@@ -131,20 +122,12 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
         lines.append("overall: PASS")
 
     _write_text(out_dir / "check_report.txt", lines)
-    if a2 is not None:
-        _write_csv(out_dir / "assumption2_partial_sums.csv",
-                   ["K", "partial_sum"],
-                   zip(a2.shell_radii, a2.partial_sums))
-    else:
-        _write_csv(out_dir / "assumption2_partial_sums.csv",
-                   ["K", "partial_sum"], [])
-    if conf is not None:
-        _write_csv(out_dir / "conformity_tails.csv",
-                   ["horizon", "tail_norm"],
-                   sorted(conf.tail_norms.items()))
-    else:
-        _write_csv(out_dir / "conformity_tails.csv",
-                   ["horizon", "tail_norm"], [])
+    _write_csv(out_dir / "assumption2_partial_sums.csv", ["K", "partial_sum"],
+               () if a2 is None else (a2.shell_radii, a2.partial_sums))
+    tails = sorted(conf.tail_norms.items()) if conf is not None else []
+    # (horizon, tail_norm) pairs as two columns, (2, 0) when empty
+    _write_csv(out_dir / "conformity_tails.csv", ["horizon", "tail_norm"],
+               np.array(tails, dtype=float).reshape(-1, 2).T)
     print("\n".join(lines))
     return 1 if failures else 0
 
@@ -191,15 +174,14 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
                  f"{_fmt(solution.operator_norm_estimate)}")
     _write_text(out_dir / "residuals.txt", lines)
 
-    _write_csv(out_dir / "L.csv", ["k", "re", "im"],
-               ((int(k), gain.ell[j].real, gain.ell[j].imag)
-                for j, k in enumerate(space.modes.indices)))
-    plant_idx = gen.modes.indices
     exo_idx = space.modes.indices
-    rows = ((int(n), int(k), solution.pi[i, j].real, solution.pi[i, j].imag)
-            for i, n in enumerate(plant_idx)
-            for j, k in enumerate(exo_idx))
-    _write_csv(out_dir / "Pi.csv", ["n", "k", "re", "im"], rows)
+    _write_csv(out_dir / "L.csv", ["k", "re", "im"],
+               (exo_idx, gain.ell.real, gain.ell.imag))
+    # flattened views: row (n, k) of Pi.csv is entry i * K + j of pi
+    pi = solution.pi.ravel()
+    _write_csv(out_dir / "Pi.csv", ["n", "k", "re", "im"],
+               (np.repeat(gen.modes.indices, len(exo_idx)),
+                np.tile(exo_idx, len(gen.modes)), pi.real, pi.imag))
     print("\n".join(lines))
     return 0 if (ok1 and ok2) else 1
 
@@ -213,15 +195,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     dev = state_deviation_norms(result, solution)
 
     abs_e = np.abs(result.e)
-    rows = zip(t_grid,
-               result.y.real, result.y.imag,
-               result.y_r.real, result.y_r.imag,
-               result.u.real, result.u.imag,
-               result.e.real, result.e.imag,
-               abs_e, dev)
     _write_csv(out_dir / "trajectory.csv",
                ["t", "y_re", "y_im", "yr_re", "yr_im", "u_re", "u_im",
-                "e_re", "e_im", "abs_e", "state_dev_norm"], rows)
+                "e_re", "e_im", "abs_e", "state_dev_norm"],
+               (t_grid, result.y.real, result.y.imag,
+                result.y_r.real, result.y_r.imag,
+                result.u.real, result.u.imag,
+                result.e.real, result.e.imag, abs_e, dev))
 
     w0.to_csv(out_dir / "w0.csv")
 
@@ -263,8 +243,8 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     _write_csv(out_dir / "envelope.csv",
                ["t", "semigroup_envelope", "error_envelope",
                 "state_dev_envelope"],
-               zip(t_grid, env.values, _running_max_from_right(abs_e),
-                   _running_max_from_right(dev)))
+               (t_grid, env.values, _running_max_from_right(abs_e),
+                _running_max_from_right(dev)))
 
     target = 1.0 / alpha
     lines = _scenario_header(cfg)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_csv
 from .spectral import ModeRange, TailReport, classify_tail
 
 
@@ -113,11 +114,11 @@ class ExoState:
         return classify_tail(self.space.modes.indices, terms)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "re", "im"])
-            for k, w in zip(self.space.modes.indices, self.coeffs):
-                writer.writerow([int(k), repr(float(w.real)), repr(float(w.imag))])
+        """Coefficients as (k, re, im) rows, floats in shortest round-trip
+        form so that ``from_csv`` restores them exactly."""
+        write_csv(path, ["k", "re", "im"],
+                  (self.space.modes.indices, self.coeffs.real,
+                   self.coeffs.imag), float_format="%r")
 
     @classmethod
     def from_csv(cls, path, space: ExoSpace) -> "ExoState":
@@ -130,30 +131,6 @@ class ExoState:
             for row in reader:
                 entries[int(row[0])] = float(row[1]) + 1j * float(row[2])
         return cls.from_dict(space, entries)
-
-
-@dataclass
-class AdmissibilityReport:
-    """Which of the four sufficient conditions for admissible reference
-    signals hold for this space. ``None`` marks a condition that is
-    deliberately not evaluated."""
-
-    almost_periodic_orbits: bool
-    c0_subspace_free: bool | None
-    discrete_spectrum: bool
-    finite_dimensional: bool
-
-    @property
-    def admissible(self) -> bool:
-        return any(v is True for v in (self.almost_periodic_orbits,
-                                       self.c0_subspace_free,
-                                       self.discrete_spectrum,
-                                       self.finite_dimensional))
-
-    def holding_conditions(self) -> list:
-        names = {1: self.almost_periodic_orbits, 2: self.c0_subspace_free,
-                 3: self.discrete_spectrum, 4: self.finite_dimensional}
-        return [i for i, v in names.items() if v is True]
 
 
 def group_apply(w: ExoState, t: float) -> ExoState:
@@ -199,20 +176,3 @@ def is_conjugate_symmetric(w: ExoState, tol: float = 1e-12) -> bool:
         if abs(w.coeff(-k) - np.conj(w.coeff(k))) > tol:
             return False
     return True
-
-
-def check_admissibility(space: ExoSpace) -> AdmissibilityReport:
-    """Report the sufficient admissibility conditions.
-
-    Every space built here has purely imaginary discrete spectrum
-    {i omega_k} (condition 3) and is finite-dimensional at truncation
-    (condition 4); periodic orbits are almost periodic (condition 1).
-    The c0-subspace geometry of condition 2 is out of scope and is never
-    claimed either way.
-    """
-    return AdmissibilityReport(
-        almost_periodic_orbits=True,
-        c0_subspace_free=None,
-        discrete_spectrum=True,
-        finite_dimensional=True,
-    )

@@ -78,7 +78,8 @@ def state_deviation_norms(result: SimulationResult,
     if solution.exo_modes != space.modes or solution.plant_modes != result.plant_modes:
         raise ValueError("solution mode ranges do not match the simulation")
     exo_phases = np.exp(1j * np.multiply.outer(result.t_grid, space.omegas))
-    orbit = exo_phases @ (solution.pi * result.w0.coeffs[None, :]).T
+    exo_phases *= result.w0.coeffs  # scale the T x K phases, not Pi (N x K)
+    orbit = exo_phases @ solution.pi.T
     return np.linalg.norm(result.z - orbit, axis=1)
 
 
@@ -164,10 +165,3 @@ def certify_decay(t_grid, values, alpha: float, window,
         used_fallback=used_fallback,
         window=(lo, hi),
     )
-
-
-def decay_certificate(result: SimulationResult, alpha: float, window,
-                      slope_tol: float = 0.1):
-    """Certificate for the scalar tracking error of a simulation run."""
-    cert = certify_decay(result.t_grid, result.e, alpha, window, slope_tol)
-    return cert.m, cert

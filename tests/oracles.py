@@ -1,9 +1,12 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's closed-form paths: a dumb fixed-step
-RK4 integrator for the closed-loop modal ODEs, and naive reversed-order
-summation for frequency-response values.
+RK4 integrator for the closed-loop modal ODEs, naive reversed-order
+summation for frequency-response values, and a row-by-row ``csv.writer``
+reference for the artifact format.
 """
+
+import csv
 
 import numpy as np
 
@@ -108,3 +111,21 @@ def conformity_per_column(gen, columns, space, beta, spec):
         tails = np.array([report.tail_norms[h] for h in spec.horizons])
         agg = np.maximum(agg, tails / f_k)
     return agg, bounds, worst
+
+
+def fmt_number(x) -> str:
+    """Artifact number format, one value at a time: integers plain, floats
+    with 17 significant digits."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def write_csv_rows(path, header, rows, fmt=fmt_number):
+    """Reference CSV writer: one ``csv.writer`` row per tuple of ``rows``,
+    each value formatted by ``fmt``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalreg.exosystem import (ExoSpace, ExoState, check_admissibility,
-                                dirac_functional, graph_norm, group_apply,
+from modalreg.exosystem import (ExoSpace, ExoState, dirac_functional,
+                                graph_norm, group_apply,
                                 is_conjugate_symmetric, synthesize_signal,
                                 weighted_norm)
 from modalreg.spectral import ModeRange
@@ -174,21 +174,6 @@ class TestNorms:
         f_k = space.weights[space.modes.position(k)]
         omega_k = 2.0 * math.pi * k / 2.0
         assert graph_norm(w) == pytest.approx(f_k * (1.0 + abs(omega_k)))
-
-
-class TestAdmissibility:
-    def test_discrete_spectrum_and_truncation_conditions(self):
-        report = check_admissibility(make_space())
-        assert report.discrete_spectrum is True
-        assert report.finite_dimensional is True
-        assert report.admissible
-        assert 3 in report.holding_conditions()
-        assert 4 in report.holding_conditions()
-
-    def test_subspace_condition_never_claimed(self):
-        report = check_admissibility(make_space())
-        assert report.c0_subspace_free is None
-        assert 2 not in report.holding_conditions()
 
 
 class TestDomainTrend:

@@ -12,9 +12,8 @@ from modalreg.regulator import (build_feedforward, forcing_matrix,
                                 solve_regulator)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
                                 build_random_scenario, resolve_w0, resolve_z0)
-from modalreg.simulator import (certify_decay, decay_certificate,
-                                error_formula_check, simulate_closed_loop,
-                                state_deviation_norms)
+from modalreg.simulator import (certify_decay, error_formula_check,
+                                simulate_closed_loop, state_deviation_norms)
 from modalreg.spectral import SpectralVector, decay_envelope
 
 
@@ -82,6 +81,18 @@ class TestSimulation:
         offset = SpectralVector(gen.modes, z0.coeffs - sol.pi @ w0.coeffs)
         envelope = decay_envelope(gen, 0.0, t).values
         assert np.all(dev <= envelope * offset.norm * (1.0 + 1e-12))
+
+    def test_deviation_matches_orbit_of_scaled_map(self, diagonal):
+        cfg, gen, coupling, space, gain, sol = diagonal
+        w0 = resolve_w0(cfg, space)
+        z0 = resolve_z0(cfg, gen, sol, w0)
+        t = np.geomspace(1e-2, 100.0, 64)
+        res = simulate_closed_loop(gen, coupling, gain, z0, w0, t)
+        phases = np.exp(1j * np.multiply.outer(t, space.omegas))
+        orbit = phases @ (sol.pi * w0.coeffs[None, :]).T
+        want = np.linalg.norm(res.z - orbit, axis=1)
+        np.testing.assert_allclose(state_deviation_norms(res, sol), want,
+                                   rtol=1e-12, atol=1e-14 * np.abs(res.z).max())
 
     def test_matches_fixed_step_integrator(self):
         for seed in (0, 1, 2):
@@ -154,14 +165,14 @@ class TestDecayCertificate:
         assert not cert.used_fallback
         assert cert.slope == pytest.approx(-1.0, abs=0.1)
 
-    def test_result_wrapper(self, diagonal):
+    def test_simulated_error_run(self, diagonal):
         cfg, gen, coupling, space, gain, sol = diagonal
         w0 = resolve_w0(cfg, space)
         z0 = resolve_z0(cfg, gen, sol, w0)
         res = simulate_closed_loop(gen, coupling, gain, z0, w0,
                                    np.geomspace(1e-2, 50.0, 300))
-        m, cert = decay_certificate(res, alpha=1.0, window=(0.1, 30.0))
-        assert m == cert.m > 0
+        cert = certify_decay(res.t_grid, res.e, alpha=1.0, window=(0.1, 30.0))
+        assert cert.m > 0
 
     def test_short_window_rejected(self):
         t = np.geomspace(1.0, 100.0, 80)
