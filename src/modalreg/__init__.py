@@ -10,11 +10,10 @@ from .exosystem import (ExoSpace, ExoState, dirac_functional, graph_norm,
 from .regulator import (Assumption1Report, Assumption2Report, FeedforwardGain,
                         FrequencyGrid, ModalCoupling, SylvesterSolution,
                         build_feedforward, check_assumption1,
-                        check_assumption2, control_signal,
-                        disturbance_transfer, forcing_columns, forcing_matrix,
-                        frequency_grid, residual_first_equation,
-                        residual_second_equation, solve_regulator,
-                        transfer_function)
+                        check_assumption2, control_signal, forcing_columns,
+                        forcing_matrix, frequency_grid,
+                        residual_first_equation, residual_second_equation,
+                        solve_regulator)
 from .scenarios import (ScenarioConfig, build_diagonal_scenario,
                         build_random_scenario, build_scenario,
                         build_wave_scenario, resolve_w0, resolve_z0)
@@ -25,7 +24,7 @@ from .spectral import (DecayReport, DiagonalGenerator, EnvelopeResult,
                        GeometricConditionReport, ModeRange, SpectralVector,
                        TailReport, check_geometric_condition, classify_tail,
                        classify_tails, decay_envelope, fit_decay_rate,
-                       fractional_norm, resolvent_apply, semigroup_apply)
+                       fractional_norm, semigroup_apply)
 from .sylvester import (BRegularityReport, ConformityReport, QuadratureSpec,
                         check_b_regularity, conformity_diagnostic,
                         lemma_identity_check, quadrature_pi_column)

@@ -45,20 +45,25 @@ def _running_max_from_right(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(values[::-1])[::-1]
 
 
-def _scenario_header(cfg: RunConfig) -> list:
+def _scenario_header(cfg: RunConfig, gen, space) -> list:
+    """The scenario as built: mode counts and period from the built
+    objects, and only the parameters its builder read."""
     sc = cfg.scenario
-    return [
-        f"scenario: kind={sc.kind} n_plant={sc.n_plant} n_exo={sc.n_exo} "
-        f"period={_fmt(sc.resolved_period)} gamma={_fmt(sc.gamma)} "
-        f"nu={_fmt(sc.nu)} seed={sc.seed}",
-        "",
-    ]
+    fields = [f"kind={sc.kind}", f"plant_modes={len(gen.modes)}",
+              f"harmonics={len(space.modes)}", f"period={_fmt(space.period)}"]
+    if sc.kind == "random":
+        fields.append(f"seed={sc.seed}")
+    else:
+        fields.append(f"gamma={_fmt(sc.gamma)}")
+    if sc.kind == "wave":
+        fields.append(f"nu={_fmt(sc.nu)}")
+    return ["scenario: " + " ".join(fields), ""]
 
 
 def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     gen, coupling, space = build_scenario(cfg.scenario)
     tol = cfg.tolerances
-    lines = _scenario_header(cfg)
+    lines = _scenario_header(cfg, gen, space)
     failures = []
 
     grid = frequency_grid(gen, coupling, space)
@@ -158,7 +163,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     res1 = residual_first_equation(solution, gen, coupling, gain, space)
     res2 = residual_second_equation(solution, coupling, space)
 
-    lines = _scenario_header(cfg)
+    lines = _scenario_header(cfg, gen, space)
     if not a1.passed:
         lines.append("WARN: Assumption 1 failed "
                      f"(min |H| = {_fmt(a1.min_magnitude)} at k = {a1.argmin_mode}); "
@@ -206,7 +211,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     w0.to_csv(out_dir / "w0.csv")
 
     final = t_grid >= t_grid[-1] / 10.0
-    lines = _scenario_header(cfg)
+    lines = _scenario_header(cfg, gen, space)
     if not a1.passed:
         lines.append("WARN: Assumption 1 failed; simulated under --force")
     lines.append(f"grid: {len(t_grid)} points on "
@@ -247,7 +252,7 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
                 _running_max_from_right(dev)))
 
     target = 1.0 / alpha
-    lines = _scenario_header(cfg)
+    lines = _scenario_header(cfg, gen, space)
     failures = []
     lines.append(f"semigroup envelope exponent (beta = 1) = "
                  f"{_fmt(fit.exponent_beta)} on window "
@@ -337,6 +342,9 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(
                 cfg, scenario=dataclasses.replace(cfg.scenario, seed=args.seed))
         if args.modes is not None:
+            if cfg.scenario.kind == "random":
+                raise ConfigError("--modes does not apply to kind = random, "
+                                  "which draws its own mode counts")
             cfg = dataclasses.replace(
                 cfg, scenario=dataclasses.replace(cfg.scenario,
                                                   n_plant=args.modes,

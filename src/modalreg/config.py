@@ -29,6 +29,9 @@ _QUADRATURE_KEYS = {"horizons", "method", "step"}
 _SIMULATE_KEYS = {"t_min", "t_max", "n_points", "spacing",
                   "window_lo", "window_hi"}
 
+# kind = random draws these itself, so setting them is an error
+_RANDOM_DRAWN_KEYS = {"n_plant", "n_exo", "period", "gamma", "nu"}
+
 _SECTION_KEYS = {
     "scenario": _SCENARIO_KEYS,
     "tolerances": _TOLERANCE_KEYS,
@@ -133,6 +136,10 @@ def load_config(path) -> RunConfig:
     if kind is None:
         raise ConfigError("[scenario] must set kind")
 
+    drawn = set(parser.options("scenario")) & _RANDOM_DRAWN_KEYS
+    if kind.strip() == "random" and drawn:
+        raise ConfigError(f"[scenario] kind = random draws its own sizes, "
+                          f"period and weights; remove {', '.join(sorted(drawn))}")
     sc_kwargs = {"kind": kind.strip()}
     for key, conv in (("nu", float), ("period", float), ("gamma", float),
                       ("n_plant", int), ("n_exo", int), ("seed", int),

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -29,26 +30,36 @@ from .spectral import (DiagonalGenerator, ModeRange, SpectralVector,
                        TailReport, classify_tail)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ModalCoupling:
     """Input/output coefficient sequences and the sparse disturbance matrix.
 
     ``p_entries`` maps ``(n, k)`` to the coefficient of exosystem harmonic k
-    in plant mode n; columns are finitely supported.
+    in plant mode n; columns are finitely supported. The entries are
+    checked and stored read-only once, as parallel arrays of plant
+    position, harmonic and value, so the stored form cannot go stale.
     """
 
     b: SpectralVector
     c: SpectralVector
-    p_entries: dict = field(default_factory=dict)
+    p_entries: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if self.b.modes != self.c.modes:
             raise ModeMismatchError("input and output vectors live on "
                                     "different plant mode ranges")
-        for (n, _k), _ in self.p_entries.items():
+        entries = dict(self.p_entries)
+        for n, _k in entries:
             if n not in self.b.modes:
                 raise ValueError(f"disturbance entry refers to plant mode {n} "
                                  "outside the retained range")
+        object.__setattr__(self, "p_entries", MappingProxyType(entries))
+        object.__setattr__(self, "_p_rows", np.array(
+            [self.modes.position(n) for n, _k in entries], dtype=np.intp))
+        object.__setattr__(self, "_p_harmonics", np.array(
+            [int(k) for _n, k in entries], dtype=np.int64))
+        object.__setattr__(self, "_p_values", np.array(
+            list(entries.values()), dtype=np.complex128))
 
     @property
     def modes(self) -> ModeRange:
@@ -56,27 +67,15 @@ class ModalCoupling:
 
     @property
     def has_disturbance(self) -> bool:
-        return any(v != 0 for v in self.p_entries.values())
+        return bool(np.any(self._p_values != 0))
 
-    def p_column(self, k: int) -> np.ndarray:
-        """Dense disturbance column for exosystem mode k, aligned with the
-        plant mode range."""
-        col = np.zeros(len(self.modes), dtype=np.complex128)
-        for (n, kk), val in self.p_entries.items():
-            if kk == k:
-                col[self.modes.position(n)] += val
-        return col
-
-
-@dataclass
-class TransferEval:
-    """One transfer-function value with its conditioning and a heuristic
-    bound on the dropped tail (magnitude of the outermost-decile terms)."""
-
-    value: complex
-    min_gap: float
-    nearest_mode: int
-    tail_estimate: float
+    def disturbance_in(self, exo_modes: ModeRange):
+        """(plant positions, exo positions, values) of the entries of P
+        whose harmonic is retained in ``exo_modes``, in insertion order."""
+        idx = exo_modes.indices  # sorted
+        cols = np.searchsorted(idx, self._p_harmonics)
+        keep = idx[np.minimum(cols, len(idx) - 1)] == self._p_harmonics
+        return self._p_rows[keep], cols[keep], self._p_values[keep]
 
 
 @dataclass
@@ -192,50 +191,6 @@ def frequency_denominators(gen: DiagonalGenerator, space: ExoSpace) -> np.ndarra
     return denom
 
 
-def _outer_band(gen: DiagonalGenerator) -> np.ndarray:
-    """Boolean mask of the outermost decile of modes by |mu| (at least one)."""
-    mags = np.abs(gen.eigenvalues)
-    count = max(1, len(mags) // 10)
-    cut = np.partition(mags, len(mags) - count)[len(mags) - count]
-    return mags >= cut
-
-
-def transfer_function(gen: DiagonalGenerator, coupling: ModalCoupling,
-                      lam: complex) -> TransferEval:
-    """Frequency response H(lam) = sum_n c_n b_n / (lam - mu_n) over the
-    retained modes, with the resolvent gap and an outer-band tail proxy."""
-    _check_plant(gen, coupling)
-    denom = lam - gen.eigenvalues
-    gaps = np.abs(denom)
-    nearest = int(np.argmin(gaps))
-    if gaps[nearest] == 0.0:
-        raise SingularResolventError(int(gen.modes.indices[nearest]),
-                                     complex(gen.eigenvalues[nearest]))
-    terms = coupling.c.coeffs * coupling.b.coeffs / denom
-    band = _outer_band(gen)
-    return TransferEval(
-        value=complex(terms.sum()),
-        min_gap=float(gaps[nearest]),
-        nearest_mode=int(gen.modes.indices[nearest]),
-        tail_estimate=float(np.abs(terms[band]).sum()),
-    )
-
-
-def disturbance_transfer(gen: DiagonalGenerator, coupling: ModalCoupling,
-                         space: ExoSpace, k: int) -> complex:
-    """Disturbance response H_d(k) = sum_n c_n p_{n,k} / (i omega_k - mu_n)."""
-    _check_plant(gen, coupling)
-    omega = 2.0 * np.pi * k / space.period
-    denom = 1j * omega - gen.eigenvalues
-    gaps = np.abs(denom)
-    if gaps.min() == 0.0:
-        bad = int(np.argmin(gaps))
-        raise SingularResolventError(int(gen.modes.indices[bad]),
-                                     complex(gen.eigenvalues[bad]))
-    col = coupling.p_column(k)
-    return complex(np.sum(coupling.c.coeffs * col / denom))
-
-
 def _check_plant(gen: DiagonalGenerator, coupling: ModalCoupling) -> None:
     if gen.modes != coupling.modes:
         raise ModeMismatchError("coupling and generator mode ranges differ")
@@ -252,9 +207,20 @@ def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
     return FrequencyGrid(
         gen=gen, coupling=coupling, space=space, denominators=denom,
         h=(cb[support, None] / denom[support]).sum(axis=0),
-        hd=_disturbance_grid(gen, coupling, space, denom),
+        hd=_disturbance_response(coupling, space, denom),
         gaps=np.abs(denom).min(axis=0),
     )
+
+
+def _disturbance_response(coupling: ModalCoupling, space: ExoSpace,
+                          denom: np.ndarray) -> np.ndarray:
+    """H_d(k) = sum_n c_n p_{n,k} / (i omega_k - mu_n), one scalar step
+    per entry of P (an array product would round differently)."""
+    hd = np.zeros(len(space.modes), dtype=np.complex128)
+    c = coupling.c.coeffs
+    for n_pos, k_pos, val in zip(*coupling.disturbance_in(space.modes)):
+        hd[k_pos] += c[n_pos] * val / denom[n_pos, k_pos]
+    return hd
 
 
 def _grid_for(grid: Optional[FrequencyGrid], gen: DiagonalGenerator,
@@ -275,20 +241,6 @@ def _denominators(gain: FeedforwardGain, gen: DiagonalGenerator,
     if gain.grid.serves(gen, space):
         return gain.grid.denominators
     return frequency_denominators(gen, space)
-
-
-def _disturbance_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
-                      space: ExoSpace, denom: np.ndarray) -> np.ndarray:
-    hd = np.zeros(len(space.modes), dtype=np.complex128)
-    if not coupling.p_entries:
-        return hd
-    plant, exo = gen.modes, space.modes
-    for (n, k), val in coupling.p_entries.items():
-        if k not in exo:
-            continue
-        n_pos, k_pos = plant.position(n), exo.position(k)
-        hd[k_pos] += coupling.c.coeffs[n_pos] * val / denom[n_pos, k_pos]
-    return hd
 
 
 def check_assumption1(gen: DiagonalGenerator, coupling: ModalCoupling,
@@ -378,10 +330,8 @@ def forcing_matrix(coupling: ModalCoupling, gain: FeedforwardGain,
                    space: ExoSpace) -> np.ndarray:
     """Columns of the closed-loop forcing operator: g_{n,k} = b_n ell_k + p_{n,k}."""
     mat = np.outer(coupling.b.coeffs, gain.ell)
-    plant, exo = coupling.modes, space.modes
-    for (n, k), val in coupling.p_entries.items():
-        if k in exo:
-            mat[plant.position(n), exo.position(k)] += val
+    rows, cols, vals = coupling.disturbance_in(space.modes)
+    mat[rows, cols] += vals  # the keys of P are unique
     return mat
 
 

@@ -1,10 +1,10 @@
 """Diagonal-operator calculus on a truncated mode set.
 
 Everything acts coefficient-wise on sequences indexed by a finite
-``ModeRange``: semigroup action ``exp(mu_n t)``, resolvents
-``1/(lambda - mu_n)``, fractional-power weights ``|mu_n|**beta``, the
-decay envelope ``sup_n exp(Re mu_n t) |mu_n|**(-beta)`` and a log-log
-slope fitter for it.
+``ModeRange``: semigroup action ``exp(mu_n t)``, fractional-power
+weights ``|mu_n|**beta``, the decay envelope
+``sup_n exp(Re mu_n t) |mu_n|**(-beta)`` and a log-log slope fitter for
+it.
 
 Sums and sups over the full integer lattice are always taken over the
 retained modes only; reports flag when an extremizer touches the range
@@ -15,13 +15,13 @@ tracks the untruncated one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ModeMismatchError, SingularResolventError
+from .errors import ModeMismatchError
 
 # Tail classification thresholds: a fitted exponent q of positive terms
 # ~ |n|**q is declared summable below SUMMABLE_BELOW, divergent above
@@ -185,16 +185,6 @@ class DiagonalGenerator:
 
 
 @dataclass
-class ResolventResult:
-    """Resolvent application plus its conditioning: the smallest gap
-    ``|lambda - mu_n|`` is reported, never clamped."""
-
-    vector: SpectralVector
-    min_gap: float
-    nearest_mode: int
-
-
-@dataclass
 class DecayReport:
     """Least-squares log-log fit of an envelope over a time window."""
 
@@ -265,26 +255,6 @@ def semigroup_apply(gen: DiagonalGenerator, t: float, v: SpectralVector) -> Spec
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     _require_same_modes(gen.modes, v.modes)
     return SpectralVector(v.modes, np.exp(gen.eigenvalues * t) * v.coeffs)
-
-
-def resolvent_apply(gen: DiagonalGenerator, lam: complex, v: SpectralVector) -> ResolventResult:
-    """Apply ``(lam - A)^{-1}`` coefficient-wise.
-
-    Raises :class:`SingularResolventError` on an exact eigenvalue hit; a
-    near-hit is legal and shows up as a small ``min_gap`` in the result.
-    """
-    _require_same_modes(gen.modes, v.modes)
-    denom = lam - gen.eigenvalues
-    gaps = np.abs(denom)
-    nearest = int(np.argmin(gaps))
-    if gaps[nearest] == 0.0:
-        raise SingularResolventError(int(gen.modes.indices[nearest]),
-                                     complex(gen.eigenvalues[nearest]))
-    return ResolventResult(
-        vector=SpectralVector(v.modes, v.coeffs / denom),
-        min_gap=float(gaps[nearest]),
-        nearest_mode=int(gen.modes.indices[nearest]),
-    )
 
 
 def fractional_norm(gen: DiagonalGenerator, beta: float, v: SpectralVector) -> float:

@@ -355,6 +355,62 @@ class TestFlags:
             != (tmp_path / "b" / "L.csv").read_bytes()
 
 
+class TestScenarioHeader:
+    """Report headers describe the scenario as built; kind = random takes
+    no size, period or weight settings."""
+
+    def header(self, out, name):
+        return (out / name).read_text().splitlines()[0]
+
+    def test_random_header_from_built_scenario(self, tmp_path, capsys):
+        from modalreg.scenarios import build_random_scenario
+
+        gen, _, space = build_random_scenario(5)
+        out = tmp_path / "out"
+        cfg = write(tmp_path, "[scenario]\nkind = random\n")
+        main(["check", "--config", cfg, "--out", str(out), "--seed", "5"])
+        assert self.header(out, "check_report.txt") == (
+            f"scenario: kind=random plant_modes={len(gen.modes)} "
+            f"harmonics={len(space.modes)} period={space.period:.17g} seed=5")
+
+    def test_wave_header(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = "[scenario]\nkind = wave\nn_plant = 20\nn_exo = 10\nnu = 0.5\n"
+        assert main(["solve", "--config", write(tmp_path, text),
+                     "--out", str(out), "--modes", "8"]) == 0
+        assert self.header(out, "residuals.txt") == (
+            "scenario: kind=wave plant_modes=16 harmonics=17 period=2 "
+            "gamma=2 nu=0.5")
+
+    def test_custom_header_counts_listed_modes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = ("[scenario]\nkind = custom\neigenvalues = -1+1j, -2\n"
+                "b = 1, 1\nc = 1, 0.5\nn_exo = 3\n")
+        assert main(["check", "--config", write(tmp_path, text),
+                     "--out", str(out)]) == 0
+        assert self.header(out, "check_report.txt") == (
+            "scenario: kind=custom plant_modes=2 harmonics=7 "
+            "period=6.2831853071795862 gamma=2")
+
+    @pytest.mark.parametrize("key", ["n_plant", "n_exo", "period", "gamma",
+                                     "nu"])
+    def test_random_rejects_drawn_keys(self, key, tmp_path, capsys):
+        path = write(tmp_path, f"[scenario]\nkind = random\n{key} = 1.5\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["check", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_random_rejects_modes_flag(self, tmp_path, capsys):
+        code = main(["solve", "--config",
+                     write(tmp_path, "[scenario]\nkind = random\n"),
+                     "--out", str(tmp_path / "out"), "--modes", "900"])
+        assert code == 2
+        assert "--modes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSolveLayerWork:
     """Each command computes what it reports, and the denominator matrix
     i omega_k - mu_n once."""

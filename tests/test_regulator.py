@@ -11,14 +11,12 @@ from modalreg.errors import AssumptionFailure
 from modalreg.exosystem import ExoState
 from modalreg.regulator import (ModalCoupling, build_feedforward,
                                 check_assumption1, check_assumption2,
-                                control_signal, disturbance_transfer,
-                                forcing_matrix, frequency_grid,
+                                control_signal, forcing_matrix, frequency_grid,
                                 residual_first_equation,
-                                residual_second_equation, solve_regulator,
-                                transfer_function)
+                                residual_second_equation, solve_regulator)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
                                 build_random_scenario, build_wave_scenario)
-from modalreg.spectral import SpectralVector, resolvent_apply
+from modalreg.spectral import SpectralVector
 
 
 @pytest.fixture(scope="module")
@@ -34,37 +32,39 @@ def wave_resonant():
 
 
 class TestTransferFunction:
+    """H(i omega_k) as the frequency grid holds it."""
+
     def test_diagonal_closed_form(self, diagonal):
         gen, coupling, space = diagonal
+        h = frequency_grid(gen, coupling, space).h
         for k in (-7, 0, 3, 40):
             omega = 2.0 * math.pi * k / space.period
-            h = transfer_function(gen, coupling, 1j * omega)
-            assert h.value == pytest.approx(1.0 / (1.0 + 1j * omega), rel=1e-13)
+            assert h[space.modes.position(k)] == pytest.approx(
+                1.0 / (1.0 + 1j * omega), rel=1e-13)
 
     def test_unit_frequency_value(self, diagonal):
-        gen, coupling, _ = diagonal
-        h = transfer_function(gen, coupling, 1j * 1.0)
-        assert h.value == pytest.approx(0.5 - 0.5j, rel=1e-13)
+        gen, coupling, space = diagonal
+        assert space.omegas[space.modes.position(1)] == 1.0
+        h = frequency_grid(gen, coupling, space).h
+        assert h[space.modes.position(1)] == pytest.approx(0.5 - 0.5j,
+                                                          rel=1e-13)
 
     def test_wave_matches_reversed_summation_oracle(self, wave_resonant):
         gen, coupling, space = wave_resonant
+        h = frequency_grid(gen, coupling, space).h
         for k in (0, 1, 9, 20):
             omega = 2.0 * math.pi * k / space.period
-            h = transfer_function(gen, coupling, 1j * omega)
             oracle = naive_transfer_value(gen.eigenvalues, coupling.b.coeffs,
                                           coupling.c.coeffs, 1j * omega)
-            assert abs(h.value - oracle) <= 1e-12
-
-    def test_tail_estimate_nonnegative_and_small(self, wave_resonant):
-        gen, coupling, _ = wave_resonant
-        h = transfer_function(gen, coupling, 1j * math.pi)
-        assert 0.0 <= h.tail_estimate < abs(h.value)
+            assert abs(h[space.modes.position(k)] - oracle) <= 1e-12
 
 
 class TestDisturbanceTransfer:
+    """H_d(k) as the frequency grid holds it."""
+
     def test_zero_disturbance(self, diagonal):
         gen, coupling, space = diagonal
-        assert disturbance_transfer(gen, coupling, space, 4) == 0.0
+        assert np.all(frequency_grid(gen, coupling, space).hd == 0.0)
 
     def test_input_shaped_column_reproduces_transfer(self, diagonal):
         gen, base, space = diagonal
@@ -73,17 +73,59 @@ class TestDisturbanceTransfer:
                    for n in base.modes
                    if base.b.coeffs[base.modes.position(n)] != 0}
         coupling = ModalCoupling(b=base.b, c=base.c, p_entries=entries)
-        omega = 2.0 * math.pi * k / space.period
-        h = transfer_function(gen, coupling, 1j * omega)
-        hd = disturbance_transfer(gen, coupling, space, k)
-        assert hd == pytest.approx(h.value, rel=1e-13)
+        grid = frequency_grid(gen, coupling, space)
+        j = space.modes.position(k)
+        assert grid.hd[j] == pytest.approx(grid.h[j], rel=1e-13)
 
     def test_single_entry_value(self, diagonal):
         gen, base, space = diagonal
         coupling = ModalCoupling(b=base.b, c=base.c, p_entries={(0, 1): 1.0})
         omega1 = 2.0 * math.pi / space.period
-        hd = disturbance_transfer(gen, coupling, space, 1)
-        assert hd == pytest.approx(1.0 / (1.0 + 1j * omega1), rel=1e-13)
+        hd = frequency_grid(gen, coupling, space).hd
+        assert hd[space.modes.position(1)] == pytest.approx(
+            1.0 / (1.0 + 1j * omega1), rel=1e-13)
+        assert np.count_nonzero(hd) == 1
+
+
+class TestDisturbanceEncoding:
+    """P is validated and stored once, read-only; entries at harmonics
+    outside the retained exosystem range contribute nothing."""
+
+    def test_entries_read_only(self, diagonal):
+        _, base, _ = diagonal
+        entries = {(0, 1): 0.5}
+        coupling = ModalCoupling(b=base.b, c=base.c, p_entries=entries)
+        with pytest.raises(TypeError):
+            coupling.p_entries[(0, 2)] = 1.0
+        entries[(0, 2)] = 1.0  # the caller's dict is copied, not kept
+        assert dict(coupling.p_entries) == {(0, 1): 0.5}
+
+    def test_entry_outside_plant_range_rejected(self, diagonal):
+        _, base, _ = diagonal
+        with pytest.raises(ValueError, match="plant mode 99"):
+            ModalCoupling(b=base.b, c=base.c, p_entries={(99, 1): 1.0})
+
+    def test_entry_outside_exo_range_ignored(self, diagonal):
+        gen, base, space = diagonal
+        inside = {(0, 1): 0.5, (3, -2): 0.25j}
+        outside = {**inside, (2, space.modes.hi + 5): 7.0}
+        ref = ModalCoupling(b=base.b, c=base.c, p_entries=inside)
+        coupling = ModalCoupling(b=base.b, c=base.c, p_entries=outside)
+        assert len(coupling.p_entries) == 3
+        grid, grid_ref = (frequency_grid(gen, cp, space)
+                          for cp in (coupling, ref))
+        np.testing.assert_array_equal(grid.hd, grid_ref.hd)
+        gain = build_feedforward(gen, coupling, space, grid=grid)
+        gain_ref = build_feedforward(gen, ref, space, grid=grid_ref)
+        np.testing.assert_array_equal(gain.ell, gain_ref.ell)
+        np.testing.assert_array_equal(forcing_matrix(coupling, gain, space),
+                                      forcing_matrix(ref, gain_ref, space))
+        sol = solve_regulator(gen, coupling, gain, space)
+        np.testing.assert_array_equal(
+            sol.pi, solve_regulator(gen, ref, gain_ref, space).pi)
+        assert residual_first_equation(sol, gen, coupling, gain,
+                                       space) <= 1e-10
+        assert residual_second_equation(sol, coupling, space) <= 1e-10
 
 
 class TestAssumption1:
@@ -223,9 +265,8 @@ class TestRegulatorSolve:
         forcing = forcing_matrix(coupling, gain, space)
         for k in (-11, 0, 9):
             j = space.modes.position(k)
-            col = SpectralVector(gen.modes, forcing[:, j].copy())
-            res = resolvent_apply(gen, 1j * space.omegas[j], col)
-            np.testing.assert_array_equal(sol.pi[:, j], res.vector.coeffs)
+            resolvent = forcing[:, j] / (1j * space.omegas[j] - gen.eigenvalues)
+            np.testing.assert_array_equal(sol.pi[:, j], resolvent)
 
     def test_norm_estimate_matches_plain_power_iteration(self, wave_resonant):
         gen, coupling, space = wave_resonant
@@ -316,7 +357,8 @@ class TestResiduals:
         res = residual_second_equation(sol, coupling_c, space)
         # oracle: with no disturbance the column output is H_coarse * ell_fine
         h_coarse = np.array([
-            transfer_function(gen_c, coupling_c, 1j * om).value
+            naive_transfer_value(gen_c.eigenvalues, coupling_c.b.coeffs,
+                                 coupling_c.c.coeffs, 1j * om)
             for om in space.omegas])
         expected = np.abs(h_coarse * gain_fine.ell - 1.0).max()
         assert res == pytest.approx(expected, rel=1e-12)

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalreg.errors import ModeMismatchError, SingularResolventError
+from modalreg.exosystem import ExoSpace
+from modalreg.regulator import (ModalCoupling, build_feedforward,
+                                check_assumption1, forcing_matrix,
+                                frequency_grid, solve_regulator)
 from modalreg.spectral import (DiagonalGenerator, ModeRange, SpectralVector,
                                check_geometric_condition,
                                check_superpolynomial, classify_tail,
                                decay_envelope, fit_decay_rate,
-                               fractional_norm, resolvent_apply,
-                               semigroup_apply)
+                               fractional_norm, semigroup_apply)
 
 
 def wave_spectrum(n, nu=1.0):
@@ -120,46 +123,68 @@ class TestSemigroup:
         assert all(b <= a for a, b in zip(norms, norms[1:]))
 
 
+def unit_grid(eigenvalues, n_exo=1):
+    """Frequency grid of a plant with b = c = 1 on modes 0.. and harmonics
+    -n_exo..n_exo at period 2 pi, so omega_k = k."""
+    gen = DiagonalGenerator(ModeRange(0, len(eigenvalues) - 1),
+                            np.asarray(eigenvalues, dtype=complex))
+    ones = SpectralVector(gen.modes, np.ones(len(gen.modes)))
+    space = ExoSpace.power_weights(2.0 * math.pi,
+                                   ModeRange.symmetric(n_exo), 2.0)
+    return frequency_grid(gen, ModalCoupling(b=ones, c=ones), space)
+
+
 class TestResolvent:
+    """The resolvent (i omega_k - mu_n)^{-1} lives in the frequency grid
+    (regulator.frequency_grid) and the spectral solve."""
+
     def test_simple_value(self):
-        gen = DiagonalGenerator(ModeRange(0, 0), np.array([-1.0 + 0j]))
-        v = SpectralVector.unit(gen.modes, 0)
-        res = resolvent_apply(gen, 0.0, v)
-        assert res.vector.coeff(0) == pytest.approx(1.0)
-        assert res.min_gap == pytest.approx(1.0)
+        grid = unit_grid([-1.0])
+        j = grid.space.modes.position(0)
+        assert grid.h[j] == pytest.approx(1.0)
+        assert grid.gaps[j] == pytest.approx(1.0)
 
     def test_complex_division(self):
-        gen = DiagonalGenerator(ModeRange(0, 0), np.array([-1.0 + 0j]))
-        v = SpectralVector.unit(gen.modes, 0)
-        res = resolvent_apply(gen, 1j, v)
+        grid = unit_grid([-1.0])
+        j = grid.space.modes.position(1)
         # oracle: 1/(1+i) rationalized by the conjugate
         expected = (1.0 - 1j) / 2.0
-        assert res.vector.coeff(0) == pytest.approx(expected)
-        assert res.vector.coeff(0) == pytest.approx(0.5 - 0.5j)
+        assert grid.h[j] == pytest.approx(expected)
+        assert grid.h[j] == pytest.approx(0.5 - 0.5j)
 
     def test_exact_hit_raises_with_mode(self):
         gen = accumulating_spectrum(3)
-        v = SpectralVector.zeros(gen.modes)
-        bad = complex(gen.eigenvalues[gen.modes.position(2)])
-        with pytest.raises(SingularResolventError) as err:
-            resolvent_apply(gen, bad, v)
-        assert err.value.mode == 2
+        ones = SpectralVector(gen.modes, np.ones(len(gen.modes)))
+        space = ExoSpace.power_weights(2.0 * math.pi, ModeRange.symmetric(3),
+                                       2.0)
+        # the generator rejects an imaginary-axis eigenvalue at
+        # construction, so one is set on the axis afterwards
+        gen.eigenvalues[gen.modes.position(2)] = \
+            1j * space.omegas[space.modes.position(2)]
+        coupling = ModalCoupling(b=ones, c=ones)
+        for build in (frequency_grid, check_assumption1):
+            with pytest.raises(SingularResolventError) as err:
+                build(gen, coupling, space)
+            assert err.value.mode == 2
 
     def test_resolvent_identity(self):
         gen = accumulating_spectrum(6)
         rng = np.random.default_rng(7)
-        v = SpectralVector(gen.modes, rng.standard_normal(len(gen.modes))
+        b = SpectralVector(gen.modes, rng.standard_normal(len(gen.modes))
                            + 1j * rng.standard_normal(len(gen.modes)))
-        lam = 0.3 + 2.1j
-        res = resolvent_apply(gen, lam, v)
-        back = (lam - gen.eigenvalues) * res.vector.coeffs
-        np.testing.assert_allclose(back, v.coeffs, rtol=1e-13)
+        coupling = ModalCoupling(b=b, c=b)
+        space = ExoSpace.power_weights(3.0, ModeRange.symmetric(4), 2.0)
+        gain = build_feedforward(gen, coupling, space)
+        sol = solve_regulator(gen, coupling, gain, space)
+        back = (1j * space.omegas[None, :] - gen.eigenvalues[:, None]) * sol.pi
+        np.testing.assert_allclose(back, forcing_matrix(coupling, gain, space),
+                                   rtol=1e-13)
 
     def test_min_gap_reported(self):
-        gen = DiagonalGenerator(ModeRange(0, 1), np.array([-1.0 + 0j, -2.0 + 0j]))
-        res = resolvent_apply(gen, 1j, SpectralVector.zeros(gen.modes))
-        assert res.min_gap == pytest.approx(math.sqrt(2.0))
-        assert res.nearest_mode == 0
+        grid = unit_grid([-1.0, -2.0])
+        j = grid.space.modes.position(1)
+        assert grid.gaps[j] == pytest.approx(math.sqrt(2.0))
+        assert grid.gaps[j] == abs(grid.denominators[0, j])
 
 
 class TestFractionalNorm:
