@@ -284,15 +284,26 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
         except ValueError as exc:
             lines.append(f"{name} certificate: skipped ({exc})")
             continue
+        floor = f"reached the rounding floor at t = {_fmt(cert.floor_time)}"
+        if not gated and np.isfinite(cert.floor_time):
+            lines.append(f"{name} envelope: {floor}")
+            continue
         status = ("PASS" if cert.passed else "FAIL") if gated else "reported"
         lines.append(f"{name} envelope slope = {_fmt(cert.slope)} "
                      f"(target <= {_fmt(cert.target_slope)} + "
                      f"{_fmt(cert.slope_tol)}; m = {_fmt(cert.m)}): {status}")
+        if np.isfinite(cert.floor_time):
+            lines.append(f"  note: {floor}")
         if gated and not cert.passed:
             failures.append(f"{name} decay certificate")
 
     lines.append("")
-    lines.append(f"overall: {'FAIL (' + '; '.join(failures) + ')' if failures else 'PASS'}")
+    if failures:
+        lines.append(f"overall: FAIL ({'; '.join(failures)})")
+    elif superpoly.is_superpolynomial:
+        lines.append("overall: PASS (nominal rate not evaluated)")
+    else:
+        lines.append("overall: PASS")
     _write_text(out_dir / "decay_report.txt", lines)
     print("\n".join(lines))
     return 1 if failures else 0

@@ -1,8 +1,10 @@
 """INI-style run configuration for the command-line tools.
 
 Flat ``key = value`` entries in four sections: ``[scenario]``,
-``[tolerances]``, ``[quadrature]``, ``[simulate]``. Unknown sections or
-keys are errors, not warnings; reproducibility beats leniency.
+``[tolerances]``, ``[quadrature]``, ``[simulate]``; ``;`` or ``#`` after
+whitespace starts a comment. Unknown sections or keys, and keys the
+scenario kind does not read, are errors, not warnings; reproducibility
+beats leniency.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ _SIMULATE_KEYS = {"t_min", "t_max", "n_points", "spacing",
 
 # kind = random draws these itself, so setting them is an error
 _RANDOM_DRAWN_KEYS = {"n_plant", "n_exo", "period", "gamma", "nu"}
+# only kind = custom reads these; any other kind would drop them
+_CUSTOM_ONLY_KEYS = {"eigenvalues", "b", "c"}
 
 _SECTION_KEYS = {
     "scenario": _SCENARIO_KEYS,
@@ -113,7 +117,8 @@ def _float_list(raw: str):
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -136,11 +141,18 @@ def load_config(path) -> RunConfig:
     if kind is None:
         raise ConfigError("[scenario] must set kind")
 
-    drawn = set(parser.options("scenario")) & _RANDOM_DRAWN_KEYS
-    if kind.strip() == "random" and drawn:
+    kind = kind.strip()
+    keys = set(parser.options("scenario"))
+    drawn = keys & _RANDOM_DRAWN_KEYS
+    if kind == "random" and drawn:
         raise ConfigError(f"[scenario] kind = random draws its own sizes, "
                           f"period and weights; remove {', '.join(sorted(drawn))}")
-    sc_kwargs = {"kind": kind.strip()}
+    custom_only = keys & _CUSTOM_ONLY_KEYS
+    if kind != "custom" and custom_only:
+        raise ConfigError(f"[scenario] only kind = custom reads "
+                          f"{', '.join(sorted(custom_only))}; remove them "
+                          f"for kind = {kind}")
+    sc_kwargs = {"kind": kind}
     for key, conv in (("nu", float), ("period", float), ("gamma", float),
                       ("n_plant", int), ("n_exo", int), ("seed", int),
                       ("alpha", float)):

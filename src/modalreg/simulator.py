@@ -23,7 +23,7 @@ from .exosystem import ExoState, synthesize_signal
 from .regulator import (FeedforwardGain, ModalCoupling, SylvesterSolution,
                         control_signal, forcing_matrix,
                         frequency_denominators)
-from .spectral import DiagonalGenerator, SpectralVector
+from .spectral import DiagonalGenerator, SpectralVector, loglog_fit
 
 
 @dataclass(eq=False)
@@ -108,7 +108,9 @@ class DecayCertificate:
     ``m`` is the smallest constant with value(t) <= m t**(-1/alpha) on the
     window. ``passed`` asserts decay at least as fast as the nominal rate
     (slope below target within tolerance); ``matches_nominal`` asserts the
-    two-sided match.
+    two-sided match. ``floor_time`` is the first window time at the
+    rounding floor (see :func:`loglog_fit`), inf when the values stay
+    above it; a slope fitted past it partly fits rounding residue.
     """
 
     m: float
@@ -120,6 +122,7 @@ class DecayCertificate:
     n_points: int
     used_fallback: bool
     window: tuple
+    floor_time: float
 
 
 def certify_decay(t_grid, values, alpha: float, window,
@@ -137,31 +140,28 @@ def certify_decay(t_grid, values, alpha: float, window,
     lo, hi = float(window[0]), float(window[1])
     if lo <= 0:
         raise ValueError("window must lie in positive times")
-    mask = (t >= lo) & (t <= hi)
-    if not mask.any() or v[mask].max() == 0.0:
+    crests = np.zeros(t.size, dtype=bool)
+    crests[1:-1] = (v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])
+    fit = loglog_fit(t, v, (lo, hi), keep=crests, min_points=10)
+    used_fallback = fit.n_points < 10
+    if used_fallback:
+        fit = loglog_fit(t, v, (lo, hi), min_points=10)
+    if fit.n_points == 0:
         raise ValueError("values vanish identically on the window")
-    interior = np.zeros(t.size, dtype=bool)
-    interior[1:-1] = (v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]) & (v[1:-1] > 0)
-    peaks = interior & mask
-    used_fallback = False
-    if peaks.sum() < 10:
-        peaks = mask & (v > 0)
-        used_fallback = True
-    if peaks.sum() < 10:
+    if fit.n_points < 10:
         raise ValueError(
-            f"window [{lo}, {hi}] provides {int(peaks.sum())} envelope points; need >= 10"
+            f"window [{lo}, {hi}] provides {fit.n_points} envelope points; need >= 10"
         )
-    slope = float(np.polyfit(np.log(t[peaks]), np.log(v[peaks]), 1)[0])
     target = -1.0 / alpha
-    m = float(np.max(v[mask] * t[mask] ** (1.0 / alpha)))
     return DecayCertificate(
-        m=m,
-        slope=slope,
+        m=float(np.max((v * t ** (1.0 / alpha))[fit.inside])),
+        slope=fit.slope,
         target_slope=target,
         slope_tol=slope_tol,
-        passed=slope <= target + slope_tol,
-        matches_nominal=abs(slope - target) <= slope_tol,
-        n_points=int(peaks.sum()),
+        passed=fit.slope <= target + slope_tol,
+        matches_nominal=abs(fit.slope - target) <= slope_tol,
+        n_points=fit.n_points,
         used_fallback=used_fallback,
         window=(lo, hi),
+        floor_time=fit.floor_time,
     )

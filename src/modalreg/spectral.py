@@ -3,8 +3,8 @@
 Everything acts coefficient-wise on sequences indexed by a finite
 ``ModeRange``: semigroup action ``exp(mu_n t)``, fractional-power
 weights ``|mu_n|**beta``, the decay envelope
-``sup_n exp(Re mu_n t) |mu_n|**(-beta)`` and a log-log slope fitter for
-it.
+``sup_n exp(Re mu_n t) |mu_n|**(-beta)``, and ``loglog_fit``, the one
+log-log line fit behind every decay rate, certificate and tail trend.
 
 Sums and sups over the full integer lattice are always taken over the
 retained modes only; reports flag when an extremizer touches the range
@@ -184,15 +184,72 @@ class DiagonalGenerator:
         return float(np.abs(self.eigenvalues.real).min())
 
 
+@dataclass(eq=False)
+class LogLogFit:
+    """Least-squares line ``log y = slope log x + intercept`` through the
+    ``used`` points of (x, y); slope and intercept are nan when there were
+    too few of them.
+
+    For one sequence y, slope, intercept, residual and floor_time are
+    floats; for a 2-D y (one sequence per column), arrays with one entry
+    per column. The residual and the floor time are computed when read.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    inside: np.ndarray  # the window, as a mask over x
+    used: np.ndarray
+    slope: object
+    intercept: object
+
+    def __post_init__(self):
+        self.slope = self._per_column(self.slope)
+        self.intercept = self._per_column(self.intercept)
+
+    def _per_column(self, values):
+        return float(values) if self.y.ndim == 1 else values
+
+    def _along_y(self, row_values):
+        return row_values if self.y.ndim == 1 else row_values[:, None]
+
+    @property
+    def n_points(self) -> int:
+        return int(self.used.sum())
+
+    @cached_property
+    def residual(self):
+        """Largest |log y - line| over the used points; nan without a line."""
+        if not self.used.any():
+            return self._per_column(np.full(self.y.shape[1:], np.nan))
+        line = self._along_y(np.log(self.x[self.used])) * self.slope
+        gap = np.log(self.y[self.used]) - (line + self.intercept)
+        return self._per_column(np.abs(gap).max(axis=0))
+
+    @cached_property
+    def floor_time(self):
+        """Least window x at which |y| <= eps * max |y| over all of x
+        (exact zeros count), inf if none: the rounding floor, below which
+        a fit follows rounding residue."""
+        mag = np.abs(self.y)
+        at_floor = self._along_y(self.inside) & (
+            mag <= np.finfo(float).eps * mag.max(axis=0, initial=0.0))
+        times = np.where(at_floor, self._along_y(self.x), np.inf)
+        return self._per_column(times.min(axis=0, initial=np.inf))
+
+
 @dataclass
 class DecayReport:
     """Least-squares log-log fit of an envelope over a time window."""
 
     exponent_beta: float
-    prefactor: float
+    intercept: float
     window: tuple
     residual: float
     n_points: int
+
+    @property
+    def prefactor(self) -> float:
+        return float(np.exp(self.intercept))
 
 
 @dataclass
@@ -332,10 +389,30 @@ def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResul
     )
 
 
+def loglog_fit(x, y, window=None, keep=None, min_points: int = 2) -> LogLogFit:
+    """Least-squares line through (log x, log y) over the points of x
+    inside ``window`` (``(lo, hi)``, all of x when None) where ``keep``
+    holds and every column of y is positive; see :class:`LogLogFit`.
+    Fewer than ``min_points`` such points fit no line.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    inside = (np.ones(x.size, dtype=bool) if window is None
+              else (x >= window[0]) & (x <= window[1]))
+    used = inside & (y > 0 if y.ndim == 1 else np.all(y > 0, axis=1))
+    if keep is not None:
+        used &= keep
+    if used.sum() < min_points:
+        slope = intercept = np.full(y.shape[1:], np.nan)
+    else:
+        slope, intercept = np.polyfit(np.log(x[used]), np.log(y[used]), 1)
+    return LogLogFit(x, y, inside, used, slope, intercept)
+
+
 def fit_decay_rate(envelope, t_grid, window) -> DecayReport:
     """Least-squares slope of log envelope vs log t inside ``window``.
 
-    Returns the decay exponent (negated slope), the prefactor, and the
+    Returns the decay exponent (negated slope), the intercept, and the
     maximum absolute log deviation of the fit.
     """
     env = np.asarray(envelope, dtype=float)
@@ -343,24 +420,20 @@ def fit_decay_rate(envelope, t_grid, window) -> DecayReport:
     if env.shape != t.shape:
         raise ValueError("envelope and time grid lengths differ")
     lo, hi = float(window[0]), float(window[1])
-    mask = (t >= lo) & (t <= hi)
-    if mask.sum() < 10:
+    fit = loglog_fit(t, env, (lo, hi), min_points=10)
+    n_window = int(fit.inside.sum())
+    if n_window < 10:
         raise ValueError(
-            f"window [{lo}, {hi}] contains {int(mask.sum())} grid points; need >= 10"
+            f"window [{lo}, {hi}] contains {n_window} grid points; need >= 10"
         )
-    ew = env[mask]
-    if np.any(ew <= 0):
+    if fit.n_points < n_window:
         raise ValueError("envelope must be strictly positive on the fit window")
-    logt = np.log(t[mask])
-    loge = np.log(ew)
-    slope, intercept = np.polyfit(logt, loge, 1)
-    resid = float(np.max(np.abs(loge - (slope * logt + intercept))))
     return DecayReport(
-        exponent_beta=float(-slope),
-        prefactor=float(np.exp(intercept)),
+        exponent_beta=-fit.slope,
+        intercept=fit.intercept,
         window=(lo, hi),
-        residual=resid,
-        n_points=int(mask.sum()),
+        residual=fit.residual,
+        n_points=fit.n_points,
     )
 
 
@@ -410,31 +483,26 @@ def classify_tails(indices, terms, min_points: int = 5) -> list:
     n_max = idx.max() if idx.size else 0
     start = max(2.0, math.ceil(n_max / 2))
     tail = idx >= start
-    log_idx, a = np.log(idx[tail]), a[tail]
-    positive = a > 0
+    idx, a = idx[tail], a[tail]
     groups = {}
-    for c, key in enumerate(np.packbits(positive, axis=0).T):
+    for c, key in enumerate(np.packbits(a > 0, axis=0).T):
         groups.setdefault(key.tobytes(), []).append(c)
     reports = [None] * a.shape[1]
     for cols in groups.values():
-        pos = positive[:, cols[0]]
-        n_fit = int(pos.sum())
-        if n_fit == 0:
-            fit = TailReport(-math.inf, "summable", 0,
-                             "no positive terms beyond the tail window")
-            fits = [fit] * len(cols)
-        elif n_fit < min_points:
-            fit = TailReport(math.nan, "inconclusive", n_fit,
-                             "too few positive tail terms to fit")
-            fits = [fit] * len(cols)
+        fit = loglog_fit(idx, a[:, cols], min_points=min_points)
+        if fit.n_points == 0:
+            fits = [TailReport(-math.inf, "summable", 0,
+                               "no positive terms beyond the tail window")
+                    ] * len(cols)
+        elif fit.n_points < min_points:
+            fits = [TailReport(math.nan, "inconclusive", fit.n_points,
+                               "too few positive tail terms to fit")
+                    ] * len(cols)
         else:
-            log_a = a[np.ix_(pos, cols)]
-            np.log(log_a, out=log_a)
-            slopes = np.polyfit(log_idx[pos], log_a, 1)[0]
-            fits = [TailReport(float(q), _tail_verdict(q), n_fit)
-                    for q in slopes]
-        for c, fit in zip(cols, fits):
-            reports[c] = fit
+            fits = [TailReport(float(q), _tail_verdict(q), fit.n_points)
+                    for q in fit.slope]
+        for c, report in zip(cols, fits):
+            reports[c] = report
     return reports
 
 

@@ -24,7 +24,7 @@ from .regulator import (ForcingColumns, SylvesterSolution,
                         frequency_denominators)
 from .spectral import (_CHUNK_ENTRIES, DiagonalGenerator, SpectralVector,
                        TailReport, classify_tail, classify_tails,
-                       fractional_norm)
+                       fractional_norm, loglog_fit)
 
 DEFAULT_HORIZONS = tuple(10.0 * 2**j for j in range(8))
 
@@ -177,11 +177,7 @@ def _tail_trend_verdict(horizons, tails: np.ndarray) -> str:
         return "conform-trend"
     if tails[-1] >= tails[0]:
         return "non-conform-trend"
-    pos = tails > 0
-    if pos.sum() < 3:
-        return "inconclusive"
-    slope = float(np.polyfit(np.log(np.asarray(horizons, float)[pos]),
-                             np.log(tails[pos]), 1)[0])
+    slope = loglog_fit(horizons, tails, min_points=3).slope  # nan: no line
     return "conform-trend" if slope <= _DECAYING_SLOPE else "inconclusive"
 
 

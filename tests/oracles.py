@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's closed-form paths: a dumb fixed-step
 RK4 integrator for the closed-loop modal ODEs, naive reversed-order
-summation for frequency-response values, and a row-by-row ``csv.writer``
-reference for the artifact format.
+summation for frequency-response values, a row-by-row ``csv.writer``
+reference for the artifact format, and the plain ``np.polyfit`` log-log
+line the shared fitter must reproduce bit for bit.
 """
 
 import csv
@@ -129,3 +130,9 @@ def write_csv_rows(path, header, rows, fmt=fmt_number):
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt(v) for v in row])
+
+
+def loglog_polyfit(x, y):
+    """Slope and intercept of the least-squares line through
+    (log x, log y); y may hold one sequence per column."""
+    return np.polyfit(np.log(x), np.log(y), 1)

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,16 @@ window_hi = 50
             .replace("n_exo = 60", "n_exo = 1")
         cfg = load_config(write(tmp_path, text))
         assert cfg.scenario.w0_preset == (1.0, 0.0, 0.5j)
+
+    @pytest.mark.parametrize("key", ["eigenvalues", "b", "c"])
+    def test_custom_only_keys_rejected_elsewhere(self, key, tmp_path, capsys):
+        text = "[scenario]\nkind = wave\nn_plant = 5\nn_exo = 5\n"
+        path = write(tmp_path, f"{text}{key} = -1, -2\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["check", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestCheckCommand:
@@ -332,7 +344,37 @@ window_hi = 40
         code = main(["decay", "--config", write(tmp_path, text),
                      "--out", str(out)])
         assert code == 0
-        assert "superpolynomial" in (out / "decay_report.txt").read_text()
+        report = (out / "decay_report.txt").read_text()
+        assert "superpolynomial" in report
+        assert report.endswith("overall: PASS (nominal rate not evaluated)\n")
+
+    def test_readme_example_config(self, tmp_path, capsys):
+        """The README's example config, verbatim: its diagonal error run
+        falls to the rounding floor, which the report names instead of
+        fitting a slope to the residue."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"Example config:\n\n```ini\n(.*?)```", readme,
+                          re.S).group(1)
+        cfg = write(tmp_path, block)
+        assert main(["check", "--config", cfg,
+                     "--out", str(tmp_path / "check")]) == 0
+        out = tmp_path / "decay"
+        assert main(["decay", "--config", cfg, "--out", str(out)]) == 0
+        report = (out / "decay_report.txt").read_text()
+        assert "error envelope: reached the rounding floor at t = " in report
+        assert "error envelope slope" not in report
+        assert "state deviation envelope slope = " in report
+
+    def test_exponentially_stable_random_decay(self, tmp_path, capsys):
+        """Seed 57's semigroup envelope falls far faster than any power;
+        its fit must not overflow (RuntimeWarnings fail the suite)."""
+        text = ("[scenario]\nkind = random\nw0_preset = unit\n"
+                "z0_preset = inv_mu_sq\n")
+        out = tmp_path / "out"
+        assert main(["decay", "--config", write(tmp_path, text),
+                     "--out", str(out), "--seed", "57"]) == 0
+        report = (out / "decay_report.txt").read_text()
+        assert "flagged superpolynomial" in report
 
 
 class TestFlags:

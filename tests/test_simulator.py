@@ -11,7 +11,8 @@ from modalreg.exosystem import ExoState
 from modalreg.regulator import (build_feedforward, forcing_matrix,
                                 solve_regulator)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
-                                build_random_scenario, resolve_w0, resolve_z0)
+                                build_random_scenario, build_wave_scenario,
+                                resolve_w0, resolve_z0)
 from modalreg.simulator import (certify_decay, error_formula_check,
                                 simulate_closed_loop, state_deviation_norms)
 from modalreg.spectral import SpectralVector, decay_envelope
@@ -178,6 +179,32 @@ class TestDecayCertificate:
         t = np.geomspace(1.0, 100.0, 80)
         with pytest.raises(ValueError, match="envelope points"):
             certify_decay(t, 1.0 / t, alpha=1.0, window=(1.0, 1.2))
+
+    def test_wave_golden_error_stays_above_floor(self):
+        """The resonant wave at N = 1000 bottoms out near 1.2e-15, twenty
+        times eps * max|e|: a decaying error, not rounding residue."""
+        cfg = ScenarioConfig(kind="wave", nu=1.0, gamma=2.0, n_plant=1000,
+                             n_exo=1000, w0_preset="square11",
+                             z0_preset="inv_mu_sq")
+        gen, coupling, space = build_wave_scenario(cfg)
+        gain = build_feedforward(gen, coupling, space)
+        sol = solve_regulator(gen, coupling, gain, space)
+        w0 = resolve_w0(cfg, space)
+        z0 = resolve_z0(cfg, gen, sol, w0)
+        t = np.geomspace(1e-2, 1e3, 512)
+        abs_e = np.abs(simulate_closed_loop(gen, coupling, gain, z0, w0, t).e)
+        cert = certify_decay(t, abs_e, alpha=2.0, window=(10.0, 1e3))
+        assert cert.floor_time == math.inf
+        floor = np.finfo(float).eps * abs_e.max()
+        assert 10 * floor < abs_e[t >= 10.0].min() < 1e-14
+
+    def test_rounding_floor_reported(self):
+        t = np.geomspace(1.0, 100.0, 80)
+        values = 1.0 / t**8
+        values[60:] = 0.0
+        cert = certify_decay(t, values, alpha=1.0, window=(1.0, 100.0))
+        assert cert.floor_time == t[60]  # 1 / t**8 is still above eps there
+        assert cert.slope == pytest.approx(-8.0)
 
     def test_identically_zero_rejected(self):
         t = np.geomspace(1.0, 100.0, 80)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import loglog_polyfit
 
 from modalreg.errors import ModeMismatchError, SingularResolventError
 from modalreg.exosystem import ExoSpace
@@ -16,7 +17,7 @@ from modalreg.spectral import (DiagonalGenerator, ModeRange, SpectralVector,
                                check_geometric_condition,
                                check_superpolynomial, classify_tail,
                                decay_envelope, fit_decay_rate,
-                               fractional_norm, semigroup_apply)
+                               fractional_norm, loglog_fit, semigroup_apply)
 
 
 def wave_spectrum(n, nu=1.0):
@@ -314,6 +315,59 @@ class TestFitDecayRate:
         env[5] = 0.0
         with pytest.raises(ValueError, match="positive"):
             fit_decay_rate(env, t, (1.0, 10.0))
+
+
+class TestLogLogFit:
+    def test_one_sequence_matches_polyfit(self):
+        rng = np.random.default_rng(3)
+        x = np.geomspace(1.0, 500.0, 90)
+        y = x ** -0.7 * np.exp(0.3 * rng.standard_normal(x.size))
+        fit = loglog_fit(x, y)
+        slope, intercept = loglog_polyfit(x, y)
+        assert fit.slope == slope and fit.intercept == intercept
+        assert fit.n_points == 90 and fit.floor_time == math.inf
+        assert fit.residual == np.max(np.abs(
+            np.log(y) - (slope * np.log(x) + intercept)))
+
+    def test_columns_match_polyfit(self):
+        rng = np.random.default_rng(4)
+        x = np.arange(2.0, 60.0)
+        y = np.exp(rng.standard_normal((x.size, 7))) * x[:, None] ** -1.5
+        fit = loglog_fit(x, y)
+        slope, intercept = loglog_polyfit(x, y)
+        assert np.array_equal(fit.slope, slope)
+        assert np.array_equal(fit.intercept, intercept)
+        assert fit.floor_time.shape == (7,)
+
+    def test_window_keep_and_positivity_select_points(self):
+        x = np.geomspace(1.0, 100.0, 60)
+        y = 1.0 / x
+        y[10] = 0.0
+        keep = np.arange(x.size) % 2 == 0
+        fit = loglog_fit(x, y, window=(2.0, 50.0), keep=keep)
+        use = (x >= 2.0) & (x <= 50.0) & (y > 0) & keep
+        assert fit.n_points == use.sum()
+        assert np.array_equal(fit.inside, (x >= 2.0) & (x <= 50.0))
+        assert fit.slope == loglog_polyfit(x[use], y[use])[0]
+
+    def test_too_few_points_fit_nothing(self):
+        x = np.arange(1.0, 6.0)
+        fit = loglog_fit(x, 1.0 / x, min_points=10)
+        assert fit.n_points == 5
+        assert math.isnan(fit.slope) and math.isnan(fit.residual)
+
+    def test_floor_time_counts_zeros_and_residue(self):
+        x = np.arange(1.0, 41.0)
+        y = 2.0 ** -x
+        # from x = 31 on: exact zeros and residue below eps * max y
+        y[30:] = [3e-17, 0.0, 1e-17, 0.0, 4e-17, 0.0, 0.0, 2e-17, 0.0, 0.0]
+        eps_max = np.finfo(float).eps * 0.5
+        first = np.flatnonzero(y <= eps_max)[0]
+        assert first == 30 and y[29] > eps_max
+        assert loglog_fit(x, y).floor_time == x[first]
+        # the floor is measured against the whole grid, read in the window
+        assert loglog_fit(x, y, window=(35.0, 40.0)).floor_time == 35.0
+        assert loglog_fit(x, y, window=(1.0, 30.0)).floor_time == math.inf
 
 
 class TestClassifyTail:
