@@ -10,8 +10,8 @@ from .exosystem import (ExoSpace, ExoState, dirac_functional, graph_norm,
 from .regulator import (Assumption1Report, Assumption2Report, FeedforwardGain,
                         FrequencyGrid, ModalCoupling, SylvesterSolution,
                         build_feedforward, check_assumption1,
-                        check_assumption2, control_signal, forcing_columns,
-                        forcing_matrix, frequency_grid,
+                        check_assumption2, control_signal, forcing_matrix,
+                        frequency_grid,
                         residual_first_equation, residual_second_equation,
                         solve_regulator)
 from .scenarios import (ScenarioConfig, build_diagonal_scenario,

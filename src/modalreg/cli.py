@@ -19,9 +19,10 @@ from .config import RunConfig, load_config
 from .csvio import write_csv as _write_csv  # perfbench/tracing.py wraps this name
 from .errors import AssumptionFailure, ConfigError
 from .regulator import (build_feedforward, check_assumption1,
-                        check_assumption2, forcing_columns, frequency_grid,
+                        check_assumption2, frequency_grid,
                         residual_first_equation, residual_second_equation,
                         solve_regulator)
+from .regulator import forcing_matrix as forcing_columns  # perfbench/tracing.py wraps this name
 from .scenarios import (build_scenario, nominal_geometric_params, resolve_w0,
                         resolve_z0)
 from .simulator import (certify_decay, simulate_closed_loop,

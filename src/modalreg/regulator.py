@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AssumptionFailure, ModeMismatchError, SingularResolventError
-from .exosystem import ExoSpace, ExoState
+from .exosystem import ExoSpace, ExoState, synthesize_signal
 from .spectral import (DiagonalGenerator, ModeRange, SpectralVector,
                        TailReport, classify_tail)
 
@@ -132,8 +132,14 @@ class FeedforwardGain:
     def hd_values(self) -> np.ndarray:
         return self.grid.hd
 
-    def ell_of(self, k: int) -> complex:
-        return complex(self.ell[self.exo_modes.position(k)])
+    def denominators(self, gen: DiagonalGenerator,
+                     space: ExoSpace) -> np.ndarray:
+        """D for this plant and space: the grid's own when the gain was
+        designed on them, a new matrix for a gain designed on another
+        truncation."""
+        if self.grid.serves(gen, space):
+            return self.grid.denominators
+        return frequency_denominators(gen, space)
 
 
 @dataclass
@@ -234,15 +240,6 @@ def _grid_for(grid: Optional[FrequencyGrid], gen: DiagonalGenerator,
     return grid
 
 
-def _denominators(gain: FeedforwardGain, gen: DiagonalGenerator,
-                  space: ExoSpace) -> np.ndarray:
-    """D for this plant and space: the gain's own when it was designed on
-    them, a new matrix for a gain designed on another truncation."""
-    if gain.grid.serves(gen, space):
-        return gain.grid.denominators
-    return frequency_denominators(gen, space)
-
-
 def check_assumption1(gen: DiagonalGenerator, coupling: ModalCoupling,
                       space: ExoSpace, floor: float = 1e-8, *,
                       grid: Optional[FrequencyGrid] = None) -> Assumption1Report:
@@ -335,35 +332,6 @@ def forcing_matrix(coupling: ModalCoupling, gain: FeedforwardGain,
     return mat
 
 
-class ForcingColumns(Mapping):
-    """Forcing columns keyed by exosystem mode, held as one dense
-    (plant x exo) matrix; a lookup returns a copy of the column as a
-    spectral vector."""
-
-    def __init__(self, plant_modes: ModeRange, exo_modes: ModeRange,
-                 matrix: np.ndarray):
-        self.plant_modes = plant_modes
-        self.exo_modes = exo_modes
-        self.matrix = matrix
-
-    def __getitem__(self, k) -> SpectralVector:
-        return SpectralVector(self.plant_modes,
-                              self.matrix[:, self.exo_modes.position(k)].copy())
-
-    def __iter__(self):
-        return iter(self.exo_modes)
-
-    def __len__(self) -> int:
-        return len(self.exo_modes)
-
-
-def forcing_columns(coupling: ModalCoupling, gain: FeedforwardGain,
-                    space: ExoSpace) -> ForcingColumns:
-    """Forcing columns keyed by exosystem mode, as spectral vectors."""
-    return ForcingColumns(coupling.modes, space.modes,
-                          forcing_matrix(coupling, gain, space))
-
-
 def _weighted_norm_estimate(pi: np.ndarray, weights: np.ndarray,
                             iterations: int = 50) -> float:
     """Power iteration on the f-weighted matrix; deterministic start."""
@@ -393,7 +361,7 @@ def solve_regulator(gen: DiagonalGenerator, coupling: ModalCoupling,
     if gain.exo_modes != space.modes:
         raise ModeMismatchError("gain and space mode ranges differ")
     pi = forcing_matrix(coupling, gain, space)
-    pi /= _denominators(gain, gen, space)
+    pi /= gain.denominators(gen, space)
     return SylvesterSolution(
         plant_modes=gen.modes,
         exo_modes=space.modes,
@@ -410,7 +378,7 @@ def residual_first_equation(solution: SylvesterSolution, gen: DiagonalGenerator,
     Zero in exact arithmetic for a spectral solve; this is the floating
     point self-check.
     """
-    lhs = _denominators(gain, gen, space) * solution.pi
+    lhs = gain.denominators(gen, space) * solution.pi
     lhs -= forcing_matrix(coupling, gain, space)
     resid = np.linalg.norm(lhs, axis=0)
     scale = 1.0 + np.linalg.norm(solution.pi, axis=0)
@@ -431,7 +399,4 @@ def control_signal(gain: FeedforwardGain, w0: ExoState, t):
     applied to the shifted exosystem state."""
     if gain.exo_modes != w0.space.modes:
         raise ModeMismatchError("gain and state mode ranges differ")
-    t_arr = np.asarray(t, dtype=float)
-    phases = np.exp(1j * np.multiply.outer(t_arr, w0.space.omegas))
-    out = phases @ (gain.ell * w0.coeffs)
-    return complex(out) if t_arr.ndim == 0 else out
+    return synthesize_signal(ExoState(w0.space, gain.ell * w0.coeffs), t)

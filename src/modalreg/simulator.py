@@ -21,8 +21,8 @@ import numpy as np
 
 from .exosystem import ExoState, synthesize_signal
 from .regulator import (FeedforwardGain, ModalCoupling, SylvesterSolution,
-                        control_signal, forcing_matrix,
-                        frequency_denominators)
+                        control_signal, forcing_matrix)
+from .regulator import frequency_denominators  # perfbench/tracing.py wraps this name
 from .spectral import DiagonalGenerator, SpectralVector, loglog_fit
 
 
@@ -40,9 +40,6 @@ class SimulationResult:
     z0: SpectralVector
     w0: ExoState
 
-    def state_at(self, i: int) -> SpectralVector:
-        return SpectralVector(self.plant_modes, self.z[i].copy())
-
 
 def simulate_closed_loop(gen: DiagonalGenerator, coupling: ModalCoupling,
                          gain: FeedforwardGain, z0: SpectralVector,
@@ -52,11 +49,9 @@ def simulate_closed_loop(gen: DiagonalGenerator, coupling: ModalCoupling,
         raise ValueError("initial state and generator mode ranges differ")
     t = np.asarray(t_grid, dtype=float)
     space = w0.space
-    denom = (gain.grid.denominators if gain.grid.serves(gen, space)
-             else frequency_denominators(gen, space))
     m = forcing_matrix(coupling, gain, space)
     m *= w0.coeffs[None, :]
-    m /= denom
+    m /= gain.denominators(gen, space)
     transient = z0.coeffs - m.sum(axis=1)
     z = np.exp(1j * np.multiply.outer(t, space.omegas)) @ m.T
     del m  # the largest array; free it before the transient term is added

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from .exosystem import ExoSpace, ExoState
-from .regulator import (ForcingColumns, SylvesterSolution,
-                        frequency_denominators)
+from .regulator import SylvesterSolution, frequency_denominators
 from .spectral import (_CHUNK_ENTRIES, DiagonalGenerator, SpectralVector,
                        TailReport, classify_tail, classify_tails,
                        fractional_norm, loglog_fit)
@@ -210,32 +209,23 @@ def quadrature_pi_column(gen: DiagonalGenerator, delta_column: SpectralVector,
 _VERDICT_RANK = {"summable": 0, "inconclusive": 1, "divergent": 2}
 
 
-def _dense_columns(gen: DiagonalGenerator,
-                    delta_columns: Mapping[int, SpectralVector],
-                    space: ExoSpace) -> np.ndarray:
-    """(plant x exo) matrix of the forcing columns; a harmonic without a
-    column is zero."""
-    if (isinstance(delta_columns, ForcingColumns)
-            and delta_columns.plant_modes == gen.modes
-            and delta_columns.exo_modes == space.modes):
-        return delta_columns.matrix
-    dense = np.zeros((len(gen.modes), len(space.modes)), dtype=np.complex128)
-    for j, k in enumerate(space.modes.indices):
-        col = delta_columns.get(int(k))
-        if col is not None:
-            if col.modes != gen.modes:
-                raise ValueError("forcing column and generator mode ranges "
-                                 "differ")
-            dense[:, j] = col.coeffs
-    return dense
+def _check_forcing(gen: DiagonalGenerator, forcing: np.ndarray,
+                   space: ExoSpace) -> None:
+    shape = (len(gen.modes), len(space.modes))
+    if np.shape(forcing) != shape:
+        raise ValueError(f"forcing matrix has shape {np.shape(forcing)}, "
+                         f"expected (plant modes, harmonics) = {shape}")
 
 
-def conformity_diagnostic(gen: DiagonalGenerator,
-                          delta_columns: Mapping[int, SpectralVector],
+def conformity_diagnostic(gen: DiagonalGenerator, forcing: np.ndarray,
                           space: ExoSpace, alpha: float, eps: float,
                           spec: QuadratureSpec = QuadratureSpec()) -> ConformityReport:
     """Evidence that the forcing operator smooths into the fractional
     domain of order alpha + eps, combined with the horizon-tail trend.
+
+    ``forcing`` is the (plant modes x harmonics) matrix of the forcing
+    operator, column k being d_k, as :func:`regulator.forcing_matrix`
+    returns it; any other shape raises ``ValueError``.
 
     Per column k the partial sums of ``|mu_n|**(2(alpha+eps)) |d_n|**2``
     are trend-classified over plant modes, and the f-scaled fractional
@@ -250,8 +240,8 @@ def conformity_diagnostic(gen: DiagonalGenerator,
     """
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
+    _check_forcing(gen, forcing, space)
     beta = alpha + eps
-    forcing = _dense_columns(gen, delta_columns, space)
     f = space.weights
     if spec.method == "analytic":
         tails = _analytic_tails(gen, forcing, space.omegas, spec.horizons)
@@ -305,8 +295,7 @@ def conformity_diagnostic(gen: DiagonalGenerator,
     )
 
 
-def lemma_identity_check(gen: DiagonalGenerator,
-                         delta_columns: Mapping[int, SpectralVector],
+def lemma_identity_check(gen: DiagonalGenerator, forcing: np.ndarray,
                          solution: SylvesterSolution, w: ExoState,
                          t_grid) -> float:
     """Residual of the finite-time convolution identity.
@@ -315,13 +304,16 @@ def lemma_identity_check(gen: DiagonalGenerator,
     equal the steady-state map evaluated along the orbit minus the
     semigroup applied to its initial value. Both sides are evaluated per
     mode from the exponential antiderivative; returns the worst relative
-    mismatch over the grid.
+    mismatch over the grid. ``forcing`` is the (plant modes x harmonics)
+    matrix of the forcing operator, as :func:`regulator.forcing_matrix`
+    returns it; any other shape raises ``ValueError``.
     """
     space = w.space
     if solution.plant_modes != gen.modes or solution.exo_modes != space.modes:
         raise ValueError("solution mode ranges do not match generator/exosystem")
+    _check_forcing(gen, forcing, space)
     denom = frequency_denominators(gen, space)
-    m = _dense_columns(gen, delta_columns, space) * w.coeffs[None, :] / denom
+    m = forcing * w.coeffs[None, :] / denom
     pw = solution.pi * w.coeffs[None, :]
     worst = 0.0
     for t in np.asarray(t_grid, dtype=float):

@@ -81,10 +81,11 @@ def power_iteration_norm(matrix, weights, iterations=50):
     return float(np.linalg.norm(m @ v))
 
 
-def conformity_per_column(gen, columns, space, beta, spec):
+def conformity_per_column(gen, forcing, space, beta, spec):
     """Conformity evidence one harmonic at a time: the horizon tails of
     ``quadrature_pi_column``, the ``classify_tail`` trend and the
-    ``fractional_norm`` bound of every column.
+    ``fractional_norm`` bound of every column ``forcing[:, j]`` of the
+    (plant modes x harmonics) forcing matrix.
 
     Returns the f-scaled aggregated tails (per horizon), the column bounds
     keyed by harmonic and the first column trend of the worst verdict.
@@ -95,11 +96,10 @@ def conformity_per_column(gen, columns, space, beta, spec):
 
     rank = {"summable": 0, "inconclusive": 1, "divergent": 2}
     mu_pow = np.abs(gen.eigenvalues) ** (2.0 * beta)
-    zero = SpectralVector.zeros(gen.modes)
     agg = np.zeros(len(spec.horizons))
     bounds, worst = {}, None
     for j, k in enumerate(space.modes.indices):
-        col = columns.get(int(k), zero)
+        col = SpectralVector(gen.modes, forcing[:, j])
         f_k = space.weights[j]
         bounds[int(k)] = fractional_norm(gen, beta, col) / f_k
         if np.any(col.coeffs != 0):

@@ -7,8 +7,8 @@ import pytest
 from oracles import conformity_per_column
 
 from modalreg.exosystem import ExoSpace, ExoState
-from modalreg.regulator import (build_feedforward, forcing_columns,
-                                forcing_matrix, solve_regulator)
+from modalreg.regulator import (build_feedforward, forcing_matrix,
+                                solve_regulator)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
                                 build_random_scenario, build_wave_scenario)
 from modalreg.spectral import DiagonalGenerator, ModeRange, SpectralVector
@@ -41,10 +41,12 @@ class TestQuadratureColumn:
             gen, coupling, space = build(cfg)
             gain = build_feedforward(gen, coupling, space)
             sol = solve_regulator(gen, coupling, gain, space)
-            cols = forcing_columns(coupling, gain, space)
+            forcing = forcing_matrix(coupling, gain, space)
             for k in (-5, 0, 5):
                 omega = 2.0 * math.pi * k / space.period
-                qcol, _ = quadrature_pi_column(gen, cols[k], omega)
+                column = SpectralVector(
+                    gen.modes, forcing[:, space.modes.position(k)])
+                qcol, _ = quadrature_pi_column(gen, column, omega)
                 rcol = sol.column(k)
                 assert (qcol - rcol).norm <= 1e-6 * rcol.norm
 
@@ -100,7 +102,7 @@ class TestConformity:
         cfg = ScenarioConfig(kind="wave", n_plant=200, n_exo=30, period=2.0)
         gen, coupling, space = build_wave_scenario(cfg)
         gain = build_feedforward(gen, coupling, space)
-        report = conformity_diagnostic(gen, forcing_columns(coupling, gain, space),
+        report = conformity_diagnostic(gen, forcing_matrix(coupling, gain, space),
                                        space, alpha=2.0, eps=0.25)
         assert report.verdict == "conform-trend"
         ev = report.sufficient_condition
@@ -112,9 +114,9 @@ class TestConformity:
     def test_rough_columns_are_not_conform(self):
         cfg = ScenarioConfig(kind="wave", n_plant=200, n_exo=10, period=2.0)
         gen, _, space = build_wave_scenario(cfg)
-        rough = {int(k): SpectralVector(
-            gen.modes, (1.0 / np.abs(gen.eigenvalues) ** 0.1).astype(complex))
-            for k in space.modes}
+        rough = np.tile(
+            (1.0 / np.abs(gen.eigenvalues) ** 0.1).astype(complex)[:, None],
+            len(space.modes))
         report = conformity_diagnostic(gen, rough, space, alpha=2.0, eps=0.25)
         assert report.verdict == "non-conform-trend"
         assert report.sufficient_condition.worst_tail.verdict == "divergent"
@@ -122,7 +124,9 @@ class TestConformity:
     def test_zero_forcing_trivially_conform(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=30, n_exo=10)
         gen, _, space = build_diagonal_scenario(cfg)
-        report = conformity_diagnostic(gen, {}, space, alpha=1.0, eps=0.5)
+        report = conformity_diagnostic(
+            gen, np.zeros((len(gen.modes), len(space.modes))), space,
+            alpha=1.0, eps=0.5)
         assert report.verdict == "conform-trend"
         assert report.sufficient_condition.sup_bound == 0.0
 
@@ -134,11 +138,7 @@ class TestConformity:
             gain = build_feedforward(gen, coupling, space, floor=1e-4)
             alpha, eps = 1.0, 0.25
             breg = check_b_regularity(gen, coupling.b, [alpha + eps])
-            rank_one = {
-                int(k): SpectralVector(
-                    gen.modes,
-                    coupling.b.coeffs * gain.ell[space.modes.position(k)])
-                for k in space.modes}
+            rank_one = np.outer(coupling.b.coeffs, gain.ell)
             report = conformity_diagnostic(gen, rank_one, space, alpha, eps)
             if breg.passes_at(alpha + eps):
                 assert report.verdict == "conform-trend"
@@ -166,10 +166,10 @@ class TestBatchedConformity:
     def test_matches_per_column_oracle(self, scenario):
         gen, coupling, space = scenario()
         gain = build_feedforward(gen, coupling, space, floor=1e-4)
-        columns = forcing_columns(coupling, gain, space)
+        forcing = forcing_matrix(coupling, gain, space)
         alpha, eps, spec = 2.0, 0.25, QuadratureSpec()
-        report = conformity_diagnostic(gen, columns, space, alpha, eps, spec)
-        agg, bounds, worst = conformity_per_column(gen, columns, space,
+        report = conformity_diagnostic(gen, forcing, space, alpha, eps, spec)
+        agg, bounds, worst = conformity_per_column(gen, forcing, space,
                                                    alpha + eps, spec)
         got = np.array([report.tail_norms[h] for h in spec.horizons])
         np.testing.assert_allclose(got, agg, rtol=1e-12, atol=0.0)
@@ -191,20 +191,14 @@ class TestBatchedConformity:
             expected = "inconclusive"
         assert report.verdict == expected
 
-    def test_plain_mapping_gives_the_same_report(self):
+    def test_zeroed_columns_have_zero_bounds(self):
         gen, coupling, space = _random_with_disturbance()
         gain = build_feedforward(gen, coupling, space, floor=1e-4)
-        columns = forcing_columns(coupling, gain, space)
-        partial = {k: columns[k] for k in list(columns)[::2]}
-        dense = conformity_diagnostic(gen, columns, space, 1.0, 0.25)
-        plain = conformity_diagnostic(gen, dict(columns), space, 1.0, 0.25)
-        assert plain.tail_norms == dense.tail_norms
-        assert (plain.sufficient_condition.column_bounds
-                == dense.sufficient_condition.column_bounds)
-        sparse = conformity_diagnostic(gen, partial, space, 1.0, 0.25)
-        for k, bound in sparse.sufficient_condition.column_bounds.items():
-            if k not in partial:
-                assert bound == 0.0
+        sparse = forcing_matrix(coupling, gain, space)
+        sparse[:, 1::2] = 0.0
+        report = conformity_diagnostic(gen, sparse, space, 1.0, 0.25)
+        bounds = list(report.sufficient_condition.column_bounds.values())
+        assert bounds[1::2] == [0.0] * (len(bounds) // 2)
 
     def test_numeric_method_matches_column_quadrature(self):
         gen = DiagonalGenerator(ModeRange(-2, 2),
@@ -213,13 +207,12 @@ class TestBatchedConformity:
         space = ExoSpace.power_weights(2.0 * math.pi, ModeRange.symmetric(2),
                                        2.0)
         rng = np.random.default_rng(5)
-        columns = {int(k): SpectralVector(gen.modes,
-                                          rng.standard_normal(5) + 1j)
-                   for k in space.modes}
+        # one column of 5 plant modes per harmonic, drawn column by column
+        forcing = (rng.standard_normal((len(space.modes), 5)) + 1j).T
         spec = QuadratureSpec(horizons=(2.0, 4.0, 8.0), method="numeric",
                               step=1e-2)
-        report = conformity_diagnostic(gen, columns, space, 1.0, 0.25, spec)
-        agg, _, _ = conformity_per_column(gen, columns, space, 1.25, spec)
+        report = conformity_diagnostic(gen, forcing, space, 1.0, 0.25, spec)
+        agg, _, _ = conformity_per_column(gen, forcing, space, 1.25, spec)
         got = np.array([report.tail_norms[h] for h in spec.horizons])
         np.testing.assert_allclose(got, agg, rtol=1e-12, atol=0.0)
 
@@ -231,7 +224,7 @@ class TestLemmaIdentity:
         gain = build_feedforward(gen, coupling, space)
         sol = solve_regulator(gen, coupling, gain, space)
         w = ExoState.unit(space, 1)
-        res = lemma_identity_check(gen, forcing_columns(coupling, gain, space),
+        res = lemma_identity_check(gen, forcing_matrix(coupling, gain, space),
                                    sol, w, [0.0])
         assert res == 0.0
 
@@ -241,7 +234,7 @@ class TestLemmaIdentity:
         gain = build_feedforward(gen, coupling, space)
         sol = solve_regulator(gen, coupling, gain, space)
         w = ExoState.unit(space, 1)
-        res = lemma_identity_check(gen, forcing_columns(coupling, gain, space),
+        res = lemma_identity_check(gen, forcing_matrix(coupling, gain, space),
                                    sol, w, [0.1, 1.0, 10.0])
         assert res <= 1e-10
 
@@ -254,9 +247,29 @@ class TestLemmaIdentity:
             w = ExoState(space, rng.standard_normal(len(space.modes))
                          + 1j * rng.standard_normal(len(space.modes)))
             res = lemma_identity_check(
-                gen, forcing_columns(coupling, gain, space), sol, w,
+                gen, forcing_matrix(coupling, gain, space), sol, w,
                 [0.1, 1.0, 10.0, 100.0])
             assert res <= 1e-8
+
+
+class TestForcingShape:
+    @pytest.mark.parametrize("check", [
+        lambda gen, forcing, space, sol: conformity_diagnostic(
+            gen, forcing, space, 1.0, 0.25),
+        lambda gen, forcing, space, sol: lemma_identity_check(
+            gen, forcing, sol, ExoState.unit(space, 1), [1.0]),
+    ], ids=["conformity", "lemma_identity"])
+    def test_wrong_shape_rejected(self, check):
+        cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10)
+        gen, coupling, space = build_diagonal_scenario(cfg)
+        gain = build_feedforward(gen, coupling, space)
+        sol = solve_regulator(gen, coupling, gain, space)
+        forcing = forcing_matrix(coupling, gain, space)
+        check(gen, forcing, space, sol)  # the right shape is accepted
+        for wrong in (forcing[:, :-1], forcing[:-1], forcing.T,
+                      forcing[:, 0], forcing[:, :, None]):
+            with pytest.raises(ValueError, match="forcing matrix has shape"):
+                check(gen, wrong, space, sol)
 
 
 class TestBRegularity:
