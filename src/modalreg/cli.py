@@ -23,8 +23,8 @@ from .regulator import (build_feedforward, check_assumption1,
                         residual_first_equation, residual_second_equation,
                         solve_regulator)
 from .regulator import forcing_matrix as forcing_columns  # perfbench/tracing.py wraps this name
-from .scenarios import (build_scenario, nominal_geometric_params, resolve_w0,
-                        resolve_z0)
+from .scenarios import (build_scenario, kind_reads, nominal_geometric_params,
+                        resolve_w0, resolve_z0)
 from .simulator import (certify_decay, simulate_closed_loop,
                         state_deviation_norms)
 from .spectral import (check_geometric_condition, check_superpolynomial,
@@ -52,12 +52,8 @@ def _scenario_header(cfg: RunConfig, gen, space) -> list:
     sc = cfg.scenario
     fields = [f"kind={sc.kind}", f"plant_modes={len(gen.modes)}",
               f"harmonics={len(space.modes)}", f"period={_fmt(space.period)}"]
-    if sc.kind == "random":
-        fields.append(f"seed={sc.seed}")
-    else:
-        fields.append(f"gamma={_fmt(sc.gamma)}")
-    if sc.kind == "wave":
-        fields.append(f"nu={_fmt(sc.nu)}")
+    fields += [f"{name}={_fmt(getattr(sc, name))}"
+               for name in ("seed", "gamma", "nu") if kind_reads(sc.kind, name)]
     return ["scenario: " + " ".join(fields), ""]
 
 
@@ -342,6 +338,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _override(cfg: RunConfig, flag: str, **settings) -> RunConfig:
+    """Apply a flag to the scenario settings its kind reads; a flag that
+    sets none of them is a config error."""
+    kind = cfg.scenario.kind
+    read = {k: v for k, v in settings.items() if kind_reads(kind, k)}
+    if not read:
+        raise ConfigError(f"{flag} does not apply to kind = {kind}, which "
+                          f"does not read {' or '.join(settings)}")
+    return dataclasses.replace(
+        cfg, scenario=dataclasses.replace(cfg.scenario, **read))
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -351,16 +359,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = dataclasses.replace(
-                cfg, scenario=dataclasses.replace(cfg.scenario, seed=args.seed))
+            cfg = _override(cfg, "--seed", seed=args.seed)
         if args.modes is not None:
-            if cfg.scenario.kind == "random":
-                raise ConfigError("--modes does not apply to kind = random, "
-                                  "which draws its own mode counts")
-            cfg = dataclasses.replace(
-                cfg, scenario=dataclasses.replace(cfg.scenario,
-                                                  n_plant=args.modes,
-                                                  n_exo=args.modes))
+            cfg = _override(cfg, "--modes", n_plant=args.modes,
+                            n_exo=args.modes)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir, force=args.force)

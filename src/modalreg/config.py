@@ -15,33 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .scenarios import ScenarioConfig
+from .scenarios import VALID_KINDS, ScenarioConfig, kind_reads
 from .sylvester import QuadratureSpec
-
-_SCENARIO_KEYS = {
-    "kind", "nu", "period", "gamma", "n_plant", "n_exo",
-    "z0_preset", "w0_preset", "z0_list", "w0_list", "seed", "alpha",
-    "eigenvalues", "b", "c",
-}
-_TOLERANCE_KEYS = {
-    "assumption1_floor", "first_residual", "second_residual",
-    "slope_tol", "conformity_eps",
-}
-_QUADRATURE_KEYS = {"horizons", "method", "step"}
-_SIMULATE_KEYS = {"t_min", "t_max", "n_points", "spacing",
-                  "window_lo", "window_hi"}
-
-# kind = random draws these itself, so setting them is an error
-_RANDOM_DRAWN_KEYS = {"n_plant", "n_exo", "period", "gamma", "nu"}
-# only kind = custom reads these; any other kind would drop them
-_CUSTOM_ONLY_KEYS = {"eigenvalues", "b", "c"}
-
-_SECTION_KEYS = {
-    "scenario": _SCENARIO_KEYS,
-    "tolerances": _TOLERANCE_KEYS,
-    "quadrature": _QUADRATURE_KEYS,
-    "simulate": _SIMULATE_KEYS,
-}
 
 
 @dataclass
@@ -53,8 +28,7 @@ class Tolerances:
     conformity_eps: float = 0.25
 
     def __post_init__(self):
-        for name in ("assumption1_floor", "first_residual", "second_residual",
-                     "slope_tol", "conformity_eps"):
+        for name in CONFIG_KEYS["tolerances"]:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"tolerance {name} must be positive")
 
@@ -96,16 +70,6 @@ class RunConfig:
     sim: SimGrid = field(default_factory=SimGrid)
 
 
-def _get(parser, section, key, conv, default=None):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
-
-
 def _complex_list(raw: str):
     return tuple(complex(part.strip().replace(" ", ""))
                  for part in raw.split(",") if part.strip())
@@ -113,6 +77,47 @@ def _complex_list(raw: str):
 
 def _float_list(raw: str):
     return tuple(float(part) for part in raw.split(",") if part.strip())
+
+
+# section -> key -> converter: a key is accepted exactly when it is read
+CONFIG_KEYS = {
+    "scenario": {
+        "kind": str.strip, "nu": float, "period": float, "gamma": float,
+        "n_plant": int, "n_exo": int, "seed": int, "alpha": float,
+        "z0_preset": str.strip, "w0_preset": str.strip,
+        # explicit lists replace the presets, so they come after them
+        "z0_list": _complex_list, "w0_list": _complex_list,
+        "eigenvalues": _complex_list, "b": _complex_list, "c": _complex_list,
+    },
+    "tolerances": dict.fromkeys(
+        ("assumption1_floor", "first_residual", "second_residual",
+         "slope_tol", "conformity_eps"), float),
+    "quadrature": {"horizons": _float_list, "method": str.strip,
+                   "step": float},
+    "simulate": {"t_min": float, "t_max": float, "n_points": int,
+                 "spacing": str.strip, "window_lo": float,
+                 "window_hi": float},
+}
+# keys that set a field of another name
+_FIELD = {"z0_list": "z0_preset", "w0_list": "w0_preset"}
+
+
+def _read_section(parser, section, build):
+    """Convert every key of ``section`` that the file sets and build the
+    section's object from them; any failure names the section."""
+    kwargs = {}
+    for key, conv in CONFIG_KEYS[section].items():
+        if not parser.has_option(section, key):
+            continue
+        raw = parser.get(section, key)
+        try:
+            kwargs[_FIELD.get(key, key)] = conv(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -128,9 +133,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"malformed config {path}: {exc}") from None
 
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(parser.options(section)) - _SECTION_KEYS[section]
+        unknown = set(parser.options(section)) - set(CONFIG_KEYS[section])
         if unknown:
             raise ConfigError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
@@ -140,80 +145,17 @@ def load_config(path) -> RunConfig:
     kind = parser.get("scenario", "kind", fallback=None)
     if kind is None:
         raise ConfigError("[scenario] must set kind")
-
     kind = kind.strip()
-    keys = set(parser.options("scenario"))
-    drawn = keys & _RANDOM_DRAWN_KEYS
-    if kind == "random" and drawn:
-        raise ConfigError(f"[scenario] kind = random draws its own sizes, "
-                          f"period and weights; remove {', '.join(sorted(drawn))}")
-    custom_only = keys & _CUSTOM_ONLY_KEYS
-    if kind != "custom" and custom_only:
-        raise ConfigError(f"[scenario] only kind = custom reads "
-                          f"{', '.join(sorted(custom_only))}; remove them "
-                          f"for kind = {kind}")
-    sc_kwargs = {"kind": kind}
-    for key, conv in (("nu", float), ("period", float), ("gamma", float),
-                      ("n_plant", int), ("n_exo", int), ("seed", int),
-                      ("alpha", float)):
-        val = _get(parser, "scenario", key, conv)
-        if val is not None:
-            sc_kwargs[key] = val
-    for key in ("z0_preset", "w0_preset"):
-        val = _get(parser, "scenario", key, str.strip)
-        if val is not None:
-            sc_kwargs[key] = val
-    z0_list = _get(parser, "scenario", "z0_list", _complex_list)
-    if z0_list is not None:
-        sc_kwargs["z0_preset"] = z0_list
-    w0_list = _get(parser, "scenario", "w0_list", _complex_list)
-    if w0_list is not None:
-        sc_kwargs["w0_preset"] = w0_list
-    for key in ("eigenvalues", "b", "c"):
-        val = _get(parser, "scenario", key, _complex_list)
-        if val is not None:
-            sc_kwargs[key] = val
-    try:
-        scenario = ScenarioConfig(**sc_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[scenario]: {exc}") from None
+    if kind in VALID_KINDS:  # ScenarioConfig reports any other kind
+        unread = sorted(key for key in parser.options("scenario")
+                        if not kind_reads(kind, _FIELD.get(key, key)))
+        if unread:
+            raise ConfigError(f"[scenario] kind = {kind} does not read "
+                              f"{', '.join(unread)}")
 
-    tol_kwargs = {}
-    for key in _TOLERANCE_KEYS:
-        val = _get(parser, "tolerances", key, float) \
-            if parser.has_section("tolerances") else None
-        if val is not None:
-            tol_kwargs[key] = val
-    tolerances = Tolerances(**tol_kwargs)
-
-    quad_kwargs = {}
-    if parser.has_section("quadrature"):
-        horizons = _get(parser, "quadrature", "horizons", _float_list)
-        if horizons is not None:
-            quad_kwargs["horizons"] = horizons
-        method = _get(parser, "quadrature", "method", str.strip)
-        if method is not None:
-            quad_kwargs["method"] = method
-        step = _get(parser, "quadrature", "step", float)
-        if step is not None:
-            quad_kwargs["step"] = step
-    try:
-        quadrature = QuadratureSpec(**quad_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[quadrature]: {exc}") from None
-
-    sim_kwargs = {}
-    if parser.has_section("simulate"):
-        for key, conv in (("t_min", float), ("t_max", float),
-                          ("n_points", int), ("window_lo", float),
-                          ("window_hi", float)):
-            val = _get(parser, "simulate", key, conv)
-            if val is not None:
-                sim_kwargs[key] = val
-        spacing = _get(parser, "simulate", "spacing", str.strip)
-        if spacing is not None:
-            sim_kwargs["spacing"] = spacing
-    sim = SimGrid(**sim_kwargs)
-
-    return RunConfig(scenario=scenario, tolerances=tolerances,
-                     quadrature=quadrature, sim=sim)
+    return RunConfig(
+        scenario=_read_section(parser, "scenario", ScenarioConfig),
+        tolerances=_read_section(parser, "tolerances", Tolerances),
+        quadrature=_read_section(parser, "quadrature", QuadratureSpec),
+        sim=_read_section(parser, "simulate", SimGrid),
+    )

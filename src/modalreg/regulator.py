@@ -119,7 +119,6 @@ class FeedforwardGain:
     exo_modes: ModeRange
     ell: np.ndarray
     grid: FrequencyGrid
-    floor: float
 
     def __post_init__(self):
         self.ell = np.asarray(self.ell, dtype=np.complex128)
@@ -295,7 +294,6 @@ def build_feedforward(gen: DiagonalGenerator, coupling: ModalCoupling,
         exo_modes=space.modes,
         ell=(1.0 - grid.hd) / h,
         grid=grid,
-        floor=floor,
     )
 
 

@@ -144,6 +144,27 @@ def build_custom_scenario(cfg: ScenarioConfig):
     return gen, coupling, space
 
 
+# setting -> the kinds whose scenario reads it; a setting not listed here
+# (kind, alpha, the state presets) is read by every kind
+KIND_READS = {
+    "nu": ("wave",),
+    "n_plant": ("wave", "diagonal"),
+    "n_exo": ("wave", "diagonal", "custom"),
+    "period": ("wave", "diagonal", "custom"),
+    "gamma": ("wave", "diagonal", "custom"),
+    "seed": ("random",),
+    "eigenvalues": ("custom",),
+    "b": ("custom",),
+    "c": ("custom",),
+    "p_entries": ("custom",),
+}
+
+
+def kind_reads(kind: str, setting: str) -> bool:
+    """Whether a scenario of this kind reads the ``ScenarioConfig`` setting."""
+    return kind in KIND_READS.get(setting, VALID_KINDS)
+
+
 def build_random_scenario(seed: int, n_plant_max: int = 12, n_exo_max: int = 6,
                           re_min: float = -2.0, re_max: float = -0.05,
                           im_max: float = 6.0, min_response: float = 1e-3,

@@ -3,14 +3,19 @@
 import csv
 import math
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modalreg.cli import main
-from modalreg.config import load_config
+from modalreg.config import CONFIG_KEYS, SimGrid, Tolerances, load_config
 from modalreg.errors import ConfigError
+from modalreg.scenarios import (KIND_READS, VALID_KINDS, ScenarioConfig,
+                                build_scenario, nominal_geometric_params,
+                                resolve_w0, resolve_z0)
+from modalreg.sylvester import QuadratureSpec
 
 DIAG_OK = """
 [scenario]
@@ -451,6 +456,114 @@ class TestScenarioHeader:
         assert code == 2
         assert "--modes" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+SCENARIO_KEYS = [key for key in CONFIG_KEYS["scenario"] if key != "kind"]
+READ_PAIRS = [(kind, key) for kind in VALID_KINDS for key in SCENARIO_KEYS
+              if kind in KIND_READS.get(key, VALID_KINDS)]
+UNREAD_PAIRS = [(kind, key) for kind in VALID_KINDS for key in SCENARIO_KEYS
+                if kind not in KIND_READS.get(key, VALID_KINDS)]
+
+
+class TestKeyTable:
+    """A [scenario] key loads exactly when KIND_READS lists its kind (a key
+    absent from the map is read by every kind), and a key that loads
+    changes what the run builds."""
+
+    BASE = {
+        "wave": {"kind": "wave", "n_plant": "2", "n_exo": "1"},
+        "diagonal": {"kind": "diagonal", "n_plant": "2", "n_exo": "1"},
+        "random": {"kind": "random"},
+        "custom": {"kind": "custom", "eigenvalues": "-1+1j, -2",
+                   "b": "1, 1", "c": "1, 0.5", "n_exo": "1"},
+    }
+    # two values per key, each valid for every kind that reads the key
+    VALUES = {
+        "nu": ("0.5", "0.25"), "period": ("3", "5"), "gamma": ("1.5", "2.5"),
+        "n_plant": ("3", "4"), "n_exo": ("2", "3"), "seed": ("3", "4"),
+        "alpha": ("1.5", "2.5"), "z0_preset": ("zero", "inv_mu_sq"),
+        "w0_preset": ("unit", "smooth"),
+        "eigenvalues": ("-1+1j, -2", "-1-1j, -3"), "b": ("1, 1", "1, 2"),
+        "c": ("1, 0.5", "1, 0.25"),
+    }
+
+    def text(self, kind, key=None, value=None):
+        settings = dict(self.BASE[kind])
+        if key is not None:
+            settings[key] = value
+        return "[scenario]\n" + "".join(f"{k} = {v}\n"
+                                        for k, v in settings.items())
+
+    def values(self, kind, key, tmp_path):
+        if key not in ("z0_list", "w0_list"):
+            return self.VALUES[key]
+        # explicit states must match the built plant or harmonic count
+        scenario = load_config(write(tmp_path, self.text(kind))).scenario
+        gen, _, space = build_scenario(scenario)
+        size = len(gen.modes if key == "z0_list" else space.modes)
+        return ", ".join(["1"] * size), ", ".join(["2j"] * size)
+
+    @staticmethod
+    def built(sc):
+        """Everything a run takes from the scenario settings."""
+        gen, coupling, space = build_scenario(sc)
+        arrays = (gen.modes.indices, gen.eigenvalues, coupling.b.coeffs,
+                  coupling.c.coeffs, space.modes.indices, space.weights,
+                  resolve_w0(sc, space).coeffs, resolve_z0(sc, gen).coeffs)
+        return ([a.tobytes() for a in arrays], dict(coupling.p_entries),
+                space.period, sc.nominal_alpha,
+                nominal_geometric_params(sc, gen))
+
+    @pytest.mark.parametrize("key", SCENARIO_KEYS)
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_key_loads_iff_kind_reads_it(self, kind, key, tmp_path):
+        value = self.values(kind, key, tmp_path)[0]
+        path = write(tmp_path, self.text(kind, key, value))
+        if (kind, key) in READ_PAIRS:
+            assert load_config(path).scenario.kind == kind
+        else:
+            with pytest.raises(ConfigError, match=f"does not read {key}"):
+                load_config(path)
+
+    @pytest.mark.parametrize(("kind", "key"), READ_PAIRS)
+    def test_read_key_is_honoured(self, kind, key, tmp_path):
+        first, second = (
+            self.built(load_config(write(tmp_path, self.text(kind, key, v),
+                                         name=f"{i}.ini")).scenario)
+            for i, v in enumerate(self.values(kind, key, tmp_path)))
+        assert first != second
+
+    @pytest.mark.parametrize(("kind", "key"), UNREAD_PAIRS)
+    def test_unread_setting_changes_nothing(self, kind, key, tmp_path):
+        base = load_config(write(tmp_path, self.text(kind))).scenario
+        value = CONFIG_KEYS["scenario"][key](self.VALUES[key][0])
+        assert self.built(replace(base, **{key: value})) == self.built(base)
+
+    @pytest.mark.parametrize(("section", "cls"), [
+        ("scenario", ScenarioConfig), ("tolerances", Tolerances),
+        ("quadrature", QuadratureSpec), ("simulate", SimGrid)])
+    def test_every_field_has_a_key(self, section, cls):
+        # p_entries is a mapping, which no INI value spells
+        settable = {f.name for f in fields(cls)} - {"p_entries"}
+        assert settable <= set(CONFIG_KEYS[section])
+
+    def test_map_names_scenario_fields(self):
+        assert set(KIND_READS) <= {f.name for f in fields(ScenarioConfig)}
+
+    @pytest.mark.parametrize("kind", ["wave", "diagonal", "custom"])
+    def test_seed_flag_rejected_where_unread(self, kind, tmp_path, capsys):
+        code = main(["check", "--config", write(tmp_path, self.text(kind)),
+                     "--out", str(tmp_path / "out"), "--seed", "3"])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_modes_flag_sets_the_harmonics_of_custom(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["check", "--config", write(tmp_path, self.text("custom")),
+                     "--out", str(out), "--modes", "4"]) == 0
+        header = (out / "check_report.txt").read_text().splitlines()[0]
+        assert "plant_modes=2 harmonics=9 " in header
 
 
 class TestSolveLayerWork:
