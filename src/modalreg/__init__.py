@@ -8,17 +8,18 @@ from .exosystem import (ExoSpace, ExoState, dirac_functional, graph_norm,
                         group_apply, is_conjugate_symmetric, synthesize_signal,
                         weighted_norm)
 from .regulator import (Assumption1Report, Assumption2Report, FeedforwardGain,
-                        FrequencyGrid, ModalCoupling, SylvesterSolution,
-                        build_feedforward, check_assumption1,
-                        check_assumption2, control_signal, forcing_matrix,
-                        frequency_grid,
+                        FrequencyGrid, ModalCoupling, SteadyStateImage,
+                        SylvesterSolution, build_feedforward,
+                        check_assumption1, check_assumption2, control_signal,
+                        forcing_matrix, frequency_grid,
                         residual_first_equation, residual_second_equation,
-                        solve_regulator)
+                        solve_regulator, steady_state_image)
 from .scenarios import (ScenarioConfig, build_diagonal_scenario,
                         build_random_scenario, build_scenario,
                         build_wave_scenario, resolve_w0, resolve_z0)
-from .simulator import (DecayCertificate, SimulationResult, certify_decay,
-                        error_formula_check, simulate_closed_loop,
+from .simulator import (DecayCertificate, OutputTrajectory, SimulationResult,
+                        certify_decay, error_formula_check,
+                        simulate_closed_loop, simulate_outputs,
                         state_deviation_norms)
 from .spectral import (DecayReport, DiagonalGenerator, EnvelopeResult,
                        GeometricConditionReport, ModeRange, SpectralVector,

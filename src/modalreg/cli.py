@@ -21,12 +21,14 @@ from .errors import AssumptionFailure, ConfigError
 from .regulator import (build_feedforward, check_assumption1,
                         check_assumption2, frequency_grid,
                         residual_first_equation, residual_second_equation,
-                        solve_regulator)
+                        solve_regulator, steady_state_image)
 from .regulator import forcing_matrix as forcing_columns  # perfbench/tracing.py wraps this name
 from .scenarios import (build_scenario, kind_reads, nominal_geometric_params,
                         resolve_w0, resolve_z0)
-from .simulator import (certify_decay, simulate_closed_loop,
-                        state_deviation_norms)
+from .simulator import certify_decay, simulate_outputs
+# the full-state reference path, not called here; perfbench/tracing.py
+# wraps these names
+from .simulator import simulate_closed_loop, state_deviation_norms
 from .spectral import (check_geometric_condition, check_superpolynomial,
                        decay_envelope, fit_decay_rate)
 from .sylvester import conformity_diagnostic
@@ -134,8 +136,8 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     return 1 if failures else 0
 
 
-def _solve_pipeline(cfg: RunConfig, force: bool):
-    """Shared gate + solve used by solve/simulate/decay."""
+def _gain_pipeline(cfg: RunConfig, force: bool):
+    """Shared gate + gain used by solve/simulate/decay."""
     gen, coupling, space = build_scenario(cfg.scenario)
     tol = cfg.tolerances
     grid = frequency_grid(gen, coupling, space)
@@ -150,12 +152,20 @@ def _solve_pipeline(cfg: RunConfig, force: bool):
     gain = build_feedforward(gen, coupling, space,
                              floor=tol.assumption1_floor,
                              enforce=not force, grid=grid)
-    solution = solve_regulator(gen, coupling, gain, space)
-    return gen, coupling, space, a1, gain, solution
+    return gen, coupling, space, a1, gain
+
+
+def _simulate(cfg: RunConfig, gen, coupling, gain, w0, t_grid):
+    """The configured run's outputs and state deviation, from Pi w0 and
+    c Pi; the steady-state map is never built whole."""
+    image = steady_state_image(gen, coupling, gain, w0)
+    z0 = resolve_z0(cfg.scenario, gen, pi_w0=image.pi_w0)
+    return simulate_outputs(gen, coupling, gain, z0, image, t_grid)
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
-    gen, coupling, space, a1, gain, solution = _solve_pipeline(cfg, force)
+    gen, coupling, space, a1, gain = _gain_pipeline(cfg, force)
+    solution = solve_regulator(gen, coupling, gain, space)
     tol = cfg.tolerances
     res1 = residual_first_equation(solution, gen, coupling, gain, space)
     res2 = residual_second_equation(solution, coupling, space)
@@ -189,12 +199,11 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
-    gen, coupling, space, a1, gain, solution = _solve_pipeline(cfg, force)
+    gen, coupling, space, a1, gain = _gain_pipeline(cfg, force)
     w0 = resolve_w0(cfg.scenario, space)
-    z0 = resolve_z0(cfg.scenario, gen, solution=solution, w0=w0)
     t_grid = cfg.sim.grid()
-    result = simulate_closed_loop(gen, coupling, gain, z0, w0, t_grid)
-    dev = state_deviation_norms(result, solution)
+    result = _simulate(cfg, gen, coupling, gain, w0, t_grid)
+    dev = result.state_deviation
 
     abs_e = np.abs(result.e)
     _write_csv(out_dir / "trajectory.csv",
@@ -222,7 +231,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
 
 
 def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
-    gen, coupling, space, a1, gain, solution = _solve_pipeline(cfg, force)
+    gen, coupling, space, a1, gain = _gain_pipeline(cfg, force)
     t_grid = cfg.sim.grid()
     window = cfg.sim.window
     alpha = cfg.scenario.nominal_alpha
@@ -236,11 +245,10 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
         print(f"decay: degenerate window: {exc}", file=sys.stderr)
         return 2
 
-    w0 = resolve_w0(cfg.scenario, space)
-    z0 = resolve_z0(cfg.scenario, gen, solution=solution, w0=w0)
-    result = simulate_closed_loop(gen, coupling, gain, z0, w0, t_grid)
+    result = _simulate(cfg, gen, coupling, gain,
+                       resolve_w0(cfg.scenario, space), t_grid)
     abs_e = np.abs(result.e)
-    dev = state_deviation_norms(result, solution)
+    dev = result.state_deviation
 
     _write_csv(out_dir / "envelope.csv",
                ["t", "semigroup_envelope", "error_envelope",

@@ -152,6 +152,9 @@ def load_config(path) -> RunConfig:
         if unread:
             raise ConfigError(f"[scenario] kind = {kind} does not read "
                               f"{', '.join(unread)}")
+    method = parser.get("quadrature", "method", fallback="").strip()
+    if parser.has_option("quadrature", "step") and method != "numeric":
+        raise ConfigError("[quadrature] step is read only by method = numeric")
 
     return RunConfig(
         scenario=_read_section(parser, "scenario", ScenarioConfig),

@@ -29,6 +29,10 @@ from .exosystem import ExoSpace, ExoState, synthesize_signal
 from .spectral import (DiagonalGenerator, ModeRange, SpectralVector,
                        TailReport, classify_tail)
 
+# Plant modes x harmonics per block of denominators (1 MB of complex
+# entries). Nothing outside the spectral solve holds the whole matrix.
+_BLOCK_ENTRIES = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class ModalCoupling:
@@ -93,22 +97,18 @@ class Assumption1Report:
 
 @dataclass(eq=False)
 class FrequencyGrid:
-    """The denominators ``D[n, k] = i omega_k - mu_n`` of one plant and
-    exosystem, and what is read off them: the frequency response ``h`` and
-    disturbance response ``hd`` at every harmonic and the smallest
-    resolvent gap per harmonic. A run builds it once and passes it down."""
+    """What is read off the denominators ``D[n, k] = i omega_k - mu_n`` of
+    one plant and exosystem: the frequency response ``h`` and disturbance
+    response ``hd`` at every harmonic and the smallest resolvent gap per
+    harmonic. A run builds it once and passes it down; D itself is not
+    kept."""
 
     gen: DiagonalGenerator
     coupling: ModalCoupling
     space: ExoSpace
-    denominators: np.ndarray
     h: np.ndarray
     hd: np.ndarray
     gaps: np.ndarray
-
-    def serves(self, gen: DiagonalGenerator, space: ExoSpace) -> bool:
-        """Whether the denominators are those of this generator and space."""
-        return self.gen is gen and self.space is space
 
 
 @dataclass(eq=False)
@@ -130,15 +130,6 @@ class FeedforwardGain:
     @property
     def hd_values(self) -> np.ndarray:
         return self.grid.hd
-
-    def denominators(self, gen: DiagonalGenerator,
-                     space: ExoSpace) -> np.ndarray:
-        """D for this plant and space: the grid's own when the gain was
-        designed on them, a new matrix for a gain designed on another
-        truncation."""
-        if self.grid.serves(gen, space):
-            return self.grid.denominators
-        return frequency_denominators(gen, space)
 
 
 @dataclass
@@ -185,15 +176,37 @@ class SylvesterSolution:
                               self.pi[:, self.exo_modes.position(k)].copy())
 
 
-def frequency_denominators(gen: DiagonalGenerator, space: ExoSpace) -> np.ndarray:
-    """Matrix D[n, k] = i omega_k - mu_n; raises on an exact eigenvalue hit."""
-    denom = 1j * space.omegas[None, :] - gen.eigenvalues[:, None]
+def _denominators(gen: DiagonalGenerator, omegas: np.ndarray) -> np.ndarray:
+    """D[n, k] = i omega_k - mu_n for the given frequencies; raises on an
+    exact eigenvalue hit. The library's only exact-hit check."""
+    denom = 1j * omegas[None, :] - gen.eigenvalues[:, None]
     hits = np.flatnonzero(denom == 0.0)
     if hits.size:
         n_pos, _ = np.unravel_index(hits[0], denom.shape)
         raise SingularResolventError(int(gen.modes.indices[n_pos]),
                                      complex(gen.eigenvalues[n_pos]))
     return denom
+
+
+def frequency_denominators(gen: DiagonalGenerator, space: ExoSpace) -> np.ndarray:
+    """Matrix D[n, k] = i omega_k - mu_n; raises on an exact eigenvalue hit."""
+    return _denominators(gen, space.omegas)
+
+
+def _blocks(n_cols: int, n_rows: int) -> list:
+    """Slices of range(n_cols) in order, each spanning about
+    ``_BLOCK_ENTRIES`` entries of an n_rows-row matrix.
+
+    The last slice holds at least two columns when there are two: numpy
+    sums a one-column block down its rows pairwise, not row by row as it
+    sums wider blocks, so a lone last column would change the last bits
+    of the column sums.
+    """
+    width = max(2, _BLOCK_ENTRIES // max(n_rows, 1))
+    starts = list(range(0, n_cols, width))
+    if len(starts) > 1 and n_cols - starts[-1] < 2:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_cols])]
 
 
 def _check_plant(gen: DiagonalGenerator, coupling: ModalCoupling) -> None:
@@ -203,28 +216,34 @@ def _check_plant(gen: DiagonalGenerator, coupling: ModalCoupling) -> None:
 
 def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
                    space: ExoSpace) -> FrequencyGrid:
-    """Denominators, H(i omega_k), H_d(k) and the resolvent gaps of every
-    retained harmonic, from one build of the denominator matrix."""
+    """H(i omega_k), H_d(k) and the resolvent gaps of every retained
+    harmonic, from the denominators built one block of harmonics at a
+    time (each block is checked for an exact hit)."""
     _check_plant(gen, coupling)
-    denom = frequency_denominators(gen, space)
     cb = coupling.c.coeffs * coupling.b.coeffs
     support = np.flatnonzero(cb)  # modes outside it add exact zeros to H
-    return FrequencyGrid(
-        gen=gen, coupling=coupling, space=space, denominators=denom,
-        h=(cb[support, None] / denom[support]).sum(axis=0),
-        hd=_disturbance_response(coupling, space, denom),
-        gaps=np.abs(denom).min(axis=0),
-    )
+    n_exo = len(space.modes)
+    h = np.empty(n_exo, dtype=np.complex128)
+    gaps = np.empty(n_exo)
+    for blk in _blocks(n_exo, len(gen.modes)):
+        denom = _denominators(gen, space.omegas[blk])
+        h[blk] = (cb[support, None] / denom[support]).sum(axis=0)
+        gaps[blk] = np.abs(denom).min(axis=0)
+    return FrequencyGrid(gen=gen, coupling=coupling, space=space, h=h,
+                         hd=_disturbance_response(gen, coupling, space),
+                         gaps=gaps)
 
 
-def _disturbance_response(coupling: ModalCoupling, space: ExoSpace,
-                          denom: np.ndarray) -> np.ndarray:
+def _disturbance_response(gen: DiagonalGenerator, coupling: ModalCoupling,
+                          space: ExoSpace) -> np.ndarray:
     """H_d(k) = sum_n c_n p_{n,k} / (i omega_k - mu_n), one scalar step
     per entry of P (an array product would round differently)."""
     hd = np.zeros(len(space.modes), dtype=np.complex128)
     c = coupling.c.coeffs
-    for n_pos, k_pos, val in zip(*coupling.disturbance_in(space.modes)):
-        hd[k_pos] += c[n_pos] * val / denom[n_pos, k_pos]
+    rows, cols, vals = coupling.disturbance_in(space.modes)
+    denom = 1j * space.omegas[cols] - gen.eigenvalues[rows]
+    for n_pos, k_pos, val, d in zip(rows, cols, vals, denom):
+        hd[k_pos] += c[n_pos] * val / d
     return hd
 
 
@@ -233,7 +252,8 @@ def _grid_for(grid: Optional[FrequencyGrid], gen: DiagonalGenerator,
     """``grid`` if it was built for these objects, a new grid if None."""
     if grid is None:
         return frequency_grid(gen, coupling, space)
-    if not (grid.serves(gen, space) and grid.coupling is coupling):
+    if not (grid.gen is gen and grid.space is space
+            and grid.coupling is coupling):
         raise ValueError("frequency grid was built for another plant, "
                          "coupling or exosystem")
     return grid
@@ -324,9 +344,17 @@ def check_assumption2(gain: FeedforwardGain, space: ExoSpace) -> Assumption2Repo
 def forcing_matrix(coupling: ModalCoupling, gain: FeedforwardGain,
                    space: ExoSpace) -> np.ndarray:
     """Columns of the closed-loop forcing operator: g_{n,k} = b_n ell_k + p_{n,k}."""
-    mat = np.outer(coupling.b.coeffs, gain.ell)
+    return _forcing_columns(coupling, gain, space, np.arange(len(space.modes)))
+
+
+def _forcing_columns(coupling: ModalCoupling, gain: FeedforwardGain,
+                     space: ExoSpace, positions: np.ndarray) -> np.ndarray:
+    """The forcing-matrix columns at the sorted harmonic ``positions``."""
+    mat = np.outer(coupling.b.coeffs, gain.ell[positions])
     rows, cols, vals = coupling.disturbance_in(space.modes)
-    mat[rows, cols] += vals  # the keys of P are unique
+    j = np.minimum(np.searchsorted(positions, cols), positions.size - 1)
+    keep = positions[j] == cols
+    mat[rows[keep], j[keep]] += vals[keep]  # the keys of P are unique
     return mat
 
 
@@ -359,7 +387,7 @@ def solve_regulator(gen: DiagonalGenerator, coupling: ModalCoupling,
     if gain.exo_modes != space.modes:
         raise ModeMismatchError("gain and space mode ranges differ")
     pi = forcing_matrix(coupling, gain, space)
-    pi /= gain.denominators(gen, space)
+    pi /= frequency_denominators(gen, space)  # the one full build of D
     return SylvesterSolution(
         plant_modes=gen.modes,
         exo_modes=space.modes,
@@ -368,19 +396,55 @@ def solve_regulator(gen: DiagonalGenerator, coupling: ModalCoupling,
     )
 
 
+@dataclass(eq=False)
+class SteadyStateImage:
+    """The steady-state map at one exosystem state w0: the plant state
+    ``pi_w0`` = Pi w0 and the output mismatch ``mismatch[k]`` =
+    (c . pi_k - 1) w0_k, exactly zero where w0_k is."""
+
+    w0: ExoState
+    pi_w0: np.ndarray
+    mismatch: np.ndarray
+
+
+def steady_state_image(gen: DiagonalGenerator, coupling: ModalCoupling,
+                       gain: FeedforwardGain, w0: ExoState) -> SteadyStateImage:
+    """Pi w0 and c Pi from the columns pi_k of the spectral solve, built
+    one block of harmonics at a time and never held whole. Only the
+    harmonics with w0_k != 0 are visited: the others add exact zeros."""
+    _check_plant(gen, coupling)
+    space = w0.space
+    if gain.exo_modes != space.modes:
+        raise ModeMismatchError("gain and state mode ranges differ")
+    pi_w0 = np.zeros(len(gen.modes), dtype=np.complex128)
+    mismatch = np.zeros(len(space.modes), dtype=np.complex128)
+    support = np.flatnonzero(w0.coeffs)
+    for blk in _blocks(support.size, len(gen.modes)):
+        pos = support[blk]
+        pi = _forcing_columns(coupling, gain, space, pos)
+        pi /= _denominators(gen, space.omegas[pos])
+        pi_w0 += pi @ w0.coeffs[pos]
+        mismatch[pos] = (coupling.c.coeffs @ pi - 1.0) * w0.coeffs[pos]
+    return SteadyStateImage(w0=w0, pi_w0=pi_w0, mismatch=mismatch)
+
+
 def residual_first_equation(solution: SylvesterSolution, gen: DiagonalGenerator,
                             coupling: ModalCoupling, gain: FeedforwardGain,
                             space: ExoSpace) -> float:
     """max_k ||i omega_k pi_k - mu pi_k - g_k|| / (1 + ||pi_k||).
 
     Zero in exact arithmetic for a spectral solve; this is the floating
-    point self-check.
+    point self-check. Evaluated one block of harmonics at a time.
     """
-    lhs = gain.denominators(gen, space) * solution.pi
-    lhs -= forcing_matrix(coupling, gain, space)
-    resid = np.linalg.norm(lhs, axis=0)
-    scale = 1.0 + np.linalg.norm(solution.pi, axis=0)
-    return float(np.max(resid / scale))
+    n_exo = len(space.modes)
+    ratios = np.empty(n_exo)
+    for blk in _blocks(n_exo, len(gen.modes)):
+        pi = solution.pi[:, blk]  # a view: a copy would be column-major
+        lhs = _denominators(gen, space.omegas[blk]) * pi
+        lhs -= _forcing_columns(coupling, gain, space, np.arange(n_exo)[blk])
+        ratios[blk] = (np.linalg.norm(lhs, axis=0)
+                       / (1.0 + np.linalg.norm(pi, axis=0)))
+    return float(np.max(ratios))
 
 
 def residual_second_equation(solution: SylvesterSolution,

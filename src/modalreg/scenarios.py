@@ -259,12 +259,13 @@ def resolve_w0(cfg: ScenarioConfig, space: ExoSpace) -> ExoState:
 
 
 def resolve_z0(cfg: ScenarioConfig, gen: DiagonalGenerator,
-               solution=None, w0: Optional[ExoState] = None) -> SpectralVector:
+               pi_w0: Optional[np.ndarray] = None) -> SpectralVector:
     """Materialize the configured plant initial state.
 
     ``inv_mu_sq`` decays like 1/|mu|**2 and therefore lies in the graph
     domain of the generator at every truncation; ``pi_w0`` places the
-    state exactly on the steady-state manifold and needs the solved map.
+    state exactly on the steady-state manifold and needs ``pi_w0``, the
+    steady-state map applied to the exosystem state.
     """
     preset = cfg.z0_preset
     if not isinstance(preset, str):
@@ -281,10 +282,10 @@ def resolve_z0(cfg: ScenarioConfig, gen: DiagonalGenerator,
         return SpectralVector(gen.modes,
                               1.0 / (1.0 + np.abs(gen.eigenvalues) ** 2))
     if preset == "pi_w0":
-        if solution is None or w0 is None:
-            raise ValueError("pi_w0 preset needs the solved steady-state map "
-                             "and the exosystem state")
-        return SpectralVector(gen.modes, solution.pi @ w0.coeffs)
+        if pi_w0 is None:
+            raise ValueError("pi_w0 preset needs the steady-state map "
+                             "applied to the exosystem state")
+        return SpectralVector(gen.modes, pi_w0)
     raise ValueError(f"unknown z0 preset {preset!r}")
 
 

@@ -11,6 +11,12 @@ variation-of-constants solution is evaluated in closed form:
 No time stepping is involved, so trajectories carry rounding error only;
 an independent fixed-step integrator exists in the test suite as the
 oracle for this claim.
+
+The command line needs only the outputs and the distance to the
+steady-state orbit. With x = z0 - Pi w0 the state is
+``z(t) = T(t) x + Pi T_S(t) w0``, so :func:`simulate_outputs` evaluates
+them from Pi w0 and c Pi without the state; :func:`simulate_closed_loop`
+keeps the full state and is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exosystem import ExoState, synthesize_signal
-from .regulator import (FeedforwardGain, ModalCoupling, SylvesterSolution,
-                        control_signal, forcing_matrix)
-from .regulator import frequency_denominators  # perfbench/tracing.py wraps this name
+from .regulator import (FeedforwardGain, ModalCoupling, SteadyStateImage,
+                        SylvesterSolution, control_signal, forcing_matrix,
+                        frequency_denominators)
 from .spectral import DiagonalGenerator, SpectralVector, loglog_fit
 
 
@@ -51,7 +57,7 @@ def simulate_closed_loop(gen: DiagonalGenerator, coupling: ModalCoupling,
     space = w0.space
     m = forcing_matrix(coupling, gain, space)
     m *= w0.coeffs[None, :]
-    m /= gain.denominators(gen, space)
+    m /= frequency_denominators(gen, space)
     transient = z0.coeffs - m.sum(axis=1)
     z = np.exp(1j * np.multiply.outer(t, space.omegas)) @ m.T
     del m  # the largest array; free it before the transient term is added
@@ -62,6 +68,46 @@ def simulate_closed_loop(gen: DiagonalGenerator, coupling: ModalCoupling,
     return SimulationResult(
         t_grid=t, plant_modes=gen.modes, z=z, y=y, y_r=y_r, u=u,
         e=y - y_r, z0=z0, w0=w0,
+    )
+
+
+@dataclass(eq=False)
+class OutputTrajectory:
+    """Outputs on a shared time grid and ``state_deviation``, the distance
+    ||z(t) - Pi T_S(t) w0|| of the state to the steady-state orbit."""
+
+    t_grid: np.ndarray
+    y: np.ndarray
+    y_r: np.ndarray
+    u: np.ndarray
+    e: np.ndarray
+    state_deviation: np.ndarray
+
+
+def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
+                     gain: FeedforwardGain, z0: SpectralVector,
+                     image: SteadyStateImage, t_grid) -> OutputTrajectory:
+    """Closed-loop outputs from (z0, w0) without the state, w0 being the
+    state ``image`` was computed at.
+
+    With x = z0 - Pi w0, the error is e(t) = c . T(t) x
+    + sum_k (c pi_k - 1) w0_k exp(i omega_k t) and the state deviation is
+    ||T(t) x||: one (time x plant modes) semigroup factor and one
+    (time x harmonics) phase matrix, shared by y_r, u and the orbit term.
+    """
+    if z0.modes != gen.modes:
+        raise ValueError("initial state and generator mode ranges differ")
+    w0 = image.w0
+    t = np.asarray(t_grid, dtype=float)
+    free = np.exp(np.multiply.outer(t, gen.eigenvalues))
+    free *= z0.coeffs - image.pi_w0  # row j is T(t_j) x
+    deviation = np.linalg.norm(free, axis=1)
+    phases = np.exp(1j * np.multiply.outer(t, w0.space.omegas))
+    y_r = phases @ w0.coeffs
+    e = free @ coupling.c.coeffs + phases @ image.mismatch
+    return OutputTrajectory(
+        t_grid=t, y=y_r + e, y_r=y_r, u=phases @ (gain.ell * w0.coeffs),
+        e=e, state_deviation=deviation,
     )
 
 

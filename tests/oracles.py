@@ -3,8 +3,10 @@
 These deliberately avoid the library's closed-form paths: a dumb fixed-step
 RK4 integrator for the closed-loop modal ODEs, naive reversed-order
 summation for frequency-response values, a row-by-row ``csv.writer``
-reference for the artifact format, and the plain ``np.polyfit`` log-log
-line the shared fitter must reproduce bit for bit.
+reference for the artifact format, the plain ``np.polyfit`` log-log
+line the shared fitter must reproduce bit for bit, and the one-shot
+denominator-matrix computations the blocked frequency grid and residual
+must reproduce bit for bit.
 """
 
 import csv
@@ -136,3 +138,23 @@ def loglog_polyfit(x, y):
     """Slope and intercept of the least-squares line through
     (log x, log y); y may hold one sequence per column."""
     return np.polyfit(np.log(x), np.log(y), 1)
+
+
+def frequency_grid_one_shot(gen, coupling, space):
+    """(h, hd, gaps) from the whole denominator matrix at once."""
+    denom = 1j * space.omegas[None, :] - gen.eigenvalues[:, None]
+    cb = coupling.c.coeffs * coupling.b.coeffs
+    support = np.flatnonzero(cb)
+    h = (cb[support, None] / denom[support]).sum(axis=0)
+    hd = np.zeros(len(space.modes), dtype=np.complex128)
+    for n_pos, k_pos, val in zip(*coupling.disturbance_in(space.modes)):
+        hd[k_pos] += coupling.c.coeffs[n_pos] * val / denom[n_pos, k_pos]
+    return h, hd, np.abs(denom).min(axis=0)
+
+
+def first_residual_one_shot(pi, gen, forcing, space):
+    """max_k ||D_k pi_k - g_k|| / (1 + ||pi_k||) from whole matrices."""
+    denom = 1j * space.omegas[None, :] - gen.eigenvalues[:, None]
+    lhs = denom * pi - forcing
+    return float(np.max(np.linalg.norm(lhs, axis=0)
+                        / (1.0 + np.linalg.norm(pi, axis=0))))

@@ -151,7 +151,7 @@ def test_criterion_5_tracking_decay():
         gain = mr.build_feedforward(gen, coupling, space)
         sol = mr.solve_regulator(gen, coupling, gain, space)
         w0 = mr.resolve_w0(cfg, space)
-        z0 = mr.resolve_z0(cfg, gen, solution=sol, w0=w0)
+        z0 = mr.resolve_z0(cfg, gen)
         assert z0.norm > 0 and (z0 - mr.SpectralVector(
             gen.modes, sol.pi @ w0.coeffs)).norm > 1e-3  # off the manifold
         result = mr.simulate_closed_loop(gen, coupling, gain, z0, w0, t)
@@ -185,7 +185,7 @@ def test_criterion_6_invariant_manifold():
         gain = mr.build_feedforward(gen, coupling, space)
         sol = mr.solve_regulator(gen, coupling, gain, space)
         w0 = mr.resolve_w0(cfg, space)
-        z0 = mr.resolve_z0(cfg, gen, solution=sol, w0=w0)
+        z0 = mr.resolve_z0(cfg, gen, pi_w0=sol.pi @ w0.coeffs)
         result = mr.simulate_closed_loop(gen, coupling, gain, z0, w0, t)
         sup_e = np.abs(result.e).max()
         checks.append((sup_e <= 1e-9,

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -116,6 +117,17 @@ window_hi = 50
             .replace("n_exo = 60", "n_exo = 1")
         cfg = load_config(write(tmp_path, text))
         assert cfg.scenario.w0_preset == (1.0, 0.0, 0.5j)
+
+    @pytest.mark.parametrize("method", ["", "method = analytic\n"],
+                             ids=["default", "analytic"])
+    def test_step_rejected_unless_numeric(self, method, tmp_path, capsys):
+        path = write(tmp_path,
+                     DIAG_OK + f"\n[quadrature]\n{method}step = 0.01\n")
+        with pytest.raises(ConfigError,
+                           match="step is read only by method = numeric"):
+            load_config(path)
+        assert main(["check", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("key", ["eigenvalues", "b", "c"])
     def test_custom_only_keys_rejected_elsewhere(self, key, tmp_path, capsys):
@@ -370,6 +382,22 @@ window_hi = 40
         assert "error envelope slope" not in report
         assert "state deviation envelope slope = " in report
 
+    @pytest.mark.parametrize("kind", ["wave", "diagonal"])
+    def test_manifold_start_deviation_skipped(self, kind, tmp_path, capsys):
+        """On the steady-state manifold x = z0 - Pi w0 is exactly zero, so
+        the state deviation is too: no slope is fitted to rounding
+        residue and the run passes."""
+        text = DIAG_OK.replace("z0_preset = inv_mu_sq", "z0_preset = pi_w0") \
+            .replace("kind = diagonal", f"kind = {kind}")
+        out = tmp_path / "out"
+        assert main(["decay", "--config", write(tmp_path, text),
+                     "--out", str(out)]) == 0
+        report = (out / "decay_report.txt").read_text()
+        assert "state deviation certificate: skipped (identically zero run)" \
+            in report
+        _, rows = read_csv(out / "envelope.csv")
+        assert all(float(r[3]) == 0.0 for r in rows)
+
     def test_exponentially_stable_random_decay(self, tmp_path, capsys):
         """Seed 57's semigroup envelope falls far faster than any power;
         its fit must not overflow (RuntimeWarnings fail the suite)."""
@@ -567,8 +595,8 @@ class TestKeyTable:
 
 
 class TestSolveLayerWork:
-    """Each command computes what it reports, and the denominator matrix
-    i omega_k - mu_n once."""
+    """Each command computes what it reports, and only solve builds the
+    whole denominator matrix i omega_k - mu_n, once."""
 
     @pytest.mark.parametrize("command", ["simulate", "decay"])
     def test_norm_estimate_not_computed_unless_reported(
@@ -591,6 +619,25 @@ class TestSolveLayerWork:
         assert len(line) == 1
         assert float(line[0].split("=")[1]) > 0.0
 
+    @pytest.mark.parametrize("command", ["simulate", "decay"])
+    def test_no_plant_by_harmonic_matrix_held(self, command, tmp_path,
+                                              capsys):
+        """Wave at N = 300 (600 plant modes x 601 harmonics): the traced
+        peak stays below one complex matrix of that shape. With 64 time
+        points the (time x modes) arrays are a tenth of it."""
+        text = ("[scenario]\nkind = wave\nn_plant = 300\nn_exo = 300\n"
+                "w0_preset = square11\nz0_preset = inv_mu_sq\n\n"
+                "[simulate]\nn_points = 64\n")
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", write(tmp_path, text),
+                         "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 600 * 601 * 16
+
     @pytest.mark.parametrize("command", ["check", "solve", "simulate", "decay"])
     def test_denominators_built_once(self, command, tmp_path, capsys,
                                      monkeypatch):
@@ -610,4 +657,4 @@ class TestSolveLayerWork:
         code = main([command, "--config", write(tmp_path, DIAG_OK),
                      "--out", str(tmp_path / "out")])
         assert code == 0
-        assert builds == [(121, 121)]
+        assert builds == ([(121, 121)] if command == "solve" else [])

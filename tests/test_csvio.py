@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from oracles import fmt_number, write_csv_rows
 
-from modalreg.cli import _solve_pipeline, main
+from modalreg.cli import _gain_pipeline, main
 from modalreg.config import load_config
 from modalreg.csvio import BLOCK_VALUES, write_csv
 from modalreg.exosystem import ExoSpace, ExoState
+from modalreg.regulator import solve_regulator
 from modalreg.spectral import ModeRange
 
 SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -96,8 +97,9 @@ def test_solve_artifacts_match_reference_writer(tmp_path, capsys):
     cfg_path.write_text(DIAG)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
-    gen, _, space, _, gain, solution = _solve_pipeline(load_config(str(cfg_path)),
-                                                       force=False)
+    gen, coupling, space, _, gain = _gain_pipeline(load_config(str(cfg_path)),
+                                                   force=False)
+    solution = solve_regulator(gen, coupling, gain, space)
     write_csv_rows(tmp_path / "L.csv", ["k", "re", "im"],
                    ((int(k), gain.ell[j].real, gain.ell[j].imag)
                     for j, k in enumerate(space.modes.indices)))

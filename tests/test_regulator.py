@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import naive_transfer_value, power_iteration_norm
+from oracles import (first_residual_one_shot, frequency_grid_one_shot,
+                     naive_transfer_value, power_iteration_norm)
 
-from modalreg.errors import AssumptionFailure
+import modalreg.regulator as regulator
+from modalreg.errors import AssumptionFailure, SingularResolventError
 from modalreg.exosystem import ExoState
 from modalreg.regulator import (ModalCoupling, build_feedforward,
                                 check_assumption1, check_assumption2,
@@ -126,6 +128,56 @@ class TestDisturbanceEncoding:
         assert residual_first_equation(sol, gen, coupling, gain,
                                        space) <= 1e-10
         assert residual_second_equation(sol, coupling, space) <= 1e-10
+
+
+class TestBlockedGrid:
+    """The grid and the first residual are computed one block of harmonics
+    at a time; at any block width they equal the one-shot computation bit
+    for bit."""
+
+    SCENARIOS = [("wave", None), ("random", 1), ("random", 4), ("random", 10)]
+
+    @staticmethod
+    def scenario(kind, seed):
+        if kind == "wave":
+            return build_wave_scenario(ScenarioConfig(
+                kind="wave", n_plant=60, n_exo=100, period=2.0))
+        return build_random_scenario(seed)
+
+    @pytest.mark.parametrize("kind, seed", SCENARIOS)
+    @pytest.mark.parametrize("width", [2, 3, 7, 523])
+    def test_matches_one_shot(self, kind, seed, width, monkeypatch):
+        gen, coupling, space = self.scenario(kind, seed)
+        # widths 2 and 7 leave a one-column remainder on some of these
+        # harmonic counts (201, 9, 13)
+        monkeypatch.setattr(regulator, "_BLOCK_ENTRIES", width * len(gen.modes))
+        grid = frequency_grid(gen, coupling, space)
+        for got, want in zip((grid.h, grid.hd, grid.gaps),
+                             frequency_grid_one_shot(gen, coupling, space)):
+            assert got.tobytes() == want.tobytes()
+        gain = build_feedforward(gen, coupling, space, floor=1e-4, grid=grid)
+        sol = solve_regulator(gen, coupling, gain, space)
+        forcing = forcing_matrix(coupling, gain, space)
+        assert residual_first_equation(sol, gen, coupling, gain, space) == \
+            first_residual_one_shot(sol.pi, gen, forcing, space)
+
+    def test_blocks_cover_positions_in_order(self, monkeypatch):
+        monkeypatch.setattr(regulator, "_BLOCK_ENTRIES", 30)
+        for n in range(1, 12):
+            blocks = regulator._blocks(n, 10)  # width 3
+            assert [j for b in blocks for j in range(n)[b]] == list(range(n))
+            assert n < 2 or min(b.stop - b.start for b in blocks) >= 2
+
+    def test_exact_hit_in_later_block_raises(self, monkeypatch):
+        gen, coupling, space = self.scenario("wave", None)
+        monkeypatch.setattr(regulator, "_BLOCK_ENTRIES", 7 * len(gen.modes))
+        k_pos = len(space.modes) - 3  # in the last block
+        n_pos = gen.modes.position(5)
+        gen.eigenvalues[n_pos] = 1j * space.omegas[k_pos]
+        for build in (frequency_grid, check_assumption1):
+            with pytest.raises(SingularResolventError) as err:
+                build(gen, coupling, space)
+            assert err.value.mode == 5
 
 
 class TestAssumption1:

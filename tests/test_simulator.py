@@ -2,19 +2,22 @@
 decay certificates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import rk4_closed_loop
 
+import modalreg.regulator as regulator
 from modalreg.exosystem import ExoState
 from modalreg.regulator import (build_feedforward, forcing_matrix,
-                                solve_regulator)
+                                solve_regulator, steady_state_image)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
-                                build_random_scenario, build_wave_scenario,
-                                resolve_w0, resolve_z0)
+                                build_random_scenario, build_scenario,
+                                build_wave_scenario, resolve_w0, resolve_z0)
 from modalreg.simulator import (certify_decay, error_formula_check,
-                                simulate_closed_loop, state_deviation_norms)
+                                simulate_closed_loop, simulate_outputs,
+                                state_deviation_norms)
 from modalreg.spectral import SpectralVector, decay_envelope
 
 
@@ -75,7 +78,7 @@ class TestSimulation:
     def test_state_approaches_periodic_orbit(self, diagonal):
         cfg, gen, coupling, space, gain, sol = diagonal
         w0 = resolve_w0(cfg, space)
-        z0 = resolve_z0(cfg, gen, sol, w0)
+        z0 = resolve_z0(cfg, gen)
         t = np.geomspace(1e-2, 100.0, 64)
         res = simulate_closed_loop(gen, coupling, gain, z0, w0, t)
         dev = state_deviation_norms(res, sol)
@@ -86,7 +89,7 @@ class TestSimulation:
     def test_deviation_matches_orbit_of_scaled_map(self, diagonal):
         cfg, gen, coupling, space, gain, sol = diagonal
         w0 = resolve_w0(cfg, space)
-        z0 = resolve_z0(cfg, gen, sol, w0)
+        z0 = resolve_z0(cfg, gen)
         t = np.geomspace(1e-2, 100.0, 64)
         res = simulate_closed_loop(gen, coupling, gain, z0, w0, t)
         phases = np.exp(1j * np.multiply.outer(t, space.omegas))
@@ -117,11 +120,104 @@ class TestSimulation:
                 assert err <= 1e-6 * max(1.0, np.linalg.norm(exact.z[i]))
 
 
+class TestOutputPath:
+    """simulate_outputs (e and the state deviation from Pi w0 and c Pi)
+    against the full-state path simulate_closed_loop +
+    state_deviation_norms."""
+
+    CUSTOM = ScenarioConfig(
+        kind="custom", eigenvalues=(-0.3 + 1j, -0.05 - 2.5j, -1.0 + 4j,
+                                    -0.01 + 0.5j),
+        b=(1.0, 0.5j, 0.25, -0.75), c=(0.5, 1.0, -0.5j, 0.25), n_exo=6,
+        period=5.0, p_entries={(1, 2): 0.3 - 0.1j, (3, -1): 0.5j, (2, 6): 1.0},
+        w0_preset="smooth", z0_preset="inv_mu_sq")
+
+    def states(self, case):
+        """(gen, coupling, space, w0, z0) of one case; random seeds 1, 4
+        and 10 carry a disturbance matrix P."""
+        if case.startswith("random"):
+            seed = int(case[len("random"):])
+            gen, coupling, space = build_random_scenario(seed)
+            assert coupling.has_disturbance
+            rng = np.random.default_rng(seed)
+            w0 = ExoState(space, rng.standard_normal(len(space.modes))
+                          + 1j * rng.standard_normal(len(space.modes)))
+            z0 = SpectralVector(gen.modes,
+                                1.0 / (1.0 + np.abs(gen.eigenvalues)))
+            return gen, coupling, space, w0, z0
+        cfg = self.CUSTOM if case == "custom" else ScenarioConfig(
+            kind=case, n_plant=200, n_exo=200, w0_preset="square11",
+            z0_preset="inv_mu_sq")
+        gen, coupling, space = build_scenario(cfg)
+        return (gen, coupling, space, resolve_w0(cfg, space),
+                resolve_z0(cfg, gen))
+
+    @pytest.mark.parametrize("width", [None, 2])
+    @pytest.mark.parametrize("case", ["wave", "diagonal", "custom", "random1",
+                                      "random4", "random10"])
+    def test_matches_full_state_path(self, case, width, monkeypatch):
+        gen, coupling, space, w0, z0 = self.states(case)
+        if width is not None:  # several blocks of harmonics in the pass
+            monkeypatch.setattr(regulator, "_BLOCK_ENTRIES",
+                                width * len(gen.modes))
+        gain = build_feedforward(gen, coupling, space)
+        sol = solve_regulator(gen, coupling, gain, space)
+        t = np.geomspace(1e-2, 1e3, 512)
+        ref = simulate_closed_loop(gen, coupling, gain, z0, w0, t)
+        ref_dev = state_deviation_norms(ref, sol)
+
+        image = steady_state_image(gen, coupling, gain, w0)
+        np.testing.assert_allclose(
+            image.pi_w0, sol.pi @ w0.coeffs, rtol=0,
+            atol=1e-14 * (np.abs(sol.pi) @ np.abs(w0.coeffs)).max())
+        np.testing.assert_allclose(
+            image.mismatch, (coupling.c.coeffs @ sol.pi - 1.0) * w0.coeffs,
+            rtol=0, atol=1e-14 * np.abs(w0.coeffs).max())
+        out = simulate_outputs(gen, coupling, gain, z0, image, t)
+
+        assert out.y_r.tobytes() == ref.y_r.tobytes()
+        assert out.u.tobytes() == ref.u.tobytes()
+        assert np.all(np.abs(out.e - ref.e) <= 1e-14 * np.abs(ref.e).max())
+        assert np.all(np.abs(out.state_deviation - ref_dev)
+                      <= 1e-12 * ref_dev + 1e-14 * ref_dev.max())
+        np.testing.assert_allclose(out.y, ref.y, rtol=0,
+                                   atol=1e-14 * np.abs(ref.y).max())
+
+    def test_on_manifold_deviation_is_exactly_zero(self, diagonal):
+        cfg, gen, coupling, space, gain, _ = diagonal
+        w0 = resolve_w0(cfg, space)
+        image = steady_state_image(gen, coupling, gain, w0)
+        z0 = resolve_z0(replace(cfg, z0_preset="pi_w0"), gen,
+                        pi_w0=image.pi_w0)
+        out = simulate_outputs(gen, coupling, gain, z0, image,
+                               np.geomspace(1e-2, 1e3, 64))
+        assert np.all(out.state_deviation == 0.0)
+        assert np.abs(out.e).max() <= 1e-14
+
+    def test_harmonics_outside_the_support_are_not_visited(self, diagonal,
+                                                           monkeypatch):
+        cfg, gen, coupling, space, gain, sol = diagonal
+        w0 = ExoState.unit(space, 3)
+        visited = []
+        inner = regulator._denominators
+
+        def recording(gen_, omegas):
+            visited.extend(omegas.tolist())
+            return inner(gen_, omegas)
+
+        monkeypatch.setattr(regulator, "_denominators", recording)
+        image = steady_state_image(gen, coupling, gain, w0)
+        assert visited == [space.omegas[space.modes.position(3)]]
+        np.testing.assert_allclose(image.pi_w0,
+                                   sol.pi[:, space.modes.position(3)],
+                                   rtol=1e-15)
+
+
 class TestErrorFormula:
     def test_solved_run_matches_formula(self, diagonal):
         cfg, gen, coupling, space, gain, sol = diagonal
         w0 = resolve_w0(cfg, space)
-        z0 = resolve_z0(cfg, gen, sol, w0)
+        z0 = resolve_z0(cfg, gen)
         res = simulate_closed_loop(gen, coupling, gain, z0, w0,
                                    np.geomspace(1e-2, 100.0, 100))
         assert error_formula_check(res, sol, gen, coupling) <= 1e-9
@@ -137,7 +233,7 @@ class TestErrorFormula:
     def test_corrupted_gain_detected(self, diagonal):
         cfg, gen, coupling, space, gain, sol = diagonal
         w0 = resolve_w0(cfg, space)
-        z0 = resolve_z0(cfg, gen, sol, w0)
+        z0 = resolve_z0(cfg, gen)
         k_pos = space.modes.position(1)
         bad_gain = build_feedforward(gen, coupling, space)
         delta = 0.05
@@ -169,7 +265,7 @@ class TestDecayCertificate:
     def test_simulated_error_run(self, diagonal):
         cfg, gen, coupling, space, gain, sol = diagonal
         w0 = resolve_w0(cfg, space)
-        z0 = resolve_z0(cfg, gen, sol, w0)
+        z0 = resolve_z0(cfg, gen)
         res = simulate_closed_loop(gen, coupling, gain, z0, w0,
                                    np.geomspace(1e-2, 50.0, 300))
         cert = certify_decay(res.t_grid, res.e, alpha=1.0, window=(0.1, 30.0))
@@ -188,9 +284,8 @@ class TestDecayCertificate:
                              z0_preset="inv_mu_sq")
         gen, coupling, space = build_wave_scenario(cfg)
         gain = build_feedforward(gen, coupling, space)
-        sol = solve_regulator(gen, coupling, gain, space)
         w0 = resolve_w0(cfg, space)
-        z0 = resolve_z0(cfg, gen, sol, w0)
+        z0 = resolve_z0(cfg, gen)
         t = np.geomspace(1e-2, 1e3, 512)
         abs_e = np.abs(simulate_closed_loop(gen, coupling, gain, z0, w0, t).e)
         cert = certify_decay(t, abs_e, alpha=2.0, window=(10.0, 1e3))

@@ -185,7 +185,8 @@ class TestResolvent:
         grid = unit_grid([-1.0, -2.0])
         j = grid.space.modes.position(1)
         assert grid.gaps[j] == pytest.approx(math.sqrt(2.0))
-        assert grid.gaps[j] == abs(grid.denominators[0, j])
+        assert grid.gaps[j] == abs(1j * grid.space.omegas[j]
+                                   - grid.gen.eigenvalues[0])
 
 
 class TestFractionalNorm:
