@@ -22,7 +22,9 @@ from .regulator import (build_feedforward, check_assumption1,
                         check_assumption2, frequency_grid,
                         residual_first_equation, residual_second_equation,
                         solve_regulator, steady_state_image)
-from .regulator import forcing_matrix as forcing_columns  # perfbench/tracing.py wraps this name
+# the dense forcing build, not called here; perfbench/tracing.py wraps
+# this name
+from .regulator import forcing_matrix as forcing_columns
 from .scenarios import (build_scenario, kind_reads, nominal_geometric_params,
                         resolve_w0, resolve_z0)
 from .simulator import certify_decay, simulate_outputs
@@ -66,8 +68,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     failures = []
 
     grid = frequency_grid(gen, coupling, space)
-    a1 = check_assumption1(gen, coupling, space, floor=tol.assumption1_floor,
-                           grid=grid)
+    a1 = check_assumption1(grid, floor=tol.assumption1_floor)
     lines.append(f"Assumption 1 (nonvanishing frequency response): "
                  f"{'PASS' if a1.passed else 'FAIL'}")
     lines.append(f"  min |H(i omega_k)| = {_fmt(a1.min_magnitude)} at "
@@ -82,8 +83,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     a2 = None
     conf = None
     if a1.passed:
-        gain = build_feedforward(gen, coupling, space,
-                                 floor=tol.assumption1_floor, grid=grid)
+        gain = build_feedforward(grid)
         a2 = check_assumption2(gain, space)
         status = {"summable": "PASS", "divergent": "FAIL",
                   "inconclusive": "PASS (inconclusive trend)"}[a2.verdict]
@@ -94,8 +94,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
             failures.append("Assumption 2")
 
         alpha = cfg.scenario.nominal_alpha
-        conf = conformity_diagnostic(gen, forcing_columns(coupling, gain, space),
-                                     space, alpha=alpha,
+        conf = conformity_diagnostic(gen, coupling, gain, space, alpha=alpha,
                                      eps=tol.conformity_eps,
                                      spec=cfg.quadrature)
         lines.append(f"Conformity (smoothing order {_fmt(alpha + tol.conformity_eps)}): "
@@ -141,17 +140,14 @@ def _gain_pipeline(cfg: RunConfig, force: bool):
     gen, coupling, space = build_scenario(cfg.scenario)
     tol = cfg.tolerances
     grid = frequency_grid(gen, coupling, space)
-    a1 = check_assumption1(gen, coupling, space, floor=tol.assumption1_floor,
-                           grid=grid)
+    a1 = check_assumption1(grid, floor=tol.assumption1_floor)
     if not a1.passed and not force:
         raise AssumptionFailure(
             f"Assumption 1 failed: min |H| = {a1.min_magnitude:.3e} at "
             f"k = {a1.argmin_mode} is below floor {tol.assumption1_floor:.3e} "
             "(rerun with --force to proceed anyway)"
         )
-    gain = build_feedforward(gen, coupling, space,
-                             floor=tol.assumption1_floor,
-                             enforce=not force, grid=grid)
+    gain = build_feedforward(grid)
     return gen, coupling, space, a1, gain
 
 

@@ -20,7 +20,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Optional
 
 import numpy as np
 
@@ -103,8 +102,6 @@ class FrequencyGrid:
     harmonic. A run builds it once and passes it down; D itself is not
     kept."""
 
-    gen: DiagonalGenerator
-    coupling: ModalCoupling
     space: ExoSpace
     h: np.ndarray
     hd: np.ndarray
@@ -113,23 +110,13 @@ class FrequencyGrid:
 
 @dataclass(eq=False)
 class FeedforwardGain:
-    """Modal gain sequence with the frequency grid it was built from
-    (provenance for the consistency identity H ell + H_d = 1)."""
+    """Modal gain sequence ell_k, one entry per retained harmonic."""
 
     exo_modes: ModeRange
     ell: np.ndarray
-    grid: FrequencyGrid
 
     def __post_init__(self):
         self.ell = np.asarray(self.ell, dtype=np.complex128)
-
-    @property
-    def h_values(self) -> np.ndarray:
-        return self.grid.h
-
-    @property
-    def hd_values(self) -> np.ndarray:
-        return self.grid.hd
 
 
 @dataclass
@@ -214,6 +201,15 @@ def _check_plant(gen: DiagonalGenerator, coupling: ModalCoupling) -> None:
         raise ModeMismatchError("coupling and generator mode ranges differ")
 
 
+def _check_operands(gen: DiagonalGenerator, coupling: ModalCoupling,
+                    gain: FeedforwardGain, space: ExoSpace) -> None:
+    """The forcing operator (coupling, gain) must live on the mode ranges
+    of the plant and the exosystem it is applied to."""
+    _check_plant(gen, coupling)
+    if gain.exo_modes != space.modes:
+        raise ModeMismatchError("gain and space mode ranges differ")
+
+
 def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
                    space: ExoSpace) -> FrequencyGrid:
     """H(i omega_k), H_d(k) and the resolvent gaps of every retained
@@ -229,7 +225,7 @@ def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
         denom = _denominators(gen, space.omegas[blk])
         h[blk] = (cb[support, None] / denom[support]).sum(axis=0)
         gaps[blk] = np.abs(denom).min(axis=0)
-    return FrequencyGrid(gen=gen, coupling=coupling, space=space, h=h,
+    return FrequencyGrid(space=space, h=h,
                          hd=_disturbance_response(gen, coupling, space),
                          gaps=gaps)
 
@@ -247,74 +243,43 @@ def _disturbance_response(gen: DiagonalGenerator, coupling: ModalCoupling,
     return hd
 
 
-def _grid_for(grid: Optional[FrequencyGrid], gen: DiagonalGenerator,
-              coupling: ModalCoupling, space: ExoSpace) -> FrequencyGrid:
-    """``grid`` if it was built for these objects, a new grid if None."""
-    if grid is None:
-        return frequency_grid(gen, coupling, space)
-    if not (grid.gen is gen and grid.space is space
-            and grid.coupling is coupling):
-        raise ValueError("frequency grid was built for another plant, "
-                         "coupling or exosystem")
-    return grid
-
-
-def check_assumption1(gen: DiagonalGenerator, coupling: ModalCoupling,
-                      space: ExoSpace, floor: float = 1e-8, *,
-                      grid: Optional[FrequencyGrid] = None) -> Assumption1Report:
+def check_assumption1(grid: FrequencyGrid,
+                      floor: float = 1e-8) -> Assumption1Report:
     """Nonvanishing frequency response: pass iff min_k |H(i omega_k)| >= floor.
 
     The per-harmonic resolvent gaps are reported alongside, so resonant
-    near-hits that shrink H are visible rather than hidden. ``grid`` is
-    the run's frequency grid; it is built here when not given.
+    near-hits that shrink H are visible rather than hidden.
     """
     if floor <= 0:
         raise ValueError(f"floor must be positive, got {floor}")
-    grid = _grid_for(grid, gen, coupling, space)
+    modes = grid.space.modes
     mags = np.abs(grid.h)
     argmin = int(np.argmin(mags))
     return Assumption1Report(
-        exo_modes=space.modes,
+        exo_modes=modes,
         magnitudes=mags,
         resolvent_gaps=grid.gaps,
         floor=floor,
         passed=bool(mags[argmin] >= floor),
         min_magnitude=float(mags[argmin]),
-        argmin_mode=int(space.modes.indices[argmin]),
+        argmin_mode=int(modes.indices[argmin]),
     )
 
 
-def build_feedforward(gen: DiagonalGenerator, coupling: ModalCoupling,
-                      space: ExoSpace, floor: float = 1e-8,
-                      enforce: bool = True, *,
-                      grid: Optional[FrequencyGrid] = None) -> FeedforwardGain:
+def build_feedforward(grid: FrequencyGrid) -> FeedforwardGain:
     """Gain sequence ell_k = H(i omega_k)^{-1} (1 - H_d(k)).
 
-    With ``enforce`` the floor test must pass; ``enforce=False`` skips the
-    floor (gains near a response zero then blow up visibly) but an exact
-    zero still raises, since the inversion is impossible. ``grid`` is the
-    run's frequency grid; it is built here when not given, and the gain
-    keeps it for the solve and the simulation.
+    No floor is applied here (:func:`check_assumption1` is the floor test;
+    gains near a response zero blow up visibly), but an exact zero raises,
+    since the inversion is impossible.
     """
-    grid = _grid_for(grid, gen, coupling, space)
+    modes = grid.space.modes
     h = grid.h
-    mags = np.abs(h)
-    if enforce and mags.min() < floor:
-        k_bad = int(space.modes.indices[np.argmin(mags)])
-        raise AssumptionFailure(
-            f"frequency response magnitude {mags.min():.3e} at harmonic "
-            f"{k_bad} is below the floor {floor:.3e}"
-        )
-    if np.any(mags == 0.0):
-        k_bad = int(space.modes.indices[np.argmin(mags)])
-        raise AssumptionFailure(
-            f"frequency response vanishes exactly at harmonic {k_bad}"
-        )
-    return FeedforwardGain(
-        exo_modes=space.modes,
-        ell=(1.0 - grid.hd) / h,
-        grid=grid,
-    )
+    zeros = np.flatnonzero(h == 0.0)
+    if zeros.size:
+        raise AssumptionFailure(f"frequency response vanishes exactly at "
+                                f"harmonic {int(modes.indices[zeros[0]])}")
+    return FeedforwardGain(exo_modes=modes, ell=(1.0 - grid.hd) / h)
 
 
 def check_assumption2(gain: FeedforwardGain, space: ExoSpace) -> Assumption2Report:
@@ -383,9 +348,7 @@ def solve_regulator(gen: DiagonalGenerator, coupling: ModalCoupling,
     construction, and the gain choice makes the output of every column
     equal one (the second equation).
     """
-    _check_plant(gen, coupling)
-    if gain.exo_modes != space.modes:
-        raise ModeMismatchError("gain and space mode ranges differ")
+    _check_operands(gen, coupling, gain, space)
     pi = forcing_matrix(coupling, gain, space)
     pi /= frequency_denominators(gen, space)  # the one full build of D
     return SylvesterSolution(
@@ -412,10 +375,8 @@ def steady_state_image(gen: DiagonalGenerator, coupling: ModalCoupling,
     """Pi w0 and c Pi from the columns pi_k of the spectral solve, built
     one block of harmonics at a time and never held whole. Only the
     harmonics with w0_k != 0 are visited: the others add exact zeros."""
-    _check_plant(gen, coupling)
     space = w0.space
-    if gain.exo_modes != space.modes:
-        raise ModeMismatchError("gain and state mode ranges differ")
+    _check_operands(gen, coupling, gain, space)
     pi_w0 = np.zeros(len(gen.modes), dtype=np.complex128)
     mismatch = np.zeros(len(space.modes), dtype=np.complex128)
     support = np.flatnonzero(w0.coeffs)

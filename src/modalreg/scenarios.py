@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exosystem import ExoSpace, ExoState
-from .regulator import ModalCoupling, check_assumption1
+from .regulator import ModalCoupling, check_assumption1, frequency_grid
 from .spectral import DiagonalGenerator, ModeRange, SpectralVector
 
 VALID_KINDS = ("wave", "diagonal", "random", "custom")
@@ -207,7 +207,8 @@ def build_random_scenario(seed: int, n_plant_max: int = 12, n_exo_max: int = 6,
             p_entries=p_entries,
         )
         space = ExoSpace.power_weights(period, ModeRange.symmetric(n_exo), gamma)
-        report = check_assumption1(gen, coupling, space, floor=min_response)
+        report = check_assumption1(frequency_grid(gen, coupling, space),
+                                   floor=min_response)
         if report.passed:
             return gen, coupling, space
     raise RuntimeError(f"no well-conditioned scenario found for seed {seed} "

@@ -20,7 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .exosystem import ExoSpace, ExoState
-from .regulator import SylvesterSolution, frequency_denominators
+from .regulator import (FeedforwardGain, ModalCoupling, SylvesterSolution,
+                        _check_operands, _forcing_columns, forcing_matrix,
+                        frequency_denominators)
 from .spectral import (_CHUNK_ENTRIES, DiagonalGenerator, SpectralVector,
                        TailReport, classify_tail, classify_tails,
                        fractional_norm, loglog_fit)
@@ -37,9 +39,14 @@ _DECAYING_SLOPE = -0.05
 # Xeon, 4 MB L2).
 _BLOCK_ENTRIES = 2**15
 
-# Plant modes x harmonics per block of the weighted terms
-# |mu_n|**(2 beta) |d_n|**2 behind the column bounds and tail fits (8 MB).
-_TERMS_BLOCK_ENTRIES = 2**20
+# Plant modes x harmonics per block of forcing columns d_{n,k} and of the
+# weighted terms |mu_n|**(2 beta) |d_n|**2 behind the column bounds and
+# tail fits (2 MB of complex entries); conformity never holds more of the
+# forcing matrix. Half this width made wave `check` at 2000 modes x 2001
+# harmonics 35-60 % slower: each block then freed enough for the allocator
+# to return the memory and fault it back in (37k against 4.5k minor page
+# faults; 2-vCPU Xeon, glibc malloc).
+_TERMS_BLOCK_ENTRIES = 2**17
 
 # Column bounds within this relative distance of the largest are
 # re-evaluated one column at a time before the largest is reported, so the
@@ -209,23 +216,15 @@ def quadrature_pi_column(gen: DiagonalGenerator, delta_column: SpectralVector,
 _VERDICT_RANK = {"summable": 0, "inconclusive": 1, "divergent": 2}
 
 
-def _check_forcing(gen: DiagonalGenerator, forcing: np.ndarray,
-                   space: ExoSpace) -> None:
-    shape = (len(gen.modes), len(space.modes))
-    if np.shape(forcing) != shape:
-        raise ValueError(f"forcing matrix has shape {np.shape(forcing)}, "
-                         f"expected (plant modes, harmonics) = {shape}")
-
-
-def conformity_diagnostic(gen: DiagonalGenerator, forcing: np.ndarray,
-                          space: ExoSpace, alpha: float, eps: float,
+def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
+                          gain: FeedforwardGain, space: ExoSpace, alpha: float,
+                          eps: float,
                           spec: QuadratureSpec = QuadratureSpec()) -> ConformityReport:
     """Evidence that the forcing operator smooths into the fractional
     domain of order alpha + eps, combined with the horizon-tail trend.
 
-    ``forcing`` is the (plant modes x harmonics) matrix of the forcing
-    operator, column k being d_k, as :func:`regulator.forcing_matrix`
-    returns it; any other shape raises ``ValueError``.
+    The forcing operator is d_{n,k} = b_n ell_k + p_{n,k}, from the
+    coupling and the gain; column k is d_k.
 
     Per column k the partial sums of ``|mu_n|**(2(alpha+eps)) |d_n|**2``
     are trend-classified over plant modes, and the f-scaled fractional
@@ -234,41 +233,48 @@ def conformity_diagnostic(gen: DiagonalGenerator, forcing: np.ndarray,
     aggregated horizon tails do not grow; a divergent column trend makes
     it non-conform-trend; everything else is inconclusive.
 
-    Harmonics are processed in blocks, not one at a time. The reported
-    largest bound is re-evaluated with :func:`fractional_norm` on its own
-    column.
+    The forcing columns are built and processed one block of harmonics at
+    a time; the whole matrix is never held. The reported largest bound is
+    re-evaluated with :func:`fractional_norm` on its own column.
     """
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
-    _check_forcing(gen, forcing, space)
+    _check_operands(gen, coupling, gain, space)
     beta = alpha + eps
     f = space.weights
-    if spec.method == "analytic":
-        tails = _analytic_tails(gen, forcing, space.omegas, spec.horizons)
-    else:
-        tails = np.array([
-            _numeric_quadrature(gen, forcing[:, j], float(om), spec.horizons,
-                                spec.step)[1]
-            for j, om in enumerate(space.omegas)]).T
-    agg = (tails / f).max(axis=1)
-
+    n_exo = len(f)
+    tails = np.empty((len(spec.horizons), n_exo))
     mu_pow = (np.abs(gen.eigenvalues) ** (2.0 * beta))[:, None]
-    bounds = np.empty(len(f))
+    bounds = np.empty(n_exo)
+    nonzero = np.empty(n_exo, dtype=bool)
     fits = []
     step = max(1, _TERMS_BLOCK_ENTRIES // len(mu_pow))
-    for start in range(0, len(f), step):
+    for start in range(0, n_exo, step):
         cols = slice(start, start + step)
-        terms = np.abs(forcing[:, cols]) ** 2 * mu_pow
+        forcing = _forcing_columns(coupling, gain, space,
+                                   np.arange(n_exo)[cols])
+        nonzero[cols] = np.any(forcing != 0, axis=0)
+        terms = np.abs(forcing) ** 2 * mu_pow
         bounds[cols] = np.sqrt(terms.sum(axis=0)) / f[cols]
         fits += classify_tails(gen.modes.indices, terms)
+        del terms  # freed before the horizon tails make their temporaries
+        if spec.method == "analytic":
+            tails[:, cols] = _analytic_tails(gen, forcing, space.omegas[cols],
+                                             spec.horizons)
+        else:
+            for j, om in enumerate(space.omegas[cols]):
+                tails[:, start + j] = _numeric_quadrature(
+                    gen, forcing[:, j], float(om), spec.horizons, spec.step)[1]
+    agg = (tails / f).max(axis=1)
+
     near_sup = np.flatnonzero(bounds >= bounds.max() * (1.0 - _SUP_RTOL))
     for j in near_sup:
+        column = _forcing_columns(coupling, gain, space, np.array([j]))[:, 0]
         bounds[j] = fractional_norm(
-            gen, beta, SpectralVector(gen.modes, forcing[:, j])) / f[j]
+            gen, beta, SpectralVector(gen.modes, column)) / f[j]
     sup_j = int(near_sup[np.argmax(bounds[near_sup])])
 
-    nonzero = np.flatnonzero(np.any(forcing != 0, axis=0))
-    worst_tail = max((fits[j] for j in nonzero),
+    worst_tail = max((fits[j] for j in np.flatnonzero(nonzero)),
                      key=lambda r: _VERDICT_RANK[r.verdict],
                      default=TailReport(-math.inf, "summable", 0,
                                         "all columns zero"))
@@ -295,25 +301,24 @@ def conformity_diagnostic(gen: DiagonalGenerator, forcing: np.ndarray,
     )
 
 
-def lemma_identity_check(gen: DiagonalGenerator, forcing: np.ndarray,
-                         solution: SylvesterSolution, w: ExoState,
-                         t_grid) -> float:
+def lemma_identity_check(gen: DiagonalGenerator, coupling: ModalCoupling,
+                         gain: FeedforwardGain, solution: SylvesterSolution,
+                         w: ExoState, t_grid) -> float:
     """Residual of the finite-time convolution identity.
 
     The convolution of the semigroup with the forced exosystem orbit must
     equal the steady-state map evaluated along the orbit minus the
     semigroup applied to its initial value. Both sides are evaluated per
     mode from the exponential antiderivative; returns the worst relative
-    mismatch over the grid. ``forcing`` is the (plant modes x harmonics)
-    matrix of the forcing operator, as :func:`regulator.forcing_matrix`
-    returns it; any other shape raises ``ValueError``.
+    mismatch over the grid. The forcing operator is b ell + P, from the
+    coupling and the gain.
     """
     space = w.space
     if solution.plant_modes != gen.modes or solution.exo_modes != space.modes:
         raise ValueError("solution mode ranges do not match generator/exosystem")
-    _check_forcing(gen, forcing, space)
+    _check_operands(gen, coupling, gain, space)
     denom = frequency_denominators(gen, space)
-    m = forcing * w.coeffs[None, :] / denom
+    m = forcing_matrix(coupling, gain, space) * w.coeffs[None, :] / denom
     pw = solution.pi * w.coeffs[None, :]
     worst = 0.0
     for t in np.asarray(t_grid, dtype=float):

@@ -596,7 +596,8 @@ class TestKeyTable:
 
 class TestSolveLayerWork:
     """Each command computes what it reports, and only solve builds the
-    whole denominator matrix i omega_k - mu_n, once."""
+    whole denominator matrix i omega_k - mu_n and the whole forcing
+    matrix b ell + P, each once."""
 
     @pytest.mark.parametrize("command", ["simulate", "decay"])
     def test_norm_estimate_not_computed_unless_reported(
@@ -619,12 +620,13 @@ class TestSolveLayerWork:
         assert len(line) == 1
         assert float(line[0].split("=")[1]) > 0.0
 
-    @pytest.mark.parametrize("command", ["simulate", "decay"])
+    @pytest.mark.parametrize("command", ["check", "simulate", "decay"])
     def test_no_plant_by_harmonic_matrix_held(self, command, tmp_path,
                                               capsys):
         """Wave at N = 300 (600 plant modes x 601 harmonics): the traced
         peak stays below one complex matrix of that shape. With 64 time
-        points the (time x modes) arrays are a tenth of it."""
+        points the (time x modes) arrays are a tenth of it; conformity
+        holds one block of forcing columns at a time."""
         text = ("[scenario]\nkind = wave\nn_plant = 300\nn_exo = 300\n"
                 "w0_preset = square11\nz0_preset = inv_mu_sq\n\n"
                 "[simulate]\nn_points = 64\n")
@@ -641,20 +643,30 @@ class TestSolveLayerWork:
     @pytest.mark.parametrize("command", ["check", "solve", "simulate", "decay"])
     def test_denominators_built_once(self, command, tmp_path, capsys,
                                      monkeypatch):
+        import modalreg.cli as cli
         import modalreg.regulator as regulator
         import modalreg.simulator as simulator
         import modalreg.sylvester as sylvester
 
-        builds = []
+        builds, forcing_builds = [], []
         inner = regulator.frequency_denominators
+        inner_forcing = regulator.forcing_matrix
 
         def counting(gen, space):
             builds.append((len(gen.modes), len(space.modes)))
             return inner(gen, space)
 
+        def counting_forcing(coupling, gain, space):
+            forcing_builds.append((len(coupling.modes), len(space.modes)))
+            return inner_forcing(coupling, gain, space)
+
         for module in (regulator, simulator, sylvester):
             monkeypatch.setattr(module, "frequency_denominators", counting)
+            monkeypatch.setattr(module, "forcing_matrix", counting_forcing)
+        monkeypatch.setattr(cli, "forcing_columns", counting_forcing)
         code = main([command, "--config", write(tmp_path, DIAG_OK),
                      "--out", str(tmp_path / "out")])
         assert code == 0
-        assert builds == ([(121, 121)] if command == "solve" else [])
+        once = [(121, 121)] if command == "solve" else []
+        assert builds == once
+        assert forcing_builds == once

@@ -117,8 +117,7 @@ class TestDisturbanceEncoding:
         grid, grid_ref = (frequency_grid(gen, cp, space)
                           for cp in (coupling, ref))
         np.testing.assert_array_equal(grid.hd, grid_ref.hd)
-        gain = build_feedforward(gen, coupling, space, grid=grid)
-        gain_ref = build_feedforward(gen, ref, space, grid=grid_ref)
+        gain, gain_ref = build_feedforward(grid), build_feedforward(grid_ref)
         np.testing.assert_array_equal(gain.ell, gain_ref.ell)
         np.testing.assert_array_equal(forcing_matrix(coupling, gain, space),
                                       forcing_matrix(ref, gain_ref, space))
@@ -155,7 +154,7 @@ class TestBlockedGrid:
         for got, want in zip((grid.h, grid.hd, grid.gaps),
                              frequency_grid_one_shot(gen, coupling, space)):
             assert got.tobytes() == want.tobytes()
-        gain = build_feedforward(gen, coupling, space, floor=1e-4, grid=grid)
+        gain = build_feedforward(grid)
         sol = solve_regulator(gen, coupling, gain, space)
         forcing = forcing_matrix(coupling, gain, space)
         assert residual_first_equation(sol, gen, coupling, gain, space) == \
@@ -174,16 +173,15 @@ class TestBlockedGrid:
         k_pos = len(space.modes) - 3  # in the last block
         n_pos = gen.modes.position(5)
         gen.eigenvalues[n_pos] = 1j * space.omegas[k_pos]
-        for build in (frequency_grid, check_assumption1):
-            with pytest.raises(SingularResolventError) as err:
-                build(gen, coupling, space)
-            assert err.value.mode == 5
+        with pytest.raises(SingularResolventError) as err:
+            frequency_grid(gen, coupling, space)
+        assert err.value.mode == 5
 
 
 class TestAssumption1:
     def test_diagonal_magnitudes(self, diagonal):
         gen, coupling, space = diagonal
-        report = check_assumption1(gen, coupling, space)
+        report = check_assumption1(frequency_grid(gen, coupling, space))
         assert report.passed
         omega_max = 2.0 * math.pi * 40 / space.period
         assert report.min_magnitude == pytest.approx(
@@ -193,13 +191,14 @@ class TestAssumption1:
     def test_zero_output_fails(self, diagonal):
         gen, base, space = diagonal
         coupling = ModalCoupling(b=base.b, c=SpectralVector.zeros(base.modes))
-        report = check_assumption1(gen, coupling, space, floor=1e-8)
+        report = check_assumption1(frequency_grid(gen, coupling, space),
+                                   floor=1e-8)
         assert not report.passed
         assert report.min_magnitude == 0.0
 
     def test_resonant_gaps_annotated(self, wave_resonant):
         gen, coupling, space = wave_resonant
-        report = check_assumption1(gen, coupling, space)
+        report = check_assumption1(frequency_grid(gen, coupling, space))
         # at period 2 the harmonic k sits pi nu / k**2 away from mode k
         pos = space.modes.position(9)
         assert report.resolvent_gaps[pos] == pytest.approx(math.pi / 81.0,
@@ -210,15 +209,16 @@ class TestAssumption1:
 class TestFeedforward:
     def test_diagonal_gains_invert_response(self, diagonal):
         gen, coupling, space = diagonal
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         np.testing.assert_allclose(gain.ell, 1.0 + 1j * space.omegas,
                                    rtol=1e-12)
 
     def test_no_disturbance_means_pure_inverse(self, wave_resonant):
         gen, coupling, space = wave_resonant
-        gain = build_feedforward(gen, coupling, space)
-        np.testing.assert_allclose(gain.ell, 1.0 / gain.h_values, rtol=1e-13)
-        assert np.all(gain.hd_values == 0)
+        grid = frequency_grid(gen, coupling, space)
+        gain = build_feedforward(grid)
+        np.testing.assert_allclose(gain.ell, 1.0 / grid.h, rtol=1e-13)
+        assert np.all(grid.hd == 0)
 
     def test_unit_disturbance_response_zeroes_gain(self, diagonal):
         gen, base, space = diagonal
@@ -226,44 +226,34 @@ class TestFeedforward:
         entries = {(0, int(k)): 1.0 + 1j * space.omegas[space.modes.position(k)]
                    for k in space.modes}
         coupling = ModalCoupling(b=base.b, c=base.c, p_entries=entries)
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         np.testing.assert_allclose(gain.ell, 0.0, atol=1e-12)
 
     def test_floor_enforcement(self, diagonal):
+        # the floor is Assumption 1's test; the gain build applies none,
+        # but an exact zero cannot be inverted
         gen, base, space = diagonal
         coupling = ModalCoupling(b=base.b, c=SpectralVector.zeros(base.modes))
-        with pytest.raises(AssumptionFailure, match="below the floor"):
-            build_feedforward(gen, coupling, space)
-        # even unenforced, an exact zero cannot be inverted
-        with pytest.raises(AssumptionFailure, match="vanishes"):
-            build_feedforward(gen, coupling, space, enforce=False)
+        with pytest.raises(AssumptionFailure,
+                           match=f"vanishes exactly at harmonic {space.modes.lo}"):
+            build_feedforward(frequency_grid(gen, coupling, space))
 
     def test_one_grid_serves_assumption_gain_and_solve(self, wave_resonant):
         gen, coupling, space = wave_resonant
         grid = frequency_grid(gen, coupling, space)
-        report = check_assumption1(gen, coupling, space, grid=grid)
-        gain = build_feedforward(gen, coupling, space, grid=grid)
-        assert gain.grid is grid
+        report = check_assumption1(grid)
+        gain = build_feedforward(grid)
         assert report.resolvent_gaps is grid.gaps
-        fresh = build_feedforward(gen, coupling, space)
+        fresh = build_feedforward(frequency_grid(gen, coupling, space))
         np.testing.assert_array_equal(gain.ell, fresh.ell)
         np.testing.assert_array_equal(
             solve_regulator(gen, coupling, gain, space).pi,
             solve_regulator(gen, coupling, fresh, space).pi)
 
-    def test_grid_of_another_coupling_rejected(self, diagonal):
-        gen, base, space = diagonal
-        grid = frequency_grid(gen, base, space)
-        other = ModalCoupling(b=base.b, c=base.c, p_entries={(0, 1): 0.5})
-        with pytest.raises(ValueError, match="another plant"):
-            check_assumption1(gen, other, space, grid=grid)
-        with pytest.raises(ValueError, match="another plant"):
-            build_feedforward(gen, other, space, grid=grid)
-
     def test_gain_transfer_consistency(self, wave_resonant):
         gen, coupling, space = wave_resonant
-        gain = build_feedforward(gen, coupling, space)
-        identity = gain.h_values * gain.ell + gain.hd_values
+        grid = frequency_grid(gen, coupling, space)
+        identity = grid.h * build_feedforward(grid).ell + grid.hd
         np.testing.assert_allclose(identity, 1.0, rtol=0, atol=1e-12)
 
 
@@ -274,7 +264,7 @@ class TestAssumption2:
         cfg = ScenarioConfig(kind="diagonal", n_plant=200, n_exo=200,
                              gamma=gamma)
         gen, coupling, space = build_diagonal_scenario(cfg)
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         report = check_assumption2(gain, space)
         assert report.verdict == verdict
         # terms are (1 + omega**2)**(1 - gamma)
@@ -285,7 +275,7 @@ class TestAssumption2:
 
     def test_zero_gain_sequence(self, diagonal):
         gen, coupling, space = diagonal
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         gain.ell = np.zeros_like(gain.ell)
         report = check_assumption2(gain, space)
         assert report.verdict == "summable"
@@ -295,7 +285,7 @@ class TestAssumption2:
 class TestRegulatorSolve:
     def test_diagonal_steady_state_is_rank_one(self, diagonal):
         gen, coupling, space = diagonal
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
         row0 = gen.modes.position(0)
         np.testing.assert_allclose(sol.pi[row0, :], 1.0, rtol=1e-12)
@@ -304,7 +294,7 @@ class TestRegulatorSolve:
 
     def test_zero_forcing_gives_zero_map(self, diagonal):
         gen, coupling, space = diagonal
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         gain.ell = np.zeros_like(gain.ell)
         sol = solve_regulator(gen, coupling, gain, space)
         assert np.all(sol.pi == 0)
@@ -312,7 +302,7 @@ class TestRegulatorSolve:
 
     def test_columns_equal_resolvent_application(self, wave_resonant):
         gen, coupling, space = wave_resonant
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
         forcing = forcing_matrix(coupling, gain, space)
         for k in (-11, 0, 9):
@@ -322,7 +312,7 @@ class TestRegulatorSolve:
 
     def test_norm_estimate_matches_plain_power_iteration(self, wave_resonant):
         gen, coupling, space = wave_resonant
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
         assert sol.operator_norm_estimate == power_iteration_norm(
             sol.pi, space.weights)
@@ -332,7 +322,7 @@ class TestRegulatorSolve:
         import modalreg.regulator as regulator
 
         gen, coupling, space = diagonal
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         calls = []
         inner = regulator._weighted_norm_estimate
 
@@ -349,7 +339,7 @@ class TestRegulatorSolve:
 
     def test_norm_estimate_matches_svd(self, diagonal):
         gen, coupling, space = diagonal
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
         exact = np.linalg.svd(sol.pi / space.weights[None, :],
                               compute_uv=False)[0]
@@ -359,14 +349,14 @@ class TestRegulatorSolve:
 class TestResiduals:
     def test_solved_residuals_at_rounding_level(self, wave_resonant):
         gen, coupling, space = wave_resonant
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
         assert residual_first_equation(sol, gen, coupling, gain, space) <= 1e-10
         assert residual_second_equation(sol, coupling, space) <= 1e-10
 
     def test_injected_fault_detected(self, diagonal):
         gen, coupling, space = diagonal
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
         n_pos, k_pos = gen.modes.position(2), space.modes.position(5)
         sol.pi[n_pos, k_pos] += 1e-3
@@ -378,7 +368,7 @@ class TestResiduals:
 
     def test_zero_map_residual_is_forcing_norm(self, diagonal):
         gen, coupling, space = diagonal
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
         sol.pi = np.zeros_like(sol.pi)
         expected = np.linalg.norm(forcing_matrix(coupling, gain, space),
@@ -403,7 +393,7 @@ class TestResiduals:
 
         space = ExoSpace.power_weights(2.0 * math.pi, ModeRange.symmetric(10),
                                        2.0)
-        gain_fine = build_feedforward(*plant(240), space)
+        gain_fine = build_feedforward(frequency_grid(*plant(240), space))
         gen_c, coupling_c = plant(120)
         sol = solve_regulator(gen_c, coupling_c, gain_fine, space)
         res = residual_second_equation(sol, coupling_c, space)
@@ -419,7 +409,7 @@ class TestResiduals:
     def test_randomized_scenarios_property(self):
         for seed in range(20):
             gen, coupling, space = build_random_scenario(seed)
-            gain = build_feedforward(gen, coupling, space, floor=1e-4)
+            gain = build_feedforward(frequency_grid(gen, coupling, space))
             sol = solve_regulator(gen, coupling, gain, space)
             assert residual_first_equation(sol, gen, coupling, gain,
                                            space) <= 1e-10
@@ -429,7 +419,7 @@ class TestResiduals:
 class TestControlSignal:
     def test_zero_state(self, diagonal):
         gen, coupling, space = diagonal
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         w0 = ExoState.zeros(space)
         assert control_signal(gain, w0, 2.7) == 0.0
 
@@ -437,7 +427,7 @@ class TestControlSignal:
         cfg = ScenarioConfig(kind="diagonal", n_plant=10, n_exo=10,
                              period=2.0 * math.pi)
         gen, coupling, space = build_diagonal_scenario(cfg)
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         w0 = ExoState.unit(space, 1)
         for t in (0.0, 0.4, 2.0):
             expected = (1.0 + 1j) * np.exp(1j * t)
@@ -446,7 +436,7 @@ class TestControlSignal:
 
     def test_periodic_in_the_signal_period(self, diagonal):
         gen, coupling, space = diagonal
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         rng = np.random.default_rng(2)
         w0 = ExoState(space, rng.standard_normal(len(space.modes)) + 0j)
         u0 = control_signal(gain, w0, 1.1)

@@ -125,7 +125,7 @@ class TestDiagonalScenario:
         cfg = ScenarioConfig(kind="diagonal", n_plant=200, n_exo=200,
                              gamma=gamma)
         gen, coupling, space = build_diagonal_scenario(cfg)
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         from modalreg.regulator import check_assumption2
         assert check_assumption2(gain, space).passed is passes
 
@@ -153,7 +153,7 @@ class TestRandomScenario:
         from modalreg.regulator import check_assumption1
         for seed in range(10):
             gen, coupling, space = build_random_scenario(seed)
-            assert check_assumption1(gen, coupling, space,
+            assert check_assumption1(frequency_grid(gen, coupling, space),
                                      floor=1e-3).passed
 
     def test_dispatch(self):

@@ -11,7 +11,8 @@ from oracles import rk4_closed_loop
 import modalreg.regulator as regulator
 from modalreg.exosystem import ExoState
 from modalreg.regulator import (build_feedforward, forcing_matrix,
-                                solve_regulator, steady_state_image)
+                                frequency_grid, solve_regulator,
+                                steady_state_image)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
                                 build_random_scenario, build_scenario,
                                 build_wave_scenario, resolve_w0, resolve_z0)
@@ -26,7 +27,7 @@ def diagonal():
     cfg = ScenarioConfig(kind="diagonal", n_plant=30, n_exo=15,
                          w0_preset="square11", z0_preset="inv_mu_sq")
     gen, coupling, space = build_diagonal_scenario(cfg)
-    gain = build_feedforward(gen, coupling, space)
+    gain = build_feedforward(frequency_grid(gen, coupling, space))
     sol = solve_regulator(gen, coupling, gain, space)
     return cfg, gen, coupling, space, gain, sol
 
@@ -101,7 +102,7 @@ class TestSimulation:
     def test_matches_fixed_step_integrator(self):
         for seed in (0, 1, 2):
             gen, coupling, space = build_random_scenario(seed)
-            gain = build_feedforward(gen, coupling, space, floor=1e-4)
+            gain = build_feedforward(frequency_grid(gen, coupling, space))
             rng = np.random.default_rng(seed + 1000)
             z0 = SpectralVector(gen.modes,
                                 rng.standard_normal(len(gen.modes))
@@ -160,7 +161,7 @@ class TestOutputPath:
         if width is not None:  # several blocks of harmonics in the pass
             monkeypatch.setattr(regulator, "_BLOCK_ENTRIES",
                                 width * len(gen.modes))
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
         t = np.geomspace(1e-2, 1e3, 512)
         ref = simulate_closed_loop(gen, coupling, gain, z0, w0, t)
@@ -235,14 +236,15 @@ class TestErrorFormula:
         w0 = resolve_w0(cfg, space)
         z0 = resolve_z0(cfg, gen)
         k_pos = space.modes.position(1)
-        bad_gain = build_feedforward(gen, coupling, space)
+        grid = frequency_grid(gen, coupling, space)
+        bad_gain = build_feedforward(grid)
         delta = 0.05
         bad_gain.ell = bad_gain.ell.copy()
         bad_gain.ell[k_pos] += delta
         res = simulate_closed_loop(gen, coupling, gain=bad_gain, z0=z0, w0=w0,
                                    t_grid=np.geomspace(1.0, 200.0, 120))
         mismatch = error_formula_check(res, sol, gen, coupling)
-        injected = delta * abs(gain.h_values[k_pos]) * abs(w0.coeffs[k_pos])
+        injected = delta * abs(grid.h[k_pos]) * abs(w0.coeffs[k_pos])
         assert mismatch >= 0.5 * injected
 
 
@@ -283,7 +285,7 @@ class TestDecayCertificate:
                              n_exo=1000, w0_preset="square11",
                              z0_preset="inv_mu_sq")
         gen, coupling, space = build_wave_scenario(cfg)
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         w0 = resolve_w0(cfg, space)
         z0 = resolve_z0(cfg, gen)
         t = np.geomspace(1e-2, 1e3, 512)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from oracles import conformity_per_column
 
+from modalreg.errors import ModeMismatchError
 from modalreg.exosystem import ExoSpace, ExoState
-from modalreg.regulator import (build_feedforward, forcing_matrix,
-                                solve_regulator)
+from modalreg.regulator import (FeedforwardGain, ModalCoupling,
+                                build_feedforward, forcing_matrix,
+                                frequency_grid, solve_regulator)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
                                 build_random_scenario, build_wave_scenario)
 from modalreg.spectral import DiagonalGenerator, ModeRange, SpectralVector
@@ -19,6 +21,18 @@ from modalreg.sylvester import (QuadratureSpec, _tail_trend_verdict,
 
 def single_mode_gen(mu):
     return DiagonalGenerator(ModeRange(0, 0), np.array([mu], dtype=complex))
+
+
+def constant_gain(modes, ell):
+    return FeedforwardGain(modes, np.full(len(modes), ell, dtype=complex))
+
+
+def forcing_operator(b, space, ell=1.0, p_entries=None):
+    """The forcing operator b ell + P as the (coupling, gain) pair the
+    diagnostics take; they never read the output row."""
+    coupling = ModalCoupling(b=b, c=SpectralVector.zeros(b.modes),
+                             p_entries=p_entries or {})
+    return coupling, constant_gain(space.modes, ell)
 
 
 class TestQuadratureColumn:
@@ -39,7 +53,7 @@ class TestQuadratureColumn:
                             ScenarioConfig(kind="diagonal", n_plant=120,
                                            n_exo=20))):
             gen, coupling, space = build(cfg)
-            gain = build_feedforward(gen, coupling, space)
+            gain = build_feedforward(frequency_grid(gen, coupling, space))
             sol = solve_regulator(gen, coupling, gain, space)
             forcing = forcing_matrix(coupling, gain, space)
             for k in (-5, 0, 5):
@@ -101,9 +115,9 @@ class TestConformity:
     def test_wave_rank_one_forcing_is_conform(self):
         cfg = ScenarioConfig(kind="wave", n_plant=200, n_exo=30, period=2.0)
         gen, coupling, space = build_wave_scenario(cfg)
-        gain = build_feedforward(gen, coupling, space)
-        report = conformity_diagnostic(gen, forcing_matrix(coupling, gain, space),
-                                       space, alpha=2.0, eps=0.25)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        report = conformity_diagnostic(gen, coupling, gain, space, alpha=2.0,
+                                       eps=0.25)
         assert report.verdict == "conform-trend"
         ev = report.sufficient_condition
         assert ev.beta == 2.25
@@ -114,10 +128,11 @@ class TestConformity:
     def test_rough_columns_are_not_conform(self):
         cfg = ScenarioConfig(kind="wave", n_plant=200, n_exo=10, period=2.0)
         gen, _, space = build_wave_scenario(cfg)
-        rough = np.tile(
-            (1.0 / np.abs(gen.eigenvalues) ** 0.1).astype(complex)[:, None],
-            len(space.modes))
-        report = conformity_diagnostic(gen, rough, space, alpha=2.0, eps=0.25)
+        # every column is the same rough input column
+        rough = SpectralVector(gen.modes,
+                               1.0 / np.abs(gen.eigenvalues) ** 0.1 + 0j)
+        report = conformity_diagnostic(gen, *forcing_operator(rough, space),
+                                       space, alpha=2.0, eps=0.25)
         assert report.verdict == "non-conform-trend"
         assert report.sufficient_condition.worst_tail.verdict == "divergent"
 
@@ -125,8 +140,8 @@ class TestConformity:
         cfg = ScenarioConfig(kind="diagonal", n_plant=30, n_exo=10)
         gen, _, space = build_diagonal_scenario(cfg)
         report = conformity_diagnostic(
-            gen, np.zeros((len(gen.modes), len(space.modes))), space,
-            alpha=1.0, eps=0.5)
+            gen, *forcing_operator(SpectralVector.zeros(gen.modes), space),
+            space, alpha=1.0, eps=0.5)
         assert report.verdict == "conform-trend"
         assert report.sufficient_condition.sup_bound == 0.0
 
@@ -135,11 +150,12 @@ class TestConformity:
         # weighted gains are summable, rank-one forcing must be conform
         for seed in range(8):
             gen, coupling, space = build_random_scenario(seed)
-            gain = build_feedforward(gen, coupling, space, floor=1e-4)
+            gain = build_feedforward(frequency_grid(gen, coupling, space))
             alpha, eps = 1.0, 0.25
             breg = check_b_regularity(gen, coupling.b, [alpha + eps])
-            rank_one = np.outer(coupling.b.coeffs, gain.ell)
-            report = conformity_diagnostic(gen, rank_one, space, alpha, eps)
+            rank_one = ModalCoupling(b=coupling.b, c=coupling.c)  # P dropped
+            report = conformity_diagnostic(gen, rank_one, gain, space, alpha,
+                                           eps)
             if breg.passes_at(alpha + eps):
                 assert report.verdict == "conform-trend"
 
@@ -165,10 +181,11 @@ class TestBatchedConformity:
     ], ids=["wave_resonant", "diagonal", "random_disturbed"])
     def test_matches_per_column_oracle(self, scenario):
         gen, coupling, space = scenario()
-        gain = build_feedforward(gen, coupling, space, floor=1e-4)
-        forcing = forcing_matrix(coupling, gain, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         alpha, eps, spec = 2.0, 0.25, QuadratureSpec()
-        report = conformity_diagnostic(gen, forcing, space, alpha, eps, spec)
+        report = conformity_diagnostic(gen, coupling, gain, space, alpha, eps,
+                                       spec)
+        forcing = forcing_matrix(coupling, gain, space)
         agg, bounds, worst = conformity_per_column(gen, forcing, space,
                                                    alpha + eps, spec)
         got = np.array([report.tail_norms[h] for h in spec.horizons])
@@ -193,12 +210,15 @@ class TestBatchedConformity:
 
     def test_zeroed_columns_have_zero_bounds(self):
         gen, coupling, space = _random_with_disturbance()
-        gain = build_feedforward(gen, coupling, space, floor=1e-4)
-        sparse = forcing_matrix(coupling, gain, space)
-        sparse[:, 1::2] = 0.0
-        report = conformity_diagnostic(gen, sparse, space, 1.0, 0.25)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        gain.ell[1::2] = 0.0
+        odd = set(space.modes.indices[1::2].tolist())
+        sparse = ModalCoupling(b=coupling.b, c=coupling.c, p_entries={
+            nk: v for nk, v in coupling.p_entries.items() if nk[1] not in odd})
+        report = conformity_diagnostic(gen, sparse, gain, space, 1.0, 0.25)
         bounds = list(report.sufficient_condition.column_bounds.values())
         assert bounds[1::2] == [0.0] * (len(bounds) // 2)
+        assert any(bounds[0::2])
 
     def test_numeric_method_matches_column_quadrature(self):
         gen = DiagonalGenerator(ModeRange(-2, 2),
@@ -207,11 +227,18 @@ class TestBatchedConformity:
         space = ExoSpace.power_weights(2.0 * math.pi, ModeRange.symmetric(2),
                                        2.0)
         rng = np.random.default_rng(5)
-        # one column of 5 plant modes per harmonic, drawn column by column
+        # one column of 5 plant modes per harmonic, drawn column by column,
+        # held as a dense disturbance matrix next to a zero input column
         forcing = (rng.standard_normal((len(space.modes), 5)) + 1j).T
+        entries = {(int(n), int(k)): forcing[i, j]
+                   for i, n in enumerate(gen.modes.indices)
+                   for j, k in enumerate(space.modes.indices)}
+        coupling, gain = forcing_operator(SpectralVector.zeros(gen.modes),
+                                          space, p_entries=entries)
         spec = QuadratureSpec(horizons=(2.0, 4.0, 8.0), method="numeric",
                               step=1e-2)
-        report = conformity_diagnostic(gen, forcing, space, 1.0, 0.25, spec)
+        report = conformity_diagnostic(gen, coupling, gain, space, 1.0, 0.25,
+                                       spec)
         agg, _, _ = conformity_per_column(gen, forcing, space, 1.25, spec)
         got = np.array([report.tail_norms[h] for h in spec.horizons])
         np.testing.assert_allclose(got, agg, rtol=1e-12, atol=0.0)
@@ -221,55 +248,59 @@ class TestLemmaIdentity:
     def test_zero_time_both_sides_vanish(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10)
         gen, coupling, space = build_diagonal_scenario(cfg)
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
         w = ExoState.unit(space, 1)
-        res = lemma_identity_check(gen, forcing_matrix(coupling, gain, space),
-                                   sol, w, [0.0])
+        res = lemma_identity_check(gen, coupling, gain, sol, w, [0.0])
         assert res == 0.0
 
     def test_diagonal_identity(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=30, n_exo=15)
         gen, coupling, space = build_diagonal_scenario(cfg)
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
         w = ExoState.unit(space, 1)
-        res = lemma_identity_check(gen, forcing_matrix(coupling, gain, space),
-                                   sol, w, [0.1, 1.0, 10.0])
+        res = lemma_identity_check(gen, coupling, gain, sol, w,
+                                   [0.1, 1.0, 10.0])
         assert res <= 1e-10
 
     def test_randomized_property(self):
         rng = np.random.default_rng(100)
         for seed in range(10):
             gen, coupling, space = build_random_scenario(seed)
-            gain = build_feedforward(gen, coupling, space, floor=1e-4)
+            gain = build_feedforward(frequency_grid(gen, coupling, space))
             sol = solve_regulator(gen, coupling, gain, space)
             w = ExoState(space, rng.standard_normal(len(space.modes))
                          + 1j * rng.standard_normal(len(space.modes)))
-            res = lemma_identity_check(
-                gen, forcing_matrix(coupling, gain, space), sol, w,
-                [0.1, 1.0, 10.0, 100.0])
+            res = lemma_identity_check(gen, coupling, gain, sol, w,
+                                       [0.1, 1.0, 10.0, 100.0])
             assert res <= 1e-8
 
 
-class TestForcingShape:
+class TestForcingOperands:
+    """Both diagnostics take the forcing operator as (coupling, gain); a
+    coupling or a gain from another mode range is rejected."""
+
     @pytest.mark.parametrize("check", [
-        lambda gen, forcing, space, sol: conformity_diagnostic(
-            gen, forcing, space, 1.0, 0.25),
-        lambda gen, forcing, space, sol: lemma_identity_check(
-            gen, forcing, sol, ExoState.unit(space, 1), [1.0]),
+        lambda gen, coupling, gain, space, sol: conformity_diagnostic(
+            gen, coupling, gain, space, 1.0, 0.25),
+        lambda gen, coupling, gain, space, sol: lemma_identity_check(
+            gen, coupling, gain, sol, ExoState.unit(space, 1), [1.0]),
     ], ids=["conformity", "lemma_identity"])
-    def test_wrong_shape_rejected(self, check):
+    def test_other_mode_range_rejected(self, check):
         cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10)
         gen, coupling, space = build_diagonal_scenario(cfg)
-        gain = build_feedforward(gen, coupling, space)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
-        forcing = forcing_matrix(coupling, gain, space)
-        check(gen, forcing, space, sol)  # the right shape is accepted
-        for wrong in (forcing[:, :-1], forcing[:-1], forcing.T,
-                      forcing[:, 0], forcing[:, :, None]):
-            with pytest.raises(ValueError, match="forcing matrix has shape"):
-                check(gen, wrong, space, sol)
+        check(gen, coupling, gain, space, sol)  # matching ranges are accepted
+        wider = ModeRange(gen.modes.lo, gen.modes.hi + 1)
+        other_coupling = ModalCoupling(b=SpectralVector.zeros(wider),
+                                       c=SpectralVector.zeros(wider))
+        other_gain = constant_gain(ModeRange(space.modes.lo,
+                                             space.modes.hi + 1), 1.0)
+        for wrong in ((other_coupling, gain), (coupling, other_gain)):
+            with pytest.raises(ModeMismatchError):
+                check(gen, *wrong, space, sol)
 
 
 class TestBRegularity:
