@@ -1,9 +1,15 @@
 """Command-line front end: check, solve, simulate, decay.
 
-Every command reads one config file, writes CSV artifacts plus a
-human-readable report into the output directory, and exits with 0 on
-success, 1 on an assumption or tolerance failure, 2 on a usage or config
-error. Identical config and seed produce byte-identical outputs.
+    modalreg COMMAND --config PATH [--out DIR] [--force] [--seed N] [--modes N]
+
+The flags may come before or after the command; ``modalreg --help``
+lists the commands. Every command reads one config file, writes CSV
+artifacts plus a human-readable report into the output directory, prints
+the report, and exits with 0 on success, 1 on an assumption or tolerance
+failure, 2 on a usage or config error. solve, simulate and decay stop at
+a failed Assumption 1 unless ``--force`` is given, and every report made
+past it carries one WARN line under the scenario line. Identical config
+and seed produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -61,14 +67,26 @@ def _scenario_header(cfg: RunConfig, gen, space) -> list:
     return ["scenario: " + " ".join(fields), ""]
 
 
-def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
+def _gate(cfg: RunConfig):
+    """The scenario as built, its frequency grid and Assumption 1."""
     gen, coupling, space = build_scenario(cfg.scenario)
+    grid = frequency_grid(gen, coupling, space)
+    a1 = check_assumption1(grid, floor=cfg.tolerances.assumption1_floor)
+    return gen, coupling, space, grid, a1
+
+
+def _overall(lines: list, failures: list, passed: str = "PASS") -> tuple:
+    """End a report with its verdict; exit 1 if anything failed."""
+    verdict = f"FAIL ({'; '.join(failures)})" if failures else passed
+    return lines + ["", f"overall: {verdict}"], 1 if failures else 0
+
+
+def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
+    gen, coupling, space, grid, a1 = _gate(cfg)
     tol = cfg.tolerances
     lines = _scenario_header(cfg, gen, space)
     failures = []
 
-    grid = frequency_grid(gen, coupling, space)
-    a1 = check_assumption1(grid, floor=tol.assumption1_floor)
     lines.append(f"Assumption 1 (nonvanishing frequency response): "
                  f"{'PASS' if a1.passed else 'FAIL'}")
     lines.append(f"  min |H(i omega_k)| = {_fmt(a1.min_magnitude)} at "
@@ -118,37 +136,31 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     if not geo.passed:
         failures.append("Geometric condition")
 
-    lines.append("")
-    if failures:
-        lines.append(f"overall: FAIL ({'; '.join(failures)})")
-    else:
-        lines.append("overall: PASS")
-
-    _write_text(out_dir / "check_report.txt", lines)
     _write_csv(out_dir / "assumption2_partial_sums.csv", ["K", "partial_sum"],
                () if a2 is None else (a2.shell_radii, a2.partial_sums))
     tails = sorted(conf.tail_norms.items()) if conf is not None else []
     # (horizon, tail_norm) pairs as two columns, (2, 0) when empty
     _write_csv(out_dir / "conformity_tails.csv", ["horizon", "tail_norm"],
                np.array(tails, dtype=float).reshape(-1, 2).T)
-    print("\n".join(lines))
-    return 1 if failures else 0
+    return _overall(lines, failures)
 
 
 def _gain_pipeline(cfg: RunConfig, force: bool):
-    """Shared gate + gain used by solve/simulate/decay."""
-    gen, coupling, space = build_scenario(cfg.scenario)
-    tol = cfg.tolerances
-    grid = frequency_grid(gen, coupling, space)
-    a1 = check_assumption1(grid, floor=tol.assumption1_floor)
-    if not a1.passed and not force:
-        raise AssumptionFailure(
-            f"Assumption 1 failed: min |H| = {a1.min_magnitude:.3e} at "
-            f"k = {a1.argmin_mode} is below floor {tol.assumption1_floor:.3e} "
-            "(rerun with --force to proceed anyway)"
-        )
-    gain = build_feedforward(grid)
-    return gen, coupling, space, a1, gain
+    """The gate and the gain for solve, simulate and decay, with the report
+    header: a failed Assumption 1 stops the run unless ``force``, and then
+    the header carries one WARN line."""
+    gen, coupling, space, grid, a1 = _gate(cfg)
+    header = _scenario_header(cfg, gen, space)
+    if not a1.passed:
+        if not force:
+            raise AssumptionFailure(
+                f"Assumption 1 failed: min |H| = {a1.min_magnitude:.3e} at "
+                f"k = {a1.argmin_mode} is below floor {a1.floor:.3e} "
+                "(rerun with --force to proceed anyway)")
+        header += [f"WARN: Assumption 1 failed (min |H| = "
+                   f"{_fmt(a1.min_magnitude)} at k = {a1.argmin_mode}, floor "
+                   f"{_fmt(a1.floor)}); run anyway under --force", ""]
+    return gen, coupling, space, header, build_feedforward(grid)
 
 
 def _simulate(cfg: RunConfig, gen, coupling, gain, w0, t_grid):
@@ -159,19 +171,13 @@ def _simulate(cfg: RunConfig, gen, coupling, gain, w0, t_grid):
     return simulate_outputs(gen, coupling, gain, z0, image, t_grid)
 
 
-def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
-    gen, coupling, space, a1, gain = _gain_pipeline(cfg, force)
+def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
+    gen, coupling, space, lines, gain = _gain_pipeline(cfg, force)
     solution = solve_regulator(gen, coupling, gain, space)
     tol = cfg.tolerances
     res1 = residual_first_equation(solution, gen, coupling, gain, space)
     res2 = residual_second_equation(solution, coupling, space)
 
-    lines = _scenario_header(cfg, gen, space)
-    if not a1.passed:
-        lines.append("WARN: Assumption 1 failed "
-                     f"(min |H| = {_fmt(a1.min_magnitude)} at k = {a1.argmin_mode}); "
-                     "gains were built anyway under --force")
-        lines.append("")
     ok1 = res1 <= tol.first_residual
     ok2 = res2 <= tol.second_residual
     lines.append(f"first regulator equation residual  = {_fmt(res1)}  "
@@ -180,7 +186,6 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
                  f"[{'PASS' if ok2 else 'FAIL'} <= {_fmt(tol.second_residual)}]")
     lines.append(f"operator norm estimate of the steady-state map = "
                  f"{_fmt(solution.operator_norm_estimate)}")
-    _write_text(out_dir / "residuals.txt", lines)
 
     exo_idx = space.modes.indices
     _write_csv(out_dir / "L.csv", ["k", "re", "im"],
@@ -190,12 +195,11 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     _write_csv(out_dir / "Pi.csv", ["n", "k", "re", "im"],
                (np.repeat(gen.modes.indices, len(exo_idx)),
                 np.tile(exo_idx, len(gen.modes)), pi.real, pi.imag))
-    print("\n".join(lines))
-    return 0 if (ok1 and ok2) else 1
+    return lines, 0 if (ok1 and ok2) else 1
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
-    gen, coupling, space, a1, gain = _gain_pipeline(cfg, force)
+def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
+    gen, coupling, space, lines, gain = _gain_pipeline(cfg, force)
     w0 = resolve_w0(cfg.scenario, space)
     t_grid = cfg.sim.grid()
     result = _simulate(cfg, gen, coupling, gain, w0, t_grid)
@@ -213,33 +217,25 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
     w0.to_csv(out_dir / "w0.csv")
 
     final = t_grid >= t_grid[-1] / 10.0
-    lines = _scenario_header(cfg, gen, space)
-    if not a1.passed:
-        lines.append("WARN: Assumption 1 failed; simulated under --force")
     lines.append(f"grid: {len(t_grid)} points on "
                  f"[{_fmt(t_grid[0])}, {_fmt(t_grid[-1])}] ({cfg.sim.spacing})")
     lines.append(f"sup |e| over the whole run    = {_fmt(abs_e.max())}")
     lines.append(f"sup |e| over the final decade = {_fmt(abs_e[final].max())}")
     lines.append(f"final state deviation norm    = {_fmt(dev[-1])}")
-    _write_text(out_dir / "simulate_summary.txt", lines)
-    print("\n".join(lines))
-    return 0
+    return lines, 0
 
 
-def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
-    gen, coupling, space, a1, gain = _gain_pipeline(cfg, force)
+def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
+    gen, coupling, space, lines, gain = _gain_pipeline(cfg, force)
     t_grid = cfg.sim.grid()
     window = cfg.sim.window
     alpha = cfg.scenario.nominal_alpha
     tol = cfg.tolerances
 
     env = decay_envelope(gen, beta=1.0, t_grid=t_grid)
-    try:
-        fit = fit_decay_rate(env.values, t_grid, window)
-        superpoly = check_superpolynomial(env.values, t_grid, window)
-    except ValueError as exc:
-        print(f"decay: degenerate window: {exc}", file=sys.stderr)
-        return 2
+    # a degenerate window raises here, before anything is written
+    fit = fit_decay_rate(env.values, t_grid, window)
+    superpoly = check_superpolynomial(env.values, t_grid, window)
 
     result = _simulate(cfg, gen, coupling, gain,
                        resolve_w0(cfg.scenario, space), t_grid)
@@ -253,7 +249,6 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
                 _running_max_from_right(dev)))
 
     target = 1.0 / alpha
-    lines = _scenario_header(cfg, gen, space)
     failures = []
     lines.append(f"semigroup envelope exponent (beta = 1) = "
                  f"{_fmt(fit.exponent_beta)} on window "
@@ -298,23 +293,18 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> int:
         if gated and not cert.passed:
             failures.append(f"{name} decay certificate")
 
-    lines.append("")
-    if failures:
-        lines.append(f"overall: FAIL ({'; '.join(failures)})")
-    elif superpoly.is_superpolynomial:
-        lines.append("overall: PASS (nominal rate not evaluated)")
-    else:
-        lines.append("overall: PASS")
-    _write_text(out_dir / "decay_report.txt", lines)
-    print("\n".join(lines))
-    return 1 if failures else 0
+    return _overall(lines, failures,
+                    "PASS (nominal rate not evaluated)"
+                    if superpoly.is_superpolynomial else "PASS")
 
 
+# command -> (function, report file); each function writes its CSV
+# artifacts and returns its report lines and exit code
 _COMMANDS = {
-    "check": cmd_check,
-    "solve": cmd_solve,
-    "simulate": cmd_simulate,
-    "decay": cmd_decay,
+    "check": (cmd_check, "check_report.txt"),
+    "solve": (cmd_solve, "residuals.txt"),
+    "simulate": (cmd_simulate, "simulate_summary.txt"),
+    "decay": (cmd_decay, "decay_report.txt"),
 }
 
 
@@ -323,22 +313,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="modalreg",
         description="Spectral feedforward regulation toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check", "run assumption, conformity and spectrum checks"),
-        ("solve", "build the gain sequence and the steady-state map"),
-        ("simulate", "run the exact closed-loop simulation"),
-        ("decay", "fit decay envelopes and certificates"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the run config")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--force", action="store_true",
-                       help="proceed past a failed assumption gate")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-        p.add_argument("--modes", type=int, default=None,
-                       help="override both mode counts")
+    parser.add_argument(
+        "command", choices=_COMMANDS,
+        help="check: assumption, conformity and spectrum checks; "
+             "solve: gains, steady-state map and residuals; "
+             "simulate: the exact closed-loop run; "
+             "decay: decay envelopes and certificates")
+    parser.add_argument("--config", required=True, help="path to the run config")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--force", action="store_true",
+                        help="proceed past a failed assumption gate")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the scenario seed")
+    parser.add_argument("--modes", type=int, default=None,
+                        help="override both mode counts")
     return parser
 
 
@@ -369,7 +357,11 @@ def main(argv=None) -> int:
                             n_exo=args.modes)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, force=args.force)
+        command, report = _COMMANDS[args.command]
+        lines, code = command(cfg, out_dir, force=args.force)
+        _write_text(out_dir / report, lines)
+        print("\n".join(lines))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,20 +14,25 @@ import csv
 import numpy as np
 
 
-def rk4_closed_loop(mu, g_matrix, w0_coeffs, omegas, z0, t_end, step,
+def rk4_closed_loop(mu, g_matrices, w0s, omegas, z0, t_end, step,
                     checkpoints):
     """Fixed-step RK4 for dz_n/dt = mu_n z_n + sum_k g_{n,k} w_k e^{i w_k t}.
 
-    ``checkpoints`` must be integer multiples of ``step``; returns a dict
-    time -> state. Forcing samples are precomputed; the stepping itself is
-    the classic recurrence.
+    Independent systems step as one: ``mu`` and ``z0`` are concatenated
+    over the systems, and ``g_matrices``, ``w0s`` and ``omegas`` are lists
+    with one entry per system. ``checkpoints`` must be integer multiples
+    of ``step``; returns a dict time -> state. Forcing samples are
+    computed per system, ``chunk`` steps at a time to bound memory; the
+    stepping itself is the classic recurrence.
     """
+    chunk = 2000
+    gw_t = [(g * w[None, :]).T for g, w in zip(g_matrices, w0s)]
+
+    def forcing(t):
+        return np.hstack([np.exp(1j * np.outer(t, om)) @ gw
+                          for om, gw in zip(omegas, gw_t)])
+
     steps = int(round(t_end / step))
-    gw = g_matrix * w0_coeffs[None, :]
-    t_full = step * np.arange(steps + 1)
-    t_half = t_full[:-1] + step / 2.0
-    f_full = np.exp(1j * np.outer(t_full, omegas)) @ gw.T
-    f_half = np.exp(1j * np.outer(t_half, omegas)) @ gw.T
     want = {}
     for t in checkpoints:
         j = int(round(t / step))
@@ -38,17 +43,22 @@ def rk4_closed_loop(mu, g_matrix, w0_coeffs, omegas, z0, t_end, step,
     if 0 in want:
         out[want[0]] = z.copy()
     h = step
-    for j in range(steps):
-        f1 = f_full[j]
-        f2 = f_half[j]
-        f4 = f_full[j + 1]
-        k1 = mu * z + f1
-        k2 = mu * (z + 0.5 * h * k1) + f2
-        k3 = mu * (z + 0.5 * h * k2) + f2
-        k4 = mu * (z + h * k3) + f4
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if j + 1 in want:
-            out[want[j + 1]] = z.copy()
+    for start in range(0, steps, chunk):
+        stop = min(start + chunk, steps)
+        t_full = step * np.arange(start, stop + 1)
+        f_full = forcing(t_full)
+        f_half = forcing(t_full[:-1] + step / 2.0)
+        for j in range(start, stop):
+            f1 = f_full[j - start]
+            f2 = f_half[j - start]
+            f4 = f_full[j - start + 1]
+            k1 = mu * z + f1
+            k2 = mu * (z + 0.5 * h * k1) + f2
+            k3 = mu * (z + 0.5 * h * k2) + f2
+            k4 = mu * (z + h * k3) + f4
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if j + 1 in want:
+                out[want[j + 1]] = z.copy()
     return out
 
 

@@ -2,7 +2,10 @@
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -258,6 +261,73 @@ assumption1_floor = 1e-4
         assert code == 0
         assert "WARN" in (tmp_path / "b" / "residuals.txt").read_text()
 
+    @pytest.mark.parametrize("command", ["solve", "simulate", "decay"])
+    def test_forced_report_warns(self, command, tmp_path, capsys):
+        """Past a failed Assumption 1, every report made under --force
+        carries the same WARN line under the scenario line."""
+        text = ("[scenario]\nkind = diagonal\nn_plant = 30\nn_exo = 20\n\n"
+                "[tolerances]\nassumption1_floor = 0.5\n")
+        cfg = write(tmp_path, text)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "a")]) == 1
+        assert not list((tmp_path / "a").iterdir())
+        capsys.readouterr()
+        main([command, "--config", cfg, "--force", "--out", str(tmp_path / "b")])
+        report = next((tmp_path / "b").glob("*.txt")).read_text()
+        assert capsys.readouterr().out == report
+        lines = report.splitlines()
+        assert [ln for ln in lines if "Assumption 1" in ln] == [lines[2]]
+        assert re.fullmatch(r"WARN: Assumption 1 failed \(min \|H\| = \S+ at "
+                            r"k = -?\d+, floor 0\.5\); run anyway under --force",
+                            lines[2])
+        assert lines[3] == ""
+
+
+class TestParser:
+    def test_help_names_the_commands(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for command in ("check", "solve", "simulate", "decay"):
+            assert command in out
+
+    def test_unknown_command_is_usage_error(self, tmp_path, capsys):
+        assert main(["frobnicate", "--config", write(tmp_path, DIAG_OK),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "frobnicate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        assert main(["check", "--out", str(tmp_path / "out")]) == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_flags_before_the_command(self, tmp_path, capsys):
+        cfg = write(tmp_path, DIAG_OK)
+        assert main(["--config", cfg, "--out", str(tmp_path / "a"),
+                     "solve"]) == 0
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "b")]) == 0
+        for name in ("residuals.txt", "L.csv", "Pi.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
+    def test_module_entry_point_exit_codes(self, tmp_path):
+        """``python -m modalreg.cli``: 0 on a pass, 1 on a failed
+        assumption, 2 on a usage error."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        ok = write(tmp_path, DIAG_OK, "ok.ini")
+        divergent = write(tmp_path, DIAG_DIVERGENT, "divergent.ini")
+        runs = [(["check", "--config", ok], 0),
+                (["check", "--config", divergent], 1),
+                (["check"], 2)]
+        for i, (argv, code) in enumerate(runs):
+            proc = subprocess.run(
+                [sys.executable, "-m", "modalreg.cli", *argv,
+                 "--out", str(tmp_path / f"out{i}")],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == code, proc.stderr
+
 
 class TestSimulateCommand:
     def test_manifold_start_stays_flat(self, tmp_path, capsys):
@@ -338,9 +408,12 @@ window_hi = 500
 window_lo = 10
 window_hi = 10.1
 """
+        out = tmp_path / "out"
         code = main(["decay", "--config", write(tmp_path, text),
-                     "--out", str(tmp_path / "out")])
+                     "--out", str(out)])
         assert code == 2
+        assert list(out.iterdir()) == []
+        assert "window [10.0, 10.1]" in capsys.readouterr().err
 
     def test_exponential_spectrum_flagged(self, tmp_path, capsys):
         text = """

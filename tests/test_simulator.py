@@ -111,8 +111,8 @@ class TestSimulation:
                           + 1j * rng.standard_normal(len(space.modes)))
             times = [0.0, 2.0, 5.0]
             oracle = rk4_closed_loop(gen.eigenvalues,
-                                     forcing_matrix(coupling, gain, space),
-                                     w0.coeffs, space.omegas, z0.coeffs,
+                                     [forcing_matrix(coupling, gain, space)],
+                                     [w0.coeffs], [space.omegas], z0.coeffs,
                                      t_end=5.0, step=1e-3, checkpoints=times)
             exact = simulate_closed_loop(gen, coupling, gain, z0, w0,
                                          np.array(times))
