@@ -27,8 +27,8 @@ import numpy as np
 
 from .exosystem import ExoState, synthesize_signal
 from .regulator import (FeedforwardGain, ModalCoupling, SteadyStateImage,
-                        SylvesterSolution, control_signal, forcing_matrix,
-                        frequency_denominators)
+                        SylvesterSolution, _blocks, control_signal,
+                        forcing_matrix, frequency_denominators)
 from .spectral import DiagonalGenerator, SpectralVector, loglog_fit
 
 
@@ -92,23 +92,31 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
 
     With x = z0 - Pi w0, the error is e(t) = c . T(t) x
     + sum_k (c pi_k - 1) w0_k exp(i omega_k t) and the state deviation is
-    ||T(t) x||: one (time x plant modes) semigroup factor and one
-    (time x harmonics) phase matrix, shared by y_r, u and the orbit term.
+    ||T(t) x||. The time points are taken one block at a time (see
+    ``regulator._blocks``): per block, one (time x plant modes) semigroup
+    factor and one (time x harmonics) phase matrix, shared by y_r, u and
+    the orbit term, each of about 1 MB. Every output row depends on its
+    own time point only, so the blocks change no bits, and memory is O(T)
+    plus one block.
     """
     if z0.modes != gen.modes:
         raise ValueError("initial state and generator mode ranges differ")
     w0 = image.w0
     t = np.asarray(t_grid, dtype=float)
-    free = np.exp(np.multiply.outer(t, gen.eigenvalues))
-    free *= z0.coeffs - image.pi_w0  # row j is T(t_j) x
-    deviation = np.linalg.norm(free, axis=1)
-    phases = np.exp(1j * np.multiply.outer(t, w0.space.omegas))
-    y_r = phases @ w0.coeffs
-    e = free @ coupling.c.coeffs + phases @ image.mismatch
-    return OutputTrajectory(
-        t_grid=t, y=y_r + e, y_r=y_r, u=phases @ (gain.ell * w0.coeffs),
-        e=e, state_deviation=deviation,
-    )
+    x = z0.coeffs - image.pi_w0
+    ell_w0 = gain.ell * w0.coeffs
+    y_r, u, e = (np.empty(t.size, dtype=np.complex128) for _ in range(3))
+    deviation = np.empty(t.size)
+    for blk in _blocks(t.size, max(x.size, ell_w0.size)):
+        free = np.exp(np.multiply.outer(t[blk], gen.eigenvalues))
+        free *= x  # row j is T(t_j) x
+        deviation[blk] = np.linalg.norm(free, axis=1)
+        phases = np.exp(1j * np.multiply.outer(t[blk], w0.space.omegas))
+        y_r[blk] = phases @ w0.coeffs
+        u[blk] = phases @ ell_w0
+        e[blk] = free @ coupling.c.coeffs + phases @ image.mismatch
+    return OutputTrajectory(t_grid=t, y=y_r + e, y_r=y_r, u=u, e=e,
+                            state_deviation=deviation)
 
 
 def state_deviation_norms(result: SimulationResult,

@@ -29,9 +29,6 @@ from .errors import ModeMismatchError
 SUMMABLE_BELOW = -1.05
 DIVERGENT_ABOVE = -0.95
 
-# Keep matrices built over (t_grid x modes) below this many entries.
-_CHUNK_ENTRIES = 20_000_000
-
 
 @dataclass(frozen=True)
 class ModeRange:
@@ -355,11 +352,13 @@ def check_geometric_condition(gen: DiagonalGenerator, alpha: float, c: float,
 def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResult:
     """Envelope ``max_n exp(Re mu_n t) |mu_n|**(-beta)`` over the grid.
 
-    Computed in log space so long times never overflow. The boundary mask
-    marks times whose argmax mode sits at the edge of the retained range;
-    past the first such time the envelope says nothing about the full
-    operator.
+    Computed in log space so long times never overflow, one block of time
+    points (about 1 MB of logs) at a time. The boundary mask marks times
+    whose argmax mode sits at the edge of the retained range; past the
+    first such time the envelope says nothing about the full operator.
     """
+    from .regulator import _blocks  # regulator builds on this module
+
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     t = np.asarray(t_grid, dtype=float)
@@ -372,13 +371,11 @@ def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResul
     n = re.size
     log_env = np.empty(t.size)
     argpos = np.empty(t.size, dtype=np.intp)
-    chunk = max(1, _CHUNK_ENTRIES // n)
-    for start in range(0, t.size, chunk):
-        block = t[start:start + chunk]
-        logs = block[:, None] * re[None, :] + log_w[None, :]
+    for blk in _blocks(t.size, n):
+        logs = t[blk, None] * re[None, :] + log_w[None, :]
         am = np.argmax(logs, axis=1)
-        argpos[start:start + chunk] = am
-        log_env[start:start + chunk] = logs[np.arange(block.size), am]
+        argpos[blk] = am
+        log_env[blk] = logs[np.arange(am.size), am]
     boundary = (argpos == 0) | (argpos == n - 1)
     return EnvelopeResult(
         t_grid=t,

@@ -23,9 +23,9 @@ from .exosystem import ExoSpace, ExoState
 from .regulator import (FeedforwardGain, ModalCoupling, SylvesterSolution,
                         _check_operands, _forcing_columns, forcing_matrix,
                         frequency_denominators)
-from .spectral import (_CHUNK_ENTRIES, DiagonalGenerator, SpectralVector,
-                       TailReport, classify_tail, classify_tails,
-                       fractional_norm, loglog_fit)
+from .spectral import (DiagonalGenerator, SpectralVector, TailReport,
+                       classify_tail, classify_tails, fractional_norm,
+                       loglog_fit)
 
 DEFAULT_HORIZONS = tuple(10.0 * 2**j for j in range(8))
 
@@ -114,6 +114,12 @@ def _analytic_quadrature(gen: DiagonalGenerator, d: np.ndarray, omega_k: float,
     return final, np.linalg.norm(increments, axis=1)
 
 
+# Keep the (time x mode) integrand matrices of the numeric quadrature
+# below this many entries. Its chunk edges are trapezoid nodes, so another
+# size rounds the column sums differently.
+_CHUNK_ENTRIES = 20_000_000
+
+
 def _numeric_quadrature(gen: DiagonalGenerator, d: np.ndarray, omega_k: float,
                         horizons, step: float):
     """Composite-trapezoid column and per-horizon block-contribution norms."""
@@ -125,7 +131,6 @@ def _numeric_quadrature(gen: DiagonalGenerator, d: np.ndarray, omega_k: float,
         n_sub = max(1, int(math.ceil((t_end - t_prev) / step)))
         grid = np.linspace(t_prev, t_end, n_sub + 1)
         block_total = np.zeros(s.size, dtype=np.complex128)
-        # chunk the (time x mode) integrand matrix
         chunk = max(2, _CHUNK_ENTRIES // s.size)
         for start in range(0, grid.size, chunk - 1):
             block = grid[start:start + chunk]
@@ -157,16 +162,29 @@ def _analytic_tails(gen: DiagonalGenerator, forcing: np.ndarray, omegas,
     t = np.asarray(horizons, dtype=float)
     plant_phases = np.exp(np.multiply.outer(t, mu))
     step = max(1, _BLOCK_ENTRIES // rows.size)
+    # The increment and the phase products of two horizons, in buffers
+    # that every block and horizon reuses.
+    bufs = np.empty((3, rows.size, min(step, len(omegas))), dtype=np.complex128)
     for start in range(0, len(omegas), step):
         cols = slice(start, start + step)
         om = omegas[cols]
+        diff, *phase_bufs = bufs[:, :, :om.size]
         exo_phases = np.exp(-1j * np.multiply.outer(t, om))
-        inv = forcing[rows, cols] / (1j * om[None, :] - mu[:, None])
+        inv = forcing[rows, cols]  # a copy, divided in place
+        inv /= np.subtract(1j * om[None, :], mu[:, None], out=diff)
         prev = 1.0
         for h in range(t.size):
-            cur = np.multiply.outer(plant_phases[h], exo_phases[h])
-            tails[h, cols] = np.linalg.norm((prev - cur) * inv, axis=0)
+            cur, spare = phase_bufs[h % 2], phase_bufs[1 - h % 2]
+            np.multiply.outer(plant_phases[h], exo_phases[h], out=cur)
+            np.subtract(prev, cur, out=diff)
+            diff *= inv
+            # np.linalg.norm(diff, axis=0), step by step, into the buffer
+            # prev no longer needs
+            np.multiply(np.conjugate(diff, out=spare), diff, out=spare)
+            norms = tails[h, cols]
+            np.sqrt(np.add.reduce(spare.real, axis=0, out=norms), out=norms)
             prev = cur
+        del inv  # freed before the next block copies its slice
     return tails
 
 

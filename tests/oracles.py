@@ -6,10 +6,12 @@ summation for frequency-response values, a row-by-row ``csv.writer``
 reference for the artifact format, the plain ``np.polyfit`` log-log
 line the shared fitter must reproduce bit for bit, and the one-shot
 denominator-matrix computations the blocked frequency grid and residual
-must reproduce bit for bit.
+must reproduce bit for bit. ``traced_peak`` is the one memory measurement
+the memory tests share.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 
@@ -126,6 +128,25 @@ def conformity_per_column(gen, forcing, space, beta, spec):
     return agg, bounds, worst
 
 
+def analytic_tails_whole(gen, forcing, omegas, horizons):
+    """Horizon increment norms of every column of ``forcing`` from whole
+    (plant modes x harmonics) temporaries: the arithmetic the batched,
+    buffered tails do block by block, so equal to them bit for bit
+    wherever their blocks hold two columns or more."""
+    rows = np.flatnonzero(np.any(forcing != 0, axis=1))
+    mu = gen.eigenvalues[rows]
+    t = np.asarray(horizons, dtype=float)
+    plant_phases = np.exp(np.multiply.outer(t, mu))
+    exo_phases = np.exp(-1j * np.multiply.outer(t, omegas))
+    inv = forcing[rows] / (1j * omegas[None, :] - mu[:, None])
+    tails, prev = [], 1.0
+    for h in range(t.size):
+        cur = np.multiply.outer(plant_phases[h], exo_phases[h])
+        tails.append(np.linalg.norm((prev - cur) * inv, axis=0))
+        prev = cur
+    return np.array(tails)
+
+
 def fmt_number(x) -> str:
     """Artifact number format, one value at a time: integers plain, floats
     with 17 significant digits."""
@@ -168,3 +189,16 @@ def first_residual_one_shot(pi, gen, forcing, space):
     lhs = denom * pi - forcing
     return float(np.max(np.linalg.norm(lhs, axis=0)
                         / (1.0 + np.linalg.norm(pi, axis=0))))
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the peak traced memory in bytes of one call of
+    ``fn``, from a tracemalloc start just before the call (no warm-up
+    call) to a stop just after it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

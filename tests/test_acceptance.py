@@ -227,7 +227,11 @@ def test_criterion_8_input_column_membership_boundary():
 
 
 def test_criterion_9_simulator_matches_fixed_step_integrator():
-    """The 20 seeds' modes step as one concatenated RK4 system."""
+    """The 20 seeds' modes step as one concatenated RK4 system. Both the
+    full-state path and the output path the CLI runs are held to it: the
+    outputs y and e against c . z and c . z - y_r of the RK4 states, each
+    error relative to ||c|| ||z||, the bound that a state error of
+    relative size r puts on the output error, times r."""
     start = time.perf_counter()
     times = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
     runs = []
@@ -249,19 +253,30 @@ def test_criterion_9_simulator_matches_fixed_step_integrator():
         [space.omegas for _, _, space, *_ in runs],
         np.concatenate([z0.coeffs for *_, z0, _ in runs]),
         t_end=50.0, step=1e-3, checkpoints=times)
-    worst = 0.0
+    worst = worst_output = 0.0
     offset = 0
     for gen, coupling, _, gain, z0, w0 in runs:
         exact = mr.simulate_closed_loop(gen, coupling, gain, z0, w0,
                                         np.array(times))
+        outputs = mr.simulate_outputs(
+            gen, coupling, gain, z0,
+            mr.steady_state_image(gen, coupling, gain, w0), np.array(times))
+        y_r = mr.synthesize_signal(w0, np.array(times))
+        c = coupling.c.coeffs
         block = slice(offset, offset + len(gen.modes))
         offset = block.stop
         for i, t_val in enumerate(times):
-            rel = np.linalg.norm(exact.z[i] - oracle[t_val][block]) \
-                / np.linalg.norm(exact.z[i])
+            z = oracle[t_val][block]
+            rel = np.linalg.norm(exact.z[i] - z) / np.linalg.norm(exact.z[i])
             worst = max(worst, rel)
+            scale = np.linalg.norm(c) * np.linalg.norm(z)
+            worst_output = max(worst_output,
+                               abs(outputs.y[i] - c @ z) / scale,
+                               abs(outputs.e[i] - (c @ z - y_r[i])) / scale)
     elapsed = time.perf_counter() - start
     _conclude(9, "exact simulation equals the fixed-step oracle", [
         (worst <= 1e-6, f"worst relative state error {worst:.2e} <= 1e-6"),
+        (worst_output <= 1e-6,
+         f"worst relative output/error mismatch {worst_output:.2e} <= 1e-6"),
         (elapsed < 60.0, f"runtime {elapsed:.2f}s < 60s"),
     ])

@@ -6,12 +6,12 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import traced_peak
 
 from modalreg.cli import main
 from modalreg.config import CONFIG_KEYS, SimGrid, Tolerances, load_config
@@ -697,21 +697,32 @@ class TestSolveLayerWork:
     def test_no_plant_by_harmonic_matrix_held(self, command, tmp_path,
                                               capsys):
         """Wave at N = 300 (600 plant modes x 601 harmonics): the traced
-        peak stays below one complex matrix of that shape. With 64 time
-        points the (time x modes) arrays are a tenth of it; conformity
-        holds one block of forcing columns at a time."""
+        peak stays below one complex matrix of that shape. Simulation
+        holds one block of time points at a time (see
+        test_time_axis_not_held); conformity holds one block of forcing
+        columns at a time."""
         text = ("[scenario]\nkind = wave\nn_plant = 300\nn_exo = 300\n"
                 "w0_preset = square11\nz0_preset = inv_mu_sq\n\n"
                 "[simulate]\nn_points = 64\n")
-        tracemalloc.start()
-        try:
-            code = main([command, "--config", write(tmp_path, text),
-                         "--out", str(tmp_path / "out")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(
+            [command, "--config", write(tmp_path, text),
+             "--out", str(tmp_path / "out")]))
         assert code == 0
         assert peak < 600 * 601 * 16
+
+    @pytest.mark.parametrize("command", ["simulate", "decay"])
+    def test_time_axis_not_held(self, command, tmp_path, capsys):
+        """Wave at N = 300 on 4096 time points: the traced peak stays below
+        a quarter of one complex (time x 600 plant modes) matrix, because
+        the outputs are evaluated one block of time points at a time."""
+        text = ("[scenario]\nkind = wave\nn_plant = 300\nn_exo = 300\n"
+                "w0_preset = square11\nz0_preset = inv_mu_sq\n\n"
+                "[simulate]\nn_points = 4096\n")
+        code, peak = traced_peak(lambda: main(
+            [command, "--config", write(tmp_path, text),
+             "--out", str(tmp_path / "out")]))
+        assert code == 0
+        assert peak < 4096 * 600 * 16 / 4
 
     @pytest.mark.parametrize("command", ["check", "solve", "simulate", "decay"])
     def test_denominators_built_once(self, command, tmp_path, capsys,

@@ -9,6 +9,7 @@ import pytest
 from oracles import rk4_closed_loop
 
 import modalreg.regulator as regulator
+import modalreg.simulator as simulator
 from modalreg.exosystem import ExoState
 from modalreg.regulator import (build_feedforward, forcing_matrix,
                                 frequency_grid, solve_regulator,
@@ -153,12 +154,27 @@ class TestOutputPath:
         return (gen, coupling, space, resolve_w0(cfg, space),
                 resolve_z0(cfg, gen))
 
+    CASES = ["wave", "diagonal", "custom", "random1", "random4", "random10"]
+
+    @staticmethod
+    def record_blocks(monkeypatch, module):
+        """The lists of slices ``module`` gets from ``_blocks``, call by
+        call."""
+        calls = []
+        inner = regulator._blocks
+
+        def recording(n_cols, n_rows):
+            calls.append(inner(n_cols, n_rows))
+            return calls[-1]
+
+        monkeypatch.setattr(module, "_blocks", recording)
+        return calls
+
     @pytest.mark.parametrize("width", [None, 2])
-    @pytest.mark.parametrize("case", ["wave", "diagonal", "custom", "random1",
-                                      "random4", "random10"])
+    @pytest.mark.parametrize("case", CASES)
     def test_matches_full_state_path(self, case, width, monkeypatch):
         gen, coupling, space, w0, z0 = self.states(case)
-        if width is not None:  # several blocks of harmonics in the pass
+        if width is not None:  # several blocks of harmonics and of times
             monkeypatch.setattr(regulator, "_BLOCK_ENTRIES",
                                 width * len(gen.modes))
         gain = build_feedforward(frequency_grid(gen, coupling, space))
@@ -174,7 +190,11 @@ class TestOutputPath:
         np.testing.assert_allclose(
             image.mismatch, (coupling.c.coeffs @ sol.pi - 1.0) * w0.coeffs,
             rtol=0, atol=1e-14 * np.abs(w0.coeffs).max())
+        blocks = self.record_blocks(monkeypatch, simulator)
         out = simulate_outputs(gen, coupling, gain, z0, image, t)
+        if width is not None:  # two-row blocks, the last one included
+            assert len(blocks[0]) == t.size // 2
+            assert blocks[0][-1] == slice(t.size - 2, t.size)
 
         assert out.y_r.tobytes() == ref.y_r.tobytes()
         assert out.u.tobytes() == ref.u.tobytes()
@@ -183,6 +203,28 @@ class TestOutputPath:
                       <= 1e-12 * ref_dev + 1e-14 * ref_dev.max())
         np.testing.assert_allclose(out.y, ref.y, rtol=0,
                                    atol=1e-14 * np.abs(ref.y).max())
+
+        # each row depends on its own time point only: one block of all
+        # the time points gives the same bits
+        monkeypatch.setattr(regulator, "_BLOCK_ENTRIES",
+                            t.size * max(len(gen.modes), len(space.modes)))
+        whole = simulate_outputs(gen, coupling, gain, z0, image, t)
+        assert blocks[-1] == [slice(0, t.size)]
+        for name in ("y", "y_r", "u", "e", "state_deviation"):
+            assert getattr(out, name).tobytes() == getattr(whole, name).tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_envelope_blocks_change_no_bits(self, case, monkeypatch):
+        gen = self.states(case)[0]
+        t = np.geomspace(1e-2, 1e3, 512)
+        blocks = self.record_blocks(monkeypatch, regulator)
+        monkeypatch.setattr(regulator, "_BLOCK_ENTRIES", 2 * len(gen.modes))
+        split = decay_envelope(gen, 1.0, t)
+        monkeypatch.setattr(regulator, "_BLOCK_ENTRIES", t.size * len(gen.modes))
+        whole = decay_envelope(gen, 1.0, t)
+        assert [len(b) for b in blocks] == [t.size // 2, 1]
+        for name in ("values", "argmax_modes", "boundary_mask"):
+            assert getattr(split, name).tobytes() == getattr(whole, name).tobytes()
 
     def test_on_manifold_deviation_is_exactly_zero(self, diagonal):
         cfg, gen, coupling, space, gain, _ = diagonal

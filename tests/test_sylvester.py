@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import conformity_per_column
+from oracles import analytic_tails_whole, conformity_per_column
 
+import modalreg.sylvester as sylvester
 from modalreg.errors import ModeMismatchError
 from modalreg.exosystem import ExoSpace, ExoState
 from modalreg.regulator import (FeedforwardGain, ModalCoupling,
@@ -14,9 +15,10 @@ from modalreg.regulator import (FeedforwardGain, ModalCoupling,
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
                                 build_random_scenario, build_wave_scenario)
 from modalreg.spectral import DiagonalGenerator, ModeRange, SpectralVector
-from modalreg.sylvester import (QuadratureSpec, _tail_trend_verdict,
-                                check_b_regularity, conformity_diagnostic,
-                                lemma_identity_check, quadrature_pi_column)
+from modalreg.sylvester import (DEFAULT_HORIZONS, QuadratureSpec,
+                                _tail_trend_verdict, check_b_regularity,
+                                conformity_diagnostic, lemma_identity_check,
+                                quadrature_pi_column)
 
 
 def single_mode_gen(mu):
@@ -172,13 +174,16 @@ class TestBatchedConformity:
     """conformity_diagnostic processes all harmonics together; the
     per-column loop in the oracle is the reference."""
 
-    @pytest.mark.parametrize("scenario", [
+    SCENARIOS = [
         lambda: build_wave_scenario(ScenarioConfig(kind="wave", n_plant=200,
                                                    n_exo=30, period=2.0)),
         lambda: build_diagonal_scenario(ScenarioConfig(kind="diagonal",
                                                        n_plant=40, n_exo=40)),
         _random_with_disturbance,
-    ], ids=["wave_resonant", "diagonal", "random_disturbed"])
+    ]
+    SCENARIO_IDS = ["wave_resonant", "diagonal", "random_disturbed"]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
     def test_matches_per_column_oracle(self, scenario):
         gen, coupling, space = scenario()
         gain = build_feedforward(frequency_grid(gen, coupling, space))
@@ -207,6 +212,22 @@ class TestBatchedConformity:
         else:
             expected = "inconclusive"
         assert report.verdict == expected
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
+    def test_buffered_tails_match_whole_arrays(self, scenario, monkeypatch):
+        gen, coupling, space = scenario()
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        forcing = forcing_matrix(coupling, gain, space)
+        n_rows = int(np.any(forcing != 0, axis=1).sum())
+        # blocks of 7 harmonics: no one-column block, which numpy would sum
+        # pairwise, on 61, 81 or the random scenario's 13 harmonics
+        monkeypatch.setattr(sylvester, "_BLOCK_ENTRIES", 7 * n_rows)
+        assert len(space.modes) % 7 != 1
+        got = sylvester._analytic_tails(gen, forcing, space.omegas,
+                                        DEFAULT_HORIZONS)
+        want = analytic_tails_whole(gen, forcing, space.omegas,
+                                    DEFAULT_HORIZONS)
+        assert got.tobytes() == want.tobytes()
 
     def test_zeroed_columns_have_zero_bounds(self):
         gen, coupling, space = _random_with_disturbance()
