@@ -92,8 +92,7 @@ CONFIG_KEYS = {
     "tolerances": dict.fromkeys(
         ("assumption1_floor", "first_residual", "second_residual",
          "slope_tol", "conformity_eps"), float),
-    "quadrature": {"horizons": _float_list, "method": str.strip,
-                   "step": float},
+    "quadrature": {"horizons": _float_list},
     "simulate": {"t_min": float, "t_max": float, "n_points": int,
                  "spacing": str.strip, "window_lo": float,
                  "window_hi": float},
@@ -152,9 +151,6 @@ def load_config(path) -> RunConfig:
         if unread:
             raise ConfigError(f"[scenario] kind = {kind} does not read "
                               f"{', '.join(unread)}")
-    method = parser.get("quadrature", "method", fallback="").strip()
-    if parser.has_option("quadrature", "step") and method != "numeric":
-        raise ConfigError("[quadrature] step is read only by method = numeric")
 
     return RunConfig(
         scenario=_read_section(parser, "scenario", ScenarioConfig),

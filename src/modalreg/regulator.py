@@ -323,13 +323,13 @@ def _forcing_columns(coupling: ModalCoupling, gain: FeedforwardGain,
     return mat
 
 
-def _weighted_norm_estimate(pi: np.ndarray, weights: np.ndarray,
-                            iterations: int = 50) -> float:
-    """Power iteration on the f-weighted matrix; deterministic start."""
+def _weighted_norm_estimate(pi: np.ndarray, weights: np.ndarray) -> float:
+    """Power iteration on the f-weighted matrix, 50 steps from a
+    deterministic start."""
     m = pi / weights[None, :]
     m_adj = m.conj().T
     v = np.ones(m.shape[1], dtype=np.complex128) / np.sqrt(m.shape[1])
-    for _ in range(iterations):
+    for _ in range(50):
         w = m @ v
         v2 = m_adj @ w
         nv = np.linalg.norm(v2)

@@ -165,33 +165,33 @@ def kind_reads(kind: str, setting: str) -> bool:
     return kind in KIND_READS.get(setting, VALID_KINDS)
 
 
-def build_random_scenario(seed: int, n_plant_max: int = 12, n_exo_max: int = 6,
-                          re_min: float = -2.0, re_max: float = -0.05,
-                          im_max: float = 6.0, min_response: float = 1e-3,
-                          max_attempts: int = 64):
+# A random draw is kept when every harmonic's response magnitude clears
+# this floor; the draws stop at the attempt limit.
+_MIN_RESPONSE = 1e-3
+_MAX_ATTEMPTS = 64
+
+
+def build_random_scenario(seed: int):
     """Seeded scenario inside the well-posed parameter box.
 
-    The spectrum stays in ``re_min <= Re mu <= re_max < 0`` with
-    ``|Im mu| <= im_max``; input/output coefficients live in the unit
+    Plant modes ``-n..n`` with ``3 <= n <= 12`` and harmonics ``-K..K``
+    with ``2 <= K <= 6``; the spectrum stays in ``-2 <= Re mu <= -0.05``
+    with ``|Im mu| <= 6``; input/output coefficients live in the unit
     disc; weights come from the power family. Draws are rejected until
-    every harmonic's response magnitude clears ``min_response``, keeping
+    every harmonic's response magnitude clears ``_MIN_RESPONSE``, keeping
     gain inversion well conditioned; the result is deterministic in the
     seed.
     """
-    if not (re_min < re_max <= -1e-2):
-        raise ValueError("need re_min < re_max <= -0.01")
-    if not (0 < im_max <= 1e3):
-        raise ValueError("need 0 < im_max <= 1000")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
-        n_plant = int(rng.integers(3, n_plant_max + 1))
-        n_exo = int(rng.integers(2, n_exo_max + 1))
+    for _ in range(_MAX_ATTEMPTS):
+        n_plant = int(rng.integers(3, 13))
+        n_exo = int(rng.integers(2, 7))
         period = float(rng.uniform(4.0, 8.0))
         gamma = float(rng.uniform(0.75, 2.5))
         plant = ModeRange.symmetric(n_plant)
         size = len(plant)
-        mu = (rng.uniform(re_min, re_max, size)
-              + 1j * rng.uniform(-im_max, im_max, size))
+        mu = (rng.uniform(-2.0, -0.05, size)
+              + 1j * rng.uniform(-6.0, 6.0, size))
         b = _unit_disc(rng, size)
         c = _unit_disc(rng, size)
         p_entries = {}
@@ -208,11 +208,11 @@ def build_random_scenario(seed: int, n_plant_max: int = 12, n_exo_max: int = 6,
         )
         space = ExoSpace.power_weights(period, ModeRange.symmetric(n_exo), gamma)
         report = check_assumption1(frequency_grid(gen, coupling, space),
-                                   floor=min_response)
+                                   floor=_MIN_RESPONSE)
         if report.passed:
             return gen, coupling, space
     raise RuntimeError(f"no well-conditioned scenario found for seed {seed} "
-                       f"within {max_attempts} attempts")
+                       f"within {_MAX_ATTEMPTS} attempts")
 
 
 def _unit_disc(rng, size: int) -> np.ndarray:

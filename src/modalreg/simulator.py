@@ -150,6 +150,11 @@ def error_formula_check(result: SimulationResult, solution: SylvesterSolution,
     return float(np.max(np.abs(result.e - rhs) / denom))
 
 
+# Slope tolerance of every decay certificate: its envelope passes when the
+# fitted log-log slope is at most the nominal -1/alpha plus this.
+_CERT_SLOPE_TOL = 0.1
+
+
 @dataclass
 class DecayCertificate:
     """Empirical polynomial-decay certificate on a window.
@@ -174,8 +179,7 @@ class DecayCertificate:
     floor_time: float
 
 
-def certify_decay(t_grid, values, alpha: float, window,
-                  slope_tol: float = 0.1) -> DecayCertificate:
+def certify_decay(t_grid, values, alpha: float, window) -> DecayCertificate:
     """Fit the log-log slope of the envelope of ``values`` on the window.
 
     Envelope points are strict local maxima (the crests of an oscillating
@@ -206,9 +210,9 @@ def certify_decay(t_grid, values, alpha: float, window,
         m=float(np.max((v * t ** (1.0 / alpha))[fit.inside])),
         slope=fit.slope,
         target_slope=target,
-        slope_tol=slope_tol,
-        passed=fit.slope <= target + slope_tol,
-        matches_nominal=abs(fit.slope - target) <= slope_tol,
+        slope_tol=_CERT_SLOPE_TOL,
+        passed=fit.slope <= target + _CERT_SLOPE_TOL,
+        matches_nominal=abs(fit.slope - target) <= _CERT_SLOPE_TOL,
         n_points=fit.n_points,
         used_fallback=used_fallback,
         window=(lo, hi),

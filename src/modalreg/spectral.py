@@ -29,6 +29,17 @@ from .errors import ModeMismatchError
 SUMMABLE_BELOW = -1.05
 DIVERGENT_ABOVE = -0.95
 
+# A tail trend needs this many positive terms to fit.
+_TAIL_MIN_POINTS = 5
+
+# The geometric condition admits equality cases that differ only by this
+# relative rounding in the two ways of evaluating the bound.
+_GEOMETRIC_REL_SLACK = 1e-12
+
+# An envelope is flagged superpolynomial when its late-window exponent
+# exceeds the early-window one by more than this.
+_SUPERPOLY_MARGIN = 0.5
+
 
 @dataclass(frozen=True)
 class ModeRange:
@@ -325,11 +336,9 @@ def fractional_norm(gen: DiagonalGenerator, beta: float, v: SpectralVector) -> f
 
 
 def check_geometric_condition(gen: DiagonalGenerator, alpha: float, c: float,
-                              d: float, rel_slack: float = 1e-12) -> GeometricConditionReport:
-    """Test Re mu_n <= -c/|Im mu_n|**alpha on every mode with |Im mu_n| >= d.
-
-    ``rel_slack`` admits equality cases that differ only by rounding in the
-    two ways of evaluating the bound. Also reports the tightest admissible
+                              d: float) -> GeometricConditionReport:
+    """Test Re mu_n <= -c/|Im mu_n|**alpha on every mode with |Im mu_n| >= d,
+    up to ``_GEOMETRIC_REL_SLACK``. Also reports the tightest admissible
     ``c`` for this ``alpha`` and ``d``.
     """
     if alpha <= 0 or c <= 0 or d <= 0:
@@ -342,7 +351,7 @@ def check_geometric_condition(gen: DiagonalGenerator, alpha: float, c: float,
         return GeometricConditionReport(alpha, c, d, True, math.inf, 0, [])
     re = mu.real[checked]
     bound = -c / im[checked] ** alpha
-    ok = re <= bound * (1.0 - rel_slack)
+    ok = re <= bound * (1.0 - _GEOMETRIC_REL_SLACK)
     failing = [int(m) for m in gen.modes.indices[checked][~ok]]
     tightest = float(np.min((-re) * im[checked] ** alpha))
     return GeometricConditionReport(alpha, c, d, not failing, tightest,
@@ -434,7 +443,7 @@ def fit_decay_rate(envelope, t_grid, window) -> DecayReport:
     )
 
 
-def check_superpolynomial(envelope, t_grid, window, margin: float = 0.5) -> SuperpolynomialCheck:
+def check_superpolynomial(envelope, t_grid, window) -> SuperpolynomialCheck:
     """Flag envelopes whose fitted exponent grows along the window, the
     signature of faster-than-polynomial decay on a log-log plot."""
     t = np.asarray(t_grid, dtype=float)
@@ -445,11 +454,12 @@ def check_superpolynomial(envelope, t_grid, window, margin: float = 0.5) -> Supe
     return SuperpolynomialCheck(
         early_exponent=early.exponent_beta,
         late_exponent=late.exponent_beta,
-        is_superpolynomial=late.exponent_beta > early.exponent_beta + margin,
+        is_superpolynomial=(late.exponent_beta
+                            > early.exponent_beta + _SUPERPOLY_MARGIN),
     )
 
 
-def classify_tail(indices, terms, min_points: int = 5) -> TailReport:
+def classify_tail(indices, terms) -> TailReport:
     """Classify the decay trend of nonnegative ``terms`` against ``|index|``.
 
     Fits log terms vs log |index| on the outer half of the index range
@@ -460,10 +470,10 @@ def classify_tail(indices, terms, min_points: int = 5) -> TailReport:
     a = np.asarray(terms, dtype=float)
     if a.ndim != 1:
         raise ValueError("indices and terms lengths differ")
-    return classify_tails(indices, a[:, None], min_points)[0]
+    return classify_tails(indices, a[:, None])[0]
 
 
-def classify_tails(indices, terms, min_points: int = 5) -> list:
+def classify_tails(indices, terms) -> list:
     """:func:`classify_tail` for every column of ``terms`` (indices x
     sequences), one report per column.
 
@@ -486,12 +496,12 @@ def classify_tails(indices, terms, min_points: int = 5) -> list:
         groups.setdefault(key.tobytes(), []).append(c)
     reports = [None] * a.shape[1]
     for cols in groups.values():
-        fit = loglog_fit(idx, a[:, cols], min_points=min_points)
+        fit = loglog_fit(idx, a[:, cols], min_points=_TAIL_MIN_POINTS)
         if fit.n_points == 0:
             fits = [TailReport(-math.inf, "summable", 0,
                                "no positive terms beyond the tail window")
                     ] * len(cols)
-        elif fit.n_points < min_points:
+        elif fit.n_points < _TAIL_MIN_POINTS:
             fits = [TailReport(math.nan, "inconclusive", fit.n_points,
                                "too few positive tail terms to fit")
                     ] * len(cols)

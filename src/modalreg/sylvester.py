@@ -5,10 +5,13 @@ Each column of the steady-state operator is the improper integral
 ``d_k`` against the plant semigroup. Per mode the integrand is a pure
 exponential, so the truncated integral has the closed form
 ``d_n (1 - exp((mu_n - i omega_k) T)) / (i omega_k - mu_n)`` at horizon T
-and tends to the resolvent column. The horizon schedule exposes how fast
-the remainder dies, which is the only honest truncation-level stand-in
-for the operator-level convergence question; verdicts are therefore
-trends, with "inconclusive" a first-class outcome.
+and tends to the resolvent column. This closed form is the one
+evaluation of the horizon increments: :func:`quadrature_pi_column` applies
+it to one column, :func:`conformity_diagnostic` to all columns, one block
+of harmonics at a time. The horizon schedule exposes how fast the
+remainder dies, which is the only honest truncation-level stand-in for
+the operator-level convergence question; verdicts are therefore trends,
+with "inconclusive" a first-class outcome.
 """
 
 from __future__ import annotations
@@ -57,11 +60,9 @@ _SUP_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Horizon schedule and method for the steady-state integral."""
+    """Horizon schedule of the steady-state integral."""
 
     horizons: tuple = DEFAULT_HORIZONS
-    method: str = "analytic"  # "analytic" | "numeric"
-    step: float = 1e-3
 
     def __post_init__(self):
         if len(self.horizons) == 0:
@@ -70,10 +71,6 @@ class QuadratureSpec:
         if hs[0] <= 0 or any(b <= a for a, b in zip(hs, hs[1:])):
             raise ValueError("horizons must be positive and strictly increasing")
         object.__setattr__(self, "horizons", hs)
-        if self.method not in ("analytic", "numeric"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
 
 
 @dataclass
@@ -97,56 +94,9 @@ class ConformityReport:
     sufficient_condition: Optional[SufficientConditionEvidence] = None
 
 
-def _analytic_quadrature(gen: DiagonalGenerator, d: np.ndarray, omega_k: float,
-                         horizons):
-    """Final-horizon column and per-horizon increment norms.
-
-    Increments are evaluated from the antiderivative differences directly,
-    not by differencing near-saturated columns, so they stay meaningful
-    down to the underflow floor.
-    """
-    s = gen.eigenvalues - 1j * omega_k
-    inv = d / (1j * omega_k - gen.eigenvalues)
-    t = np.asarray(horizons, dtype=float)
-    exps = np.exp(np.multiply.outer(np.concatenate(([0.0], t)), s))
-    increments = (exps[:-1] - exps[1:]) * inv[None, :]
-    final = (1.0 - exps[-1]) * inv
-    return final, np.linalg.norm(increments, axis=1)
-
-
-# Keep the (time x mode) integrand matrices of the numeric quadrature
-# below this many entries. Its chunk edges are trapezoid nodes, so another
-# size rounds the column sums differently.
-_CHUNK_ENTRIES = 20_000_000
-
-
-def _numeric_quadrature(gen: DiagonalGenerator, d: np.ndarray, omega_k: float,
-                        horizons, step: float):
-    """Composite-trapezoid column and per-horizon block-contribution norms."""
-    s = gen.eigenvalues - 1j * omega_k
-    acc = np.zeros(s.size, dtype=np.complex128)
-    tails = np.zeros(len(horizons))
-    t_prev = 0.0
-    for j, t_end in enumerate(horizons):
-        n_sub = max(1, int(math.ceil((t_end - t_prev) / step)))
-        grid = np.linspace(t_prev, t_end, n_sub + 1)
-        block_total = np.zeros(s.size, dtype=np.complex128)
-        chunk = max(2, _CHUNK_ENTRIES // s.size)
-        for start in range(0, grid.size, chunk - 1):
-            block = grid[start:start + chunk]
-            if block.size < 2:
-                break
-            vals = np.exp(np.multiply.outer(block, s)) * d[None, :]
-            block_total += np.trapezoid(vals, block, axis=0)
-        acc += block_total
-        tails[j] = np.linalg.norm(block_total)
-        t_prev = t_end
-    return acc, tails
-
-
 def _analytic_tails(gen: DiagonalGenerator, forcing: np.ndarray, omegas,
                     horizons) -> np.ndarray:
-    """Increment norms of :func:`_analytic_quadrature` for every column of
+    """Increment norms of :func:`quadrature_pi_column` for every column of
     ``forcing`` at once, as a (horizons x harmonics) array.
 
     The exponentials factor as exp((mu_n - i omega_k) t) =
@@ -217,18 +167,21 @@ def quadrature_pi_column(gen: DiagonalGenerator, delta_column: SpectralVector,
     """
     if gen.modes != delta_column.modes:
         raise ValueError("forcing column and generator mode ranges differ")
-    d = delta_column.coeffs
-    if spec.method == "analytic":
-        final, tail_vals = _analytic_quadrature(gen, d, omega_k, spec.horizons)
-    else:
-        final, tail_vals = _numeric_quadrature(gen, d, omega_k, spec.horizons,
-                                               spec.step)
+    s = gen.eigenvalues - 1j * omega_k
+    inv = delta_column.coeffs / (1j * omega_k - gen.eigenvalues)
+    t = np.concatenate(([0.0], spec.horizons))
+    exps = np.exp(np.multiply.outer(t, s))
+    # increments from the antiderivative differences directly, not by
+    # differencing near-saturated columns, so they stay meaningful down to
+    # the underflow floor
+    tail_vals = np.linalg.norm((exps[:-1] - exps[1:]) * inv[None, :], axis=1)
+    final = (1.0 - exps[-1]) * inv
     report = ConformityReport(
         tail_norms={float(h): float(v)
                     for h, v in zip(spec.horizons, tail_vals)},
         verdict=_tail_trend_verdict(spec.horizons, tail_vals),
     )
-    return SpectralVector(gen.modes, final.copy()), report
+    return SpectralVector(gen.modes, final), report
 
 
 _VERDICT_RANK = {"summable": 0, "inconclusive": 1, "divergent": 2}
@@ -276,13 +229,8 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
         bounds[cols] = np.sqrt(terms.sum(axis=0)) / f[cols]
         fits += classify_tails(gen.modes.indices, terms)
         del terms  # freed before the horizon tails make their temporaries
-        if spec.method == "analytic":
-            tails[:, cols] = _analytic_tails(gen, forcing, space.omegas[cols],
-                                             spec.horizons)
-        else:
-            for j, om in enumerate(space.omegas[cols]):
-                tails[:, start + j] = _numeric_quadrature(
-                    gen, forcing[:, j], float(om), spec.horizons, spec.step)[1]
+        tails[:, cols] = _analytic_tails(gen, forcing, space.omegas[cols],
+                                         spec.horizons)
     agg = (tails / f).max(axis=1)
 
     near_sup = np.flatnonzero(bounds >= bounds.max() * (1.0 - _SUP_RTOL))

@@ -6,8 +6,10 @@ summation for frequency-response values, a row-by-row ``csv.writer``
 reference for the artifact format, the plain ``np.polyfit`` log-log
 line the shared fitter must reproduce bit for bit, and the one-shot
 denominator-matrix computations the blocked frequency grid and residual
-must reproduce bit for bit. ``traced_peak`` is the one memory measurement
-the memory tests share.
+must reproduce bit for bit, and a composite trapezoid for the
+steady-state integral the closed-form horizon increments must reproduce
+to quadrature accuracy. ``traced_peak`` is the one memory measurement the
+memory tests share.
 """
 
 import csv
@@ -126,6 +128,26 @@ def conformity_per_column(gen, forcing, space, beta, spec):
         tails = np.array([report.tail_norms[h] for h in spec.horizons])
         agg = np.maximum(agg, tails / f_k)
     return agg, bounds, worst
+
+
+def trapezoid_column(mu, d, omega_k, horizons, step):
+    """Composite trapezoid of integral_0^T exp((mu_n - i omega_k) t) d_n dt
+    at every horizon T: the column at the last horizon and the norm of
+    each horizon's increment, with nodes ``step`` apart or closer in
+    every segment between horizons."""
+    s = np.asarray(mu) - 1j * omega_k
+    total = np.zeros(s.size, dtype=np.complex128)
+    norms, t_prev = [], 0.0
+    for t_end in horizons:
+        n_sub = max(1, int(np.ceil((t_end - t_prev) / step)))
+        t = np.linspace(t_prev, t_end, n_sub + 1)
+        vals = np.exp(np.multiply.outer(t, s)) * d[None, :]
+        widths = np.diff(t)[:, None]
+        increment = ((vals[:-1] + vals[1:]) * (0.5 * widths)).sum(axis=0)
+        total += increment
+        norms.append(np.linalg.norm(increment))
+        t_prev = t_end
+    return total, np.array(norms)
 
 
 def analytic_tails_whole(gen, forcing, omegas, horizons):

@@ -14,7 +14,8 @@ import pytest
 from oracles import traced_peak
 
 from modalreg.cli import main
-from modalreg.config import CONFIG_KEYS, SimGrid, Tolerances, load_config
+from modalreg.config import (_FIELD, CONFIG_KEYS, SimGrid, Tolerances,
+                             load_config)
 from modalreg.errors import ConfigError
 from modalreg.scenarios import (KIND_READS, VALID_KINDS, ScenarioConfig,
                                 build_scenario, nominal_geometric_params,
@@ -96,8 +97,6 @@ slope_tol = 0.1
 
 [quadrature]
 horizons = 10, 20, 40
-method = numeric
-step = 0.01
 
 [simulate]
 t_min = 0.1
@@ -110,7 +109,6 @@ window_hi = 50
         cfg = load_config(write(tmp_path, text))
         assert cfg.tolerances.assumption1_floor == 1e-6
         assert cfg.quadrature.horizons == (10.0, 20.0, 40.0)
-        assert cfg.quadrature.method == "numeric"
         assert cfg.sim.spacing == "linear"
         assert len(cfg.sim.grid()) == 64
 
@@ -121,16 +119,18 @@ window_hi = 50
         cfg = load_config(write(tmp_path, text))
         assert cfg.scenario.w0_preset == (1.0, 0.0, 0.5j)
 
-    @pytest.mark.parametrize("method", ["", "method = analytic\n"],
-                             ids=["default", "analytic"])
-    def test_step_rejected_unless_numeric(self, method, tmp_path, capsys):
-        path = write(tmp_path,
-                     DIAG_OK + f"\n[quadrature]\n{method}step = 0.01\n")
+    @pytest.mark.parametrize("line", ["method = analytic", "step = 0.01"],
+                             ids=["method", "step"])
+    def test_removed_quadrature_keys_rejected(self, line, tmp_path, capsys):
+        path = write(tmp_path, DIAG_OK + f"\n[quadrature]\n{line}\n")
+        key = line.split()[0]
         with pytest.raises(ConfigError,
-                           match="step is read only by method = numeric"):
+                           match=rf"unknown key\(s\) in \[quadrature\]: {key}$"):
             load_config(path)
         assert main(["check", "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
+        assert f"[quadrature]: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["eigenvalues", "b", "c"])
     def test_custom_only_keys_rejected_elsewhere(self, key, tmp_path, capsys):
@@ -180,6 +180,23 @@ gamma = 2.0
         assert code == 1
         report = (tmp_path / "out" / "check_report.txt").read_text()
         assert "overall: FAIL (Assumption 2)" in report
+
+    def test_inconclusive_gain_trend_named(self, tmp_path, capsys):
+        """At gamma = 3/2 the resonant wave's weighted gains go as k**-1
+        (fitted exponent -0.99988 at N = 200): the Assumption 2 trend is
+        inconclusive at truncation, the report says so, and the run still
+        exits 0."""
+        text = ("[scenario]\nkind = wave\nn_plant = 200\nn_exo = 200\n"
+                "gamma = 1.5\n")
+        out = tmp_path / "out"
+        assert main(["check", "--config", write(tmp_path, text),
+                     "--out", str(out)]) == 0
+        report = (out / "check_report.txt").read_text()
+        assert ("Assumption 2 (square-summable weighted gains): "
+                "INCONCLUSIVE (trend at truncation)\n") in report
+        assert "(inconclusive)" in report  # the tail exponent line
+        assert "PASS (inconclusive trend)" not in report
+        assert report.endswith("\noverall: PASS (Assumption 2 inconclusive)\n")
 
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.ini"
@@ -644,9 +661,10 @@ class TestKeyTable:
         ("scenario", ScenarioConfig), ("tolerances", Tolerances),
         ("quadrature", QuadratureSpec), ("simulate", SimGrid)])
     def test_every_field_has_a_key(self, section, cls):
-        # p_entries is a mapping, which no INI value spells
+        # and every key names a field; p_entries is a mapping, which no INI
+        # value spells
         settable = {f.name for f in fields(cls)} - {"p_entries"}
-        assert settable <= set(CONFIG_KEYS[section])
+        assert {_FIELD.get(key, key) for key in CONFIG_KEYS[section]} == settable
 
     def test_map_names_scenario_fields(self):
         assert set(KIND_READS) <= {f.name for f in fields(ScenarioConfig)}

@@ -2,17 +2,25 @@
 decay certificates."""
 
 import math
+import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import rk4_closed_loop
 
 import modalreg.regulator as regulator
 import modalreg.simulator as simulator
+from modalreg.cli import main
+from modalreg.config import load_config
 from modalreg.exosystem import ExoState
 from modalreg.regulator import (build_feedforward, forcing_matrix,
-                                frequency_grid, solve_regulator,
+                                frequency_grid, residual_first_equation,
+                                residual_second_equation, solve_regulator,
                                 steady_state_image)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
                                 build_random_scenario, build_scenario,
@@ -349,3 +357,70 @@ class TestDecayCertificate:
         t = np.geomspace(1.0, 100.0, 80)
         with pytest.raises(ValueError, match="vanish"):
             certify_decay(t, np.zeros_like(t), alpha=1.0, window=(1.0, 100.0))
+
+
+class TestPolynomiallyStableCustom:
+    """``kind = custom`` plants with Re mu_n = -c (1+n)**-alpha decay
+    polynomially, so ``decay`` reaches the nominal-rate check, which no
+    exponentially stable random scenario does."""
+
+    @staticmethod
+    def config_text(n, alpha, u, powers, n_exo, period):
+        """Modes n = 0..N-1 with mu_n = -c (1+n)**-alpha + i (1+n), and
+        power-law b, c and w0. With c = m**alpha / 1000, m between
+        2 * 100**(1/alpha) and N/2, the order (c t)**(1/alpha) of the mode
+        that dominates the semigroup envelope stays between 2 and N/2 on
+        the default window [10, 1000]."""
+        lo, hi = 2.0 * 100.0 ** (1.0 / alpha), n / 2.0
+        c = (lo * (hi / lo) ** u) ** alpha / 1000.0
+        m = 1.0 + np.arange(n)
+        k = np.arange(-n_exo, n_exo + 1)
+
+        def spell(values):
+            return ", ".join(repr(complex(v)) for v in values)
+
+        return (f"[scenario]\nkind = custom\n"
+                f"eigenvalues = {spell(-c * m ** -alpha + 1j * m)}\n"
+                f"b = {spell(m ** -powers[0])}\nc = {spell(m ** -powers[1])}\n"
+                f"n_exo = {n_exo}\nperiod = {period!r}\nalpha = {alpha!r}\n"
+                f"w0_list = {spell((1.0 + np.abs(k)) ** -powers[2])}\n"
+                f"z0_preset = inv_mu_sq\n")
+
+    @settings(deadline=None, max_examples=8)
+    @given(n=st.integers(48, 64), alpha=st.floats(2.0, 3.0),
+           u=st.floats(0.0, 1.0),
+           powers=st.tuples(*[st.floats(0.5, 2.0)] * 3),
+           n_exo=st.integers(2, 8), period=st.floats(3.0, 10.0))
+    def test_regulated_and_nominal_rate_reached(self, n, alpha, u, powers,
+                                                n_exo, period):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(self.config_text(n, alpha, u, powers, n_exo,
+                                             period))
+            cfg = load_config(path)
+            gen, coupling, space = build_scenario(cfg.scenario)
+            gain = build_feedforward(frequency_grid(gen, coupling, space))
+            sol = solve_regulator(gen, coupling, gain, space)
+            assert residual_first_equation(sol, gen, coupling, gain,
+                                           space) <= 1e-10
+            assert residual_second_equation(sol, coupling, space) <= 1e-10
+
+            w0 = resolve_w0(cfg.scenario, space)
+            z0 = resolve_z0(cfg.scenario, gen)
+            t = cfg.sim.grid()
+            ref = simulate_closed_loop(gen, coupling, gain, z0, w0, t)
+            ref_dev = state_deviation_norms(ref, sol)
+            out = simulate_outputs(gen, coupling, gain, z0,
+                                   steady_state_image(gen, coupling, gain, w0),
+                                   t)
+            assert out.y_r.tobytes() == ref.y_r.tobytes()
+            assert out.u.tobytes() == ref.u.tobytes()
+            assert np.all(np.abs(out.e - ref.e) <= 1e-14 * np.abs(ref.e).max())
+            assert np.all(np.abs(out.state_deviation - ref_dev)
+                          <= 1e-12 * ref_dev + 1e-14 * ref_dev.max())
+
+            assert main(["decay", "--config", str(path),
+                         "--out", str(Path(tmp) / "out")]) in (0, 1)
+            report = (Path(tmp) / "out" / "decay_report.txt").read_text()
+        assert "flagged superpolynomial" not in report
+        assert re.search(r"\n  nominal 1/alpha = \S+: PASS", report)

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import analytic_tails_whole, conformity_per_column
+from oracles import (analytic_tails_whole, conformity_per_column,
+                     trapezoid_column)
 
 import modalreg.sylvester as sylvester
 from modalreg.errors import ModeMismatchError
@@ -83,10 +84,9 @@ class TestQuadratureColumn:
         d = SpectralVector.unit(gen.modes, 0)
         analytic, _ = quadrature_pi_column(
             gen, d, 1.0, QuadratureSpec(horizons=(50.0,)))
-        numeric, _ = quadrature_pi_column(
-            gen, d, 1.0, QuadratureSpec(horizons=(50.0,), method="numeric",
-                                        step=1e-3))
-        assert abs(numeric.coeff(0) - analytic.coeff(0)) <= 1e-6
+        numeric, _ = trapezoid_column(gen.eigenvalues, d.coeffs, 1.0,
+                                      (50.0,), step=1e-3)
+        assert abs(numeric[0] - analytic.coeff(0)) <= 1e-6
 
     def test_geometric_tails_for_uniformly_damped_spectra(self):
         # uniform damping floor a: per-entry increments contract by at least
@@ -241,7 +241,9 @@ class TestBatchedConformity:
         assert bounds[1::2] == [0.0] * (len(bounds) // 2)
         assert any(bounds[0::2])
 
-    def test_numeric_method_matches_column_quadrature(self):
+    def test_analytic_tails_match_trapezoid_oracle(self):
+        # the closed-form horizon tails that `check` reports, against a
+        # composite trapezoid of the same integrals
         gen = DiagonalGenerator(ModeRange(-2, 2),
                                 np.array([-0.5 + 1j, -0.3 - 2j, -1.0,
                                           -0.4 + 0.5j, -0.6 - 1j]))
@@ -256,13 +258,21 @@ class TestBatchedConformity:
                    for j, k in enumerate(space.modes.indices)}
         coupling, gain = forcing_operator(SpectralVector.zeros(gen.modes),
                                           space, p_entries=entries)
-        spec = QuadratureSpec(horizons=(2.0, 4.0, 8.0), method="numeric",
-                              step=1e-2)
+        spec = QuadratureSpec(horizons=(2.0, 4.0, 8.0))
         report = conformity_diagnostic(gen, coupling, gain, space, 1.0, 0.25,
                                        spec)
-        agg, _, _ = conformity_per_column(gen, forcing, space, 1.25, spec)
+        want = np.array([trapezoid_column(gen.eigenvalues, forcing[:, j], om,
+                                          spec.horizons, step=1e-4)[1]
+                         for j, om in enumerate(space.omegas)]).T
+        # the trapezoid's relative error is about step**2 / 12 times the
+        # largest |mu_n - i omega_k|**2, 1.3e-8 here; the per-column tails
+        # are checked too, since the f-scaled maximum is the k = 0 column's
+        np.testing.assert_allclose(
+            sylvester._analytic_tails(gen, forcing, space.omegas,
+                                      spec.horizons), want, rtol=1e-7, atol=0.0)
         got = np.array([report.tail_norms[h] for h in spec.horizons])
-        np.testing.assert_allclose(got, agg, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got, (want / space.weights).max(axis=1),
+                                   rtol=1e-7, atol=0.0)
 
 
 class TestLemmaIdentity:
@@ -347,8 +357,6 @@ class TestQuadratureSpec:
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             QuadratureSpec(horizons=(10.0, 10.0))
-        with pytest.raises(ValueError, match="method"):
-            QuadratureSpec(method="simpson")
         with pytest.raises(ValueError, match="empty"):
             QuadratureSpec(horizons=())
 
