@@ -194,11 +194,11 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     exo_idx = space.modes.indices
     _write_csv(out_dir / "L.csv", ["k", "re", "im"],
                (exo_idx, gain.ell.real, gain.ell.imag))
-    # flattened views: row (n, k) of Pi.csv is entry i * K + j of pi
-    pi = solution.pi.ravel()
+    # views, written in C order: row (n, k) of Pi.csv is entry [i, j] of pi
+    pi = solution.pi
     _write_csv(out_dir / "Pi.csv", ["n", "k", "re", "im"],
-               (np.repeat(gen.modes.indices, len(exo_idx)),
-                np.tile(exo_idx, len(gen.modes)), pi.real, pi.imag))
+               (np.broadcast_to(gen.modes.indices[:, None], pi.shape),
+                np.broadcast_to(exo_idx, pi.shape), pi.real, pi.imag))
     return lines, 0 if (ok1 and ok2) else 1
 
 

@@ -324,19 +324,23 @@ def _forcing_columns(coupling: ModalCoupling, gain: FeedforwardGain,
 
 
 def _weighted_norm_estimate(pi: np.ndarray, weights: np.ndarray) -> float:
-    """Power iteration on the f-weighted matrix, 50 steps from a
-    deterministic start."""
-    m = pi / weights[None, :]
-    m_adj = m.conj().T
-    v = np.ones(m.shape[1], dtype=np.complex128) / np.sqrt(m.shape[1])
+    """Power iteration on the f-weighted matrix M = pi / f from a
+    deterministic start. M and M* are applied as pi @ (v / f) and
+    conj(pi^T conj(w)) / f, so no copy of pi is made. Stops when the
+    estimate changes by at most 1e-13 relative, or after 50 steps."""
+    v = np.ones(pi.shape[1], dtype=np.complex128) / np.sqrt(pi.shape[1])
+    estimate = 0.0
     for _ in range(50):
-        w = m @ v
-        v2 = m_adj @ w
-        nv = np.linalg.norm(v2)
+        w = pi @ (v / weights)
+        v = (pi.T @ w.conj()).conj() / weights
+        nv = np.linalg.norm(v)
         if nv == 0.0:
             return 0.0
-        v = v2 / nv
-    return float(np.linalg.norm(m @ v))
+        v /= nv
+        previous, estimate = estimate, np.linalg.norm(w)
+        if abs(estimate - previous) <= 1e-13 * estimate:
+            break
+    return float(np.linalg.norm(pi @ (v / weights)))
 
 
 def solve_regulator(gen: DiagonalGenerator, coupling: ModalCoupling,

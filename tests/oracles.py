@@ -85,7 +85,8 @@ def naive_transfer_value(eigenvalues, b, c, lam):
 
 def power_iteration_norm(matrix, weights, iterations=50):
     """Operator-norm estimate of the f-weighted matrix by plain power
-    iteration, forming the adjoint afresh at every step."""
+    iteration, forming the weighted matrix and its adjoint densely and
+    always taking all ``iterations`` steps."""
     m = matrix / weights[None, :]
     v = np.ones(m.shape[1], dtype=np.complex128) / np.sqrt(m.shape[1])
     for _ in range(iterations):

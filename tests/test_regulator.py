@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 from oracles import (first_residual_one_shot, frequency_grid_one_shot,
-                     naive_transfer_value, power_iteration_norm)
+                     naive_transfer_value, power_iteration_norm,
+                     traced_peak)
 
 import modalreg.regulator as regulator
 from modalreg.errors import AssumptionFailure, SingularResolventError
@@ -311,11 +312,29 @@ class TestRegulatorSolve:
             np.testing.assert_array_equal(sol.pi[:, j], resolvent)
 
     def test_norm_estimate_matches_plain_power_iteration(self, wave_resonant):
+        """The converged, copy-free estimate agrees with the dense 50-step
+        iteration to rounding."""
         gen, coupling, space = wave_resonant
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain, space)
-        assert sol.operator_norm_estimate == power_iteration_norm(
-            sol.pi, space.weights)
+        assert sol.operator_norm_estimate == pytest.approx(
+            power_iteration_norm(sol.pi, space.weights), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11, 42])
+    def test_norm_estimate_matches_plain_power_iteration_random(self, seed):
+        gen, coupling, space = build_random_scenario(seed)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        sol = solve_regulator(gen, coupling, gain, space)
+        assert sol.operator_norm_estimate == pytest.approx(
+            power_iteration_norm(sol.pi, space.weights), rel=1e-12)
+
+    def test_norm_estimate_makes_no_copy_of_pi(self, wave_resonant):
+        gen, coupling, space = wave_resonant
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        pi = solve_regulator(gen, coupling, gain, space).pi
+        _, peak = traced_peak(
+            lambda: regulator._weighted_norm_estimate(pi, space.weights))
+        assert peak < pi.nbytes / 4
 
     def test_norm_estimate_computed_on_first_access_only(self, diagonal,
                                                          monkeypatch):
