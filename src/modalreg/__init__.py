@@ -24,8 +24,8 @@ from .simulator import (DecayCertificate, OutputTrajectory, SimulationResult,
 from .spectral import (DecayReport, DiagonalGenerator, EnvelopeResult,
                        GeometricConditionReport, ModeRange, SpectralVector,
                        TailReport, check_geometric_condition, classify_tail,
-                       classify_tails, decay_envelope, fit_decay_rate,
-                       fractional_norm, semigroup_apply)
+                       decay_envelope, fit_decay_rate, fractional_norm,
+                       semigroup_apply)
 from .sylvester import (BRegularityReport, ConformityReport, QuadratureSpec,
                         check_b_regularity, conformity_diagnostic,
                         lemma_identity_check, quadrature_pi_column)

@@ -196,53 +196,38 @@ class DiagonalGenerator:
 class LogLogFit:
     """Least-squares line ``log y = slope log x + intercept`` through the
     ``used`` points of (x, y); slope and intercept are nan when there were
-    too few of them.
-
-    For one sequence y, slope, intercept, residual and floor_time are
-    floats; for a 2-D y (one sequence per column), arrays with one entry
-    per column. The residual and the floor time are computed when read.
-    """
+    too few of them. The residual and the floor time are computed when
+    read."""
 
     x: np.ndarray
     y: np.ndarray
     inside: np.ndarray  # the window, as a mask over x
     used: np.ndarray
-    slope: object
-    intercept: object
-
-    def __post_init__(self):
-        self.slope = self._per_column(self.slope)
-        self.intercept = self._per_column(self.intercept)
-
-    def _per_column(self, values):
-        return float(values) if self.y.ndim == 1 else values
-
-    def _along_y(self, row_values):
-        return row_values if self.y.ndim == 1 else row_values[:, None]
+    slope: float
+    intercept: float
 
     @property
     def n_points(self) -> int:
         return int(self.used.sum())
 
     @cached_property
-    def residual(self):
+    def residual(self) -> float:
         """Largest |log y - line| over the used points; nan without a line."""
         if not self.used.any():
-            return self._per_column(np.full(self.y.shape[1:], np.nan))
-        line = self._along_y(np.log(self.x[self.used])) * self.slope
+            return math.nan
+        line = np.log(self.x[self.used]) * self.slope
         gap = np.log(self.y[self.used]) - (line + self.intercept)
-        return self._per_column(np.abs(gap).max(axis=0))
+        return float(np.abs(gap).max())
 
     @cached_property
-    def floor_time(self):
+    def floor_time(self) -> float:
         """Least window x at which |y| <= eps * max |y| over all of x
         (exact zeros count), inf if none: the rounding floor, below which
         a fit follows rounding residue."""
         mag = np.abs(self.y)
-        at_floor = self._along_y(self.inside) & (
-            mag <= np.finfo(float).eps * mag.max(axis=0, initial=0.0))
-        times = np.where(at_floor, self._along_y(self.x), np.inf)
-        return self._per_column(times.min(axis=0, initial=np.inf))
+        at_floor = self.inside & (
+            mag <= np.finfo(float).eps * mag.max(initial=0.0))
+        return float(np.where(at_floor, self.x, np.inf).min(initial=np.inf))
 
 
 @dataclass
@@ -398,21 +383,21 @@ def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResul
 def loglog_fit(x, y, window=None, keep=None, min_points: int = 2) -> LogLogFit:
     """Least-squares line through (log x, log y) over the points of x
     inside ``window`` (``(lo, hi)``, all of x when None) where ``keep``
-    holds and every column of y is positive; see :class:`LogLogFit`.
-    Fewer than ``min_points`` such points fit no line.
+    holds and y is positive; see :class:`LogLogFit`. Fewer than
+    ``min_points`` such points fit no line.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     inside = (np.ones(x.size, dtype=bool) if window is None
               else (x >= window[0]) & (x <= window[1]))
-    used = inside & (y > 0 if y.ndim == 1 else np.all(y > 0, axis=1))
+    used = inside & (y > 0)
     if keep is not None:
         used &= keep
     if used.sum() < min_points:
-        slope = intercept = np.full(y.shape[1:], np.nan)
+        slope = intercept = math.nan
     else:
         slope, intercept = np.polyfit(np.log(x[used]), np.log(y[used]), 1)
-    return LogLogFit(x, y, inside, used, slope, intercept)
+    return LogLogFit(x, y, inside, used, float(slope), float(intercept))
 
 
 def fit_decay_rate(envelope, t_grid, window) -> DecayReport:
@@ -467,50 +452,24 @@ def classify_tail(indices, terms) -> TailReport:
     support and is summable by inspection). The verdict uses the module
     thresholds; "inconclusive" is a first-class outcome.
     """
-    a = np.asarray(terms, dtype=float)
-    if a.ndim != 1:
-        raise ValueError("indices and terms lengths differ")
-    return classify_tails(indices, a[:, None])[0]
-
-
-def classify_tails(indices, terms) -> list:
-    """:func:`classify_tail` for every column of ``terms`` (indices x
-    sequences), one report per column.
-
-    Columns with the same positive terms in the tail window share one
-    least-squares solve, so their fitted exponents may differ from
-    one-column fits in the last digits.
-    """
     idx = np.abs(np.asarray(indices, dtype=float))
     a = np.asarray(terms, dtype=float)
-    if a.ndim != 2 or idx.shape != a.shape[:1]:
+    if a.ndim != 1:
+        raise ValueError(f"terms must be one sequence, got shape {a.shape}")
+    if idx.shape != a.shape:
         raise ValueError("indices and terms lengths differ")
     if np.any(a < 0):
         raise ValueError("terms must be nonnegative")
     n_max = idx.max() if idx.size else 0
-    start = max(2.0, math.ceil(n_max / 2))
-    tail = idx >= start
-    idx, a = idx[tail], a[tail]
-    groups = {}
-    for c, key in enumerate(np.packbits(a > 0, axis=0).T):
-        groups.setdefault(key.tobytes(), []).append(c)
-    reports = [None] * a.shape[1]
-    for cols in groups.values():
-        fit = loglog_fit(idx, a[:, cols], min_points=_TAIL_MIN_POINTS)
-        if fit.n_points == 0:
-            fits = [TailReport(-math.inf, "summable", 0,
-                               "no positive terms beyond the tail window")
-                    ] * len(cols)
-        elif fit.n_points < _TAIL_MIN_POINTS:
-            fits = [TailReport(math.nan, "inconclusive", fit.n_points,
-                               "too few positive tail terms to fit")
-                    ] * len(cols)
-        else:
-            fits = [TailReport(float(q), _tail_verdict(q), fit.n_points)
-                    for q in fit.slope]
-        for c, report in zip(cols, fits):
-            reports[c] = report
-    return reports
+    tail = idx >= max(2.0, math.ceil(n_max / 2))
+    fit = loglog_fit(idx[tail], a[tail], min_points=_TAIL_MIN_POINTS)
+    if fit.n_points == 0:
+        return TailReport(-math.inf, "summable", 0,
+                          "no positive terms beyond the tail window")
+    if fit.n_points < _TAIL_MIN_POINTS:
+        return TailReport(math.nan, "inconclusive", fit.n_points,
+                          "too few positive tail terms to fit")
+    return TailReport(fit.slope, _tail_verdict(fit.slope), fit.n_points)
 
 
 def _tail_verdict(slope: float) -> str:

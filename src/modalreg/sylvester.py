@@ -24,11 +24,10 @@ import numpy as np
 
 from .exosystem import ExoSpace, ExoState
 from .regulator import (FeedforwardGain, ModalCoupling, SylvesterSolution,
-                        _check_operands, _forcing_columns, forcing_matrix,
-                        frequency_denominators)
+                        _blocks, _check_operands, _forcing_columns,
+                        forcing_matrix, frequency_denominators)
 from .spectral import (DiagonalGenerator, SpectralVector, TailReport,
-                       classify_tail, classify_tails, fractional_norm,
-                       loglog_fit)
+                       classify_tail, fractional_norm, loglog_fit)
 
 DEFAULT_HORIZONS = tuple(10.0 * 2**j for j in range(8))
 
@@ -42,19 +41,10 @@ _DECAYING_SLOPE = -0.05
 # Xeon, 4 MB L2).
 _BLOCK_ENTRIES = 2**15
 
-# Plant modes x harmonics per block of forcing columns d_{n,k} and of the
-# weighted terms |mu_n|**(2 beta) |d_n|**2 behind the column bounds and
-# tail fits (2 MB of complex entries); conformity never holds more of the
-# forcing matrix. Half this width made wave `check` at 2000 modes x 2001
-# harmonics 35-60 % slower: each block then freed enough for the allocator
-# to return the memory and fault it back in (37k against 4.5k minor page
-# faults; 2-vCPU Xeon, glibc malloc).
-_TERMS_BLOCK_ENTRIES = 2**17
-
 # Column bounds within this relative distance of the largest are
 # re-evaluated one column at a time before the largest is reported, so the
 # reported bound and harmonic are the per-column ones even where the
-# batched sums round a tie (k and -k) the other way.
+# bounds |ell_k| |b|_beta / f_k round a tie (k and -k) the other way.
 _SUP_RTOL = 1e-12
 
 
@@ -192,19 +182,24 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
                           eps: float,
                           spec: QuadratureSpec = QuadratureSpec()) -> ConformityReport:
     """Evidence that the forcing operator smooths into the fractional
-    domain of order alpha + eps, combined with the horizon-tail trend.
+    domain of order beta = alpha + eps, combined with the horizon-tail
+    trend.
 
     The forcing operator is d_{n,k} = b_n ell_k + p_{n,k}, from the
-    coupling and the gain; column k is d_k.
-
-    Per column k the partial sums of ``|mu_n|**(2(alpha+eps)) |d_n|**2``
-    are trend-classified over plant modes, and the f-scaled fractional
-    norms give the column bounds of the smoothing condition. The verdict
-    is conform-trend when every column trend is summable and the
+    coupling and the gain; column k is d_k. Per column k the partial sums
+    of ``|mu_n|**(2 beta) |d_n|**2`` are trend-classified over plant
+    modes, and the f-scaled fractional norms give the column bounds of the
+    smoothing condition. A column that P does not touch is ell_k b, so
+    its bound is |ell_k| times the fractional norm of b over f_k, and its
+    trend is the trend of the input-column profile
+    ``|mu_n|**(2 beta) |b_n|**2`` that :func:`check_b_regularity` fits:
+    conformity of such columns is b in D((-A)**beta). Only the columns
+    that P touches are built and classified one by one. The verdict is
+    conform-trend when every nonzero column trend is summable and the
     aggregated horizon tails do not grow; a divergent column trend makes
     it non-conform-trend; everything else is inconclusive.
 
-    The forcing columns are built and processed one block of harmonics at
+    The horizon tails take the forcing columns one block of harmonics at
     a time; the whole matrix is never held. The reported largest bound is
     re-evaluated with :func:`fractional_norm` on its own column.
     """
@@ -214,30 +209,36 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
     beta = alpha + eps
     f = space.weights
     n_exo = len(f)
+
+    def column(j):
+        return _forcing_columns(coupling, gain, space, np.array([j]))[:, 0]
+
+    b = coupling.b.coeffs
+    mu_pow = np.abs(gen.eigenvalues) ** (2.0 * beta)
+    profile = mu_pow * np.abs(b) ** 2  # the terms check_b_regularity fits
+    bounds = np.abs(gain.ell) * math.sqrt(profile.sum()) / f
+    nonzero = (gain.ell != 0) & bool(np.any(b != 0))
+    fits = [classify_tail(gen.modes.indices, profile)] * n_exo
+    _, p_cols, _ = coupling.disturbance_in(space.modes)
+    for j in sorted(set(p_cols.tolist())):  # the columns P touches
+        d = column(j)
+        terms = np.abs(d) ** 2 * mu_pow
+        bounds[j] = math.sqrt(terms.sum()) / f[j]
+        nonzero[j] = bool(np.any(d != 0))
+        fits[j] = classify_tail(gen.modes.indices, terms)
+
     tails = np.empty((len(spec.horizons), n_exo))
-    mu_pow = (np.abs(gen.eigenvalues) ** (2.0 * beta))[:, None]
-    bounds = np.empty(n_exo)
-    nonzero = np.empty(n_exo, dtype=bool)
-    fits = []
-    step = max(1, _TERMS_BLOCK_ENTRIES // len(mu_pow))
-    for start in range(0, n_exo, step):
-        cols = slice(start, start + step)
+    for blk in _blocks(n_exo, len(gen.modes)):
         forcing = _forcing_columns(coupling, gain, space,
-                                   np.arange(n_exo)[cols])
-        nonzero[cols] = np.any(forcing != 0, axis=0)
-        terms = np.abs(forcing) ** 2 * mu_pow
-        bounds[cols] = np.sqrt(terms.sum(axis=0)) / f[cols]
-        fits += classify_tails(gen.modes.indices, terms)
-        del terms  # freed before the horizon tails make their temporaries
-        tails[:, cols] = _analytic_tails(gen, forcing, space.omegas[cols],
-                                         spec.horizons)
+                                   np.arange(n_exo)[blk])
+        tails[:, blk] = _analytic_tails(gen, forcing, space.omegas[blk],
+                                        spec.horizons)
     agg = (tails / f).max(axis=1)
 
     near_sup = np.flatnonzero(bounds >= bounds.max() * (1.0 - _SUP_RTOL))
     for j in near_sup:
-        column = _forcing_columns(coupling, gain, space, np.array([j]))[:, 0]
         bounds[j] = fractional_norm(
-            gen, beta, SpectralVector(gen.modes, column)) / f[j]
+            gen, beta, SpectralVector(gen.modes, column(j))) / f[j]
     sup_j = int(near_sup[np.argmax(bounds[near_sup])])
 
     worst_tail = max((fits[j] for j in np.flatnonzero(nonzero)),

@@ -9,11 +9,16 @@ denominator-matrix computations the blocked frequency grid and residual
 must reproduce bit for bit, and a composite trapezoid for the
 steady-state integral the closed-form horizon increments must reproduce
 to quadrature accuracy. ``traced_peak`` is the one memory measurement the
-memory tests share.
+memory tests share; ``traced_cli_peak`` takes it for one command-line call
+in a fresh interpreter.
 """
 
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -190,7 +195,7 @@ def write_csv_rows(path, header, rows, fmt=fmt_number):
 
 def loglog_polyfit(x, y):
     """Slope and intercept of the least-squares line through
-    (log x, log y); y may hold one sequence per column."""
+    (log x, log y)."""
     return np.polyfit(np.log(x), np.log(y), 1)
 
 
@@ -225,3 +230,27 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+TRACED_CLI = """
+import sys
+from oracles import traced_peak
+from modalreg.cli import main
+code, peak = traced_peak(lambda: main(sys.argv[1:]))
+print(code, peak)
+"""
+
+
+def traced_cli_peak(argv):
+    """``(exit code, peak)`` of ``modalreg.cli.main(argv)`` measured by
+    :func:`traced_peak` in a fresh interpreter. The modules are imported
+    before tracing starts; whatever the call imports on first use counts,
+    whichever tests ran before."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), str(root / "tests"),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", TRACED_CLI, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, peak = proc.stdout.split()[-2:]
+    return int(code), int(peak)

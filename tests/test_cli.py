@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import traced_peak
+from oracles import traced_cli_peak
 
 from modalreg.cli import main
 from modalreg.config import (_FIELD, CONFIG_KEYS, SimGrid, Tolerances,
@@ -718,13 +718,14 @@ class TestSolveLayerWork:
         peak stays below one complex matrix of that shape. Simulation
         holds one block of time points at a time (see
         test_time_axis_not_held); conformity holds one block of forcing
-        columns at a time."""
+        columns at a time. Measured in a fresh interpreter, so imports
+        made on first use count."""
         text = ("[scenario]\nkind = wave\nn_plant = 300\nn_exo = 300\n"
                 "w0_preset = square11\nz0_preset = inv_mu_sq\n\n"
                 "[simulate]\nn_points = 64\n")
-        code, peak = traced_peak(lambda: main(
+        code, peak = traced_cli_peak(
             [command, "--config", write(tmp_path, text),
-             "--out", str(tmp_path / "out")]))
+             "--out", str(tmp_path / "out")])
         assert code == 0
         assert peak < 600 * 601 * 16
 
@@ -732,13 +733,14 @@ class TestSolveLayerWork:
     def test_time_axis_not_held(self, command, tmp_path, capsys):
         """Wave at N = 300 on 4096 time points: the traced peak stays below
         a quarter of one complex (time x 600 plant modes) matrix, because
-        the outputs are evaluated one block of time points at a time."""
+        the outputs are evaluated one block of time points at a time.
+        Measured in a fresh interpreter, as above."""
         text = ("[scenario]\nkind = wave\nn_plant = 300\nn_exo = 300\n"
                 "w0_preset = square11\nz0_preset = inv_mu_sq\n\n"
                 "[simulate]\nn_points = 4096\n")
-        code, peak = traced_peak(lambda: main(
+        code, peak = traced_cli_peak(
             [command, "--config", write(tmp_path, text),
-             "--out", str(tmp_path / "out")]))
+             "--out", str(tmp_path / "out")])
         assert code == 0
         assert peak < 4096 * 600 * 16 / 4
 

@@ -328,16 +328,6 @@ class TestLogLogFit:
         assert fit.residual == np.max(np.abs(
             np.log(y) - (slope * np.log(x) + intercept)))
 
-    def test_columns_match_polyfit(self):
-        rng = np.random.default_rng(4)
-        x = np.arange(2.0, 60.0)
-        y = np.exp(rng.standard_normal((x.size, 7))) * x[:, None] ** -1.5
-        fit = loglog_fit(x, y)
-        slope, intercept = loglog_polyfit(x, y)
-        assert np.array_equal(fit.slope, slope)
-        assert np.array_equal(fit.intercept, intercept)
-        assert fit.floor_time.shape == (7,)
-
     def test_window_keep_and_positivity_select_points(self):
         x = np.geomspace(1.0, 100.0, 60)
         y = 1.0 / x
@@ -391,3 +381,12 @@ class TestClassifyTail:
         report = classify_tail(idx, terms)
         assert report.verdict == "summable"
         assert report.exponent == pytest.approx(-2.0, abs=0.01)
+
+    @pytest.mark.parametrize(("terms", "message"), [
+        (np.ones(9), "lengths differ"),
+        (-np.ones(10), "nonnegative"),
+        (np.ones((10, 3)), r"shape \(10, 3\)"),
+    ], ids=["length", "negative", "two_dimensional"])
+    def test_malformed_terms_rejected(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            classify_tail(np.arange(1, 11), terms)

@@ -13,8 +13,9 @@ from modalreg.exosystem import ExoSpace, ExoState
 from modalreg.regulator import (FeedforwardGain, ModalCoupling,
                                 build_feedforward, forcing_matrix,
                                 frequency_grid, solve_regulator)
-from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
-                                build_random_scenario, build_wave_scenario)
+from modalreg.scenarios import (ScenarioConfig, build_custom_scenario,
+                                build_diagonal_scenario, build_random_scenario,
+                                build_wave_scenario)
 from modalreg.spectral import DiagonalGenerator, ModeRange, SpectralVector
 from modalreg.sylvester import (DEFAULT_HORIZONS, QuadratureSpec,
                                 _tail_trend_verdict, check_b_regularity,
@@ -147,6 +148,23 @@ class TestConformity:
         assert report.verdict == "conform-trend"
         assert report.sufficient_condition.sup_bound == 0.0
 
+    @pytest.mark.parametrize("build, cfg", [
+        (build_wave_scenario, ScenarioConfig(kind="wave", n_plant=200,
+                                             n_exo=30, period=2.0)),
+        (build_diagonal_scenario, ScenarioConfig(kind="diagonal", n_plant=40,
+                                                 n_exo=40)),
+    ], ids=["wave", "diagonal"])
+    def test_trend_is_the_input_column_trend(self, build, cfg):
+        # without P every forcing column is ell_k b, so conformity's
+        # mode-sum trend is the trend of b in D((-A)**(alpha + eps))
+        gen, coupling, space = build(cfg)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        alpha, eps = 2.0, 0.25
+        report = conformity_diagnostic(gen, coupling, gain, space, alpha, eps)
+        breg = check_b_regularity(gen, coupling.b, [alpha + eps])
+        assert (report.sufficient_condition.worst_tail
+                == breg.entries[alpha + eps].tail)
+
     def test_regular_rank_one_implies_conform(self):
         # whenever the input column is regular at alpha + eps and the
         # weighted gains are summable, rank-one forcing must be conform
@@ -160,6 +178,18 @@ class TestConformity:
                                            eps)
             if breg.passes_at(alpha + eps):
                 assert report.verdict == "conform-trend"
+
+
+def _disturbance_off_the_input_column():
+    """Custom plant whose input column vanishes on the odd modes, where P
+    puts its entries; harmonic 2 takes two of them, and the entry on the
+    last mode changes the tail its column fits."""
+    n = np.arange(30)
+    b = np.where(n % 2 == 0, 1.0 / (1.0 + n) ** 4, 0.0)
+    return build_custom_scenario(ScenarioConfig(
+        kind="custom", n_exo=10, eigenvalues=-0.5 / (1.0 + n) + 1j * (n + 0.5),
+        b=b, c=b, p_entries={(3, 2): 0.5 + 0.2j, (7, 2): -0.3j, (11, -4): 1.0,
+                             (29, 5): 0.7}))
 
 
 def _random_with_disturbance():
@@ -180,8 +210,10 @@ class TestBatchedConformity:
         lambda: build_diagonal_scenario(ScenarioConfig(kind="diagonal",
                                                        n_plant=40, n_exo=40)),
         _random_with_disturbance,
+        _disturbance_off_the_input_column,
     ]
-    SCENARIO_IDS = ["wave_resonant", "diagonal", "random_disturbed"]
+    SCENARIO_IDS = ["wave_resonant", "diagonal", "random_disturbed",
+                    "disturbance_off_b"]
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
     def test_matches_per_column_oracle(self, scenario):
