@@ -4,9 +4,7 @@ exact closed-loop simulation and decay certification."""
 
 from .errors import (AssumptionFailure, ConfigError, ModeMismatchError,
                      SingularResolventError)
-from .exosystem import (ExoSpace, ExoState, dirac_functional, graph_norm,
-                        group_apply, is_conjugate_symmetric, synthesize_signal,
-                        weighted_norm)
+from .exosystem import ExoSpace, ExoState, synthesize_signal
 from .regulator import (Assumption1Report, Assumption2Report, FeedforwardGain,
                         FrequencyGrid, ModalCoupling, SteadyStateImage,
                         SylvesterSolution, build_feedforward,
@@ -18,16 +16,14 @@ from .scenarios import (ScenarioConfig, build_diagonal_scenario,
                         build_random_scenario, build_scenario,
                         build_wave_scenario, resolve_w0, resolve_z0)
 from .simulator import (DecayCertificate, OutputTrajectory, SimulationResult,
-                        certify_decay, error_formula_check,
-                        simulate_closed_loop, simulate_outputs,
+                        certify_decay, simulate_closed_loop, simulate_outputs,
                         state_deviation_norms)
 from .spectral import (DecayReport, DiagonalGenerator, EnvelopeResult,
                        GeometricConditionReport, ModeRange, SpectralVector,
                        TailReport, check_geometric_condition, classify_tail,
-                       decay_envelope, fit_decay_rate, fractional_norm,
-                       semigroup_apply)
+                       decay_envelope, fit_decay_rate, fractional_norm)
 from .sylvester import (BRegularityReport, ConformityReport, QuadratureSpec,
                         check_b_regularity, conformity_diagnostic,
-                        lemma_identity_check, quadrature_pi_column)
+                        quadrature_pi_column)
 
 __version__ = "0.1.0"

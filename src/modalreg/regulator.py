@@ -68,10 +68,6 @@ class ModalCoupling:
     def modes(self) -> ModeRange:
         return self.b.modes
 
-    @property
-    def has_disturbance(self) -> bool:
-        return bool(np.any(self._p_values != 0))
-
     def disturbance_in(self, exo_modes: ModeRange):
         """(plant positions, exo positions, values) of the entries of P
         whose harmonic is retained in ``exo_modes``, in insertion order."""
@@ -134,10 +130,6 @@ class Assumption2Report:
     def verdict(self) -> str:
         return self.tail.verdict
 
-    @property
-    def passed(self) -> bool:
-        return self.tail.verdict == "summable"
-
 
 @dataclass(eq=False)
 class SylvesterSolution:
@@ -146,8 +138,8 @@ class SylvesterSolution:
 
     ``operator_norm_estimate`` is a power-iteration estimate of the norm of
     the map between the weighted spaces. It is computed on first access
-    and cached; of the CLI commands only ``solve`` reports it, so the
-    others never pay for it."""
+    and cached; ``solve``, the one command that builds the solution,
+    reports it."""
 
     plant_modes: ModeRange
     exo_modes: ModeRange
@@ -157,10 +149,6 @@ class SylvesterSolution:
     @cached_property
     def operator_norm_estimate(self) -> float:
         return _weighted_norm_estimate(self.pi, self.weights)
-
-    def column(self, k: int) -> SpectralVector:
-        return SpectralVector(self.plant_modes,
-                              self.pi[:, self.exo_modes.position(k)].copy())
 
 
 def _denominators(gen: DiagonalGenerator, omegas: np.ndarray) -> np.ndarray:

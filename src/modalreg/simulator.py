@@ -43,7 +43,6 @@ class SimulationResult:
     y_r: np.ndarray
     u: np.ndarray
     e: np.ndarray
-    z0: SpectralVector
     w0: ExoState
 
 
@@ -67,7 +66,7 @@ def simulate_closed_loop(gen: DiagonalGenerator, coupling: ModalCoupling,
     u = control_signal(gain, w0, t)
     return SimulationResult(
         t_grid=t, plant_modes=gen.modes, z=z, y=y, y_r=y_r, u=u,
-        e=y - y_r, z0=z0, w0=w0,
+        e=y - y_r, w0=w0,
     )
 
 
@@ -130,24 +129,6 @@ def state_deviation_norms(result: SimulationResult,
     exo_phases *= result.w0.coeffs  # scale the T x K phases, not Pi (N x K)
     orbit = exo_phases @ solution.pi.T
     return np.linalg.norm(result.z - orbit, axis=1)
-
-
-def error_formula_check(result: SimulationResult, solution: SylvesterSolution,
-                        gen: DiagonalGenerator, coupling: ModalCoupling) -> float:
-    """Worst relative mismatch between the simulated error and its explicit
-    two-term expression: output of the semigroup acting on (z0 - Pi w0)
-    plus the output mismatch of the steady-state map along the orbit."""
-    space = result.w0.space
-    pi_w0 = solution.pi @ result.w0.coeffs
-    free = result.z0.coeffs - pi_w0
-    c = coupling.c.coeffs
-    column_outputs = c @ solution.pi  # per harmonic, should be 1
-    mismatch = (column_outputs - 1.0) * result.w0.coeffs
-    plant_phases = np.exp(np.multiply.outer(result.t_grid, gen.eigenvalues))
-    exo_phases = np.exp(1j * np.multiply.outer(result.t_grid, space.omegas))
-    rhs = plant_phases @ (c * free) + exo_phases @ mismatch
-    denom = 1.0 + np.abs(rhs)
-    return float(np.max(np.abs(result.e - rhs) / denom))
 
 
 # Slope tolerance of every decay certificate: its envelope passes when the

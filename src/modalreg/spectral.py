@@ -1,10 +1,10 @@
 """Diagonal-operator calculus on a truncated mode set.
 
 Everything acts coefficient-wise on sequences indexed by a finite
-``ModeRange``: semigroup action ``exp(mu_n t)``, fractional-power
-weights ``|mu_n|**beta``, the decay envelope
-``sup_n exp(Re mu_n t) |mu_n|**(-beta)``, and ``loglog_fit``, the one
-log-log line fit behind every decay rate, certificate and tail trend.
+``ModeRange``: fractional-power weights ``|mu_n|**beta``, the decay
+envelope ``sup_n exp(Re mu_n t) |mu_n|**(-beta)``, and ``loglog_fit``,
+the one log-log line fit behind every decay rate, certificate and tail
+trend.
 
 Sums and sups over the full integer lattice are always taken over the
 retained modes only; reports flag when an extremizer touches the range
@@ -136,9 +136,6 @@ class SpectralVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def coeff(self, mode: int) -> complex:
-        return complex(self.coeffs[self.modes.position(mode)])
-
     def __add__(self, other: "SpectralVector") -> "SpectralVector":
         _require_same_modes(self.modes, other.modes)
         return SpectralVector(self.modes, self.coeffs + other.coeffs)
@@ -174,22 +171,6 @@ class DiagonalGenerator:
                 f"eigenvalue {self.eigenvalues[worst]} at mode {mode} "
                 "is not strictly inside the left half-plane"
             )
-
-    @classmethod
-    def from_function(cls, modes: ModeRange, fn) -> "DiagonalGenerator":
-        """Build from ``mode -> eigenvalue``, evaluated on every retained mode."""
-        return cls(modes, np.array([fn(int(m)) for m in modes.indices],
-                                   dtype=np.complex128))
-
-    @property
-    def spectral_abscissa(self) -> float:
-        """max Re mu_n; strictly negative by construction."""
-        return float(self.eigenvalues.real.max())
-
-    @property
-    def min_real_part(self) -> float:
-        """min |Re mu_n|; the slowest retained decay rate."""
-        return float(np.abs(self.eigenvalues.real).min())
 
 
 @dataclass(eq=False)
@@ -240,10 +221,6 @@ class DecayReport:
     residual: float
     n_points: int
 
-    @property
-    def prefactor(self) -> float:
-        return float(np.exp(self.intercept))
-
 
 @dataclass
 class TailReport:
@@ -253,10 +230,6 @@ class TailReport:
     verdict: str  # "summable" | "divergent" | "inconclusive"
     n_fit: int
     note: str = ""
-
-    @property
-    def summable(self) -> bool:
-        return self.verdict == "summable"
 
 
 @dataclass
@@ -282,12 +255,6 @@ class EnvelopeResult:
     argmax_modes: np.ndarray
     boundary_mask: np.ndarray
 
-    @property
-    def boundary_hit(self) -> bool:
-        """True when some argmax sits on the truncation boundary; envelope
-        values are unreliable from the first such time on."""
-        return bool(self.boundary_mask.any())
-
 
 @dataclass
 class SuperpolynomialCheck:
@@ -296,15 +263,6 @@ class SuperpolynomialCheck:
     early_exponent: float
     late_exponent: float
     is_superpolynomial: bool
-
-
-def semigroup_apply(gen: DiagonalGenerator, t: float, v: SpectralVector) -> SpectralVector:
-    """Apply the diagonal semigroup at time ``t >= 0``: coefficient-wise
-    multiplication by ``exp(mu_n t)``."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    _require_same_modes(gen.modes, v.modes)
-    return SpectralVector(v.modes, np.exp(gen.eigenvalues * t) * v.coeffs)
 
 
 def fractional_norm(gen: DiagonalGenerator, beta: float, v: SpectralVector) -> float:

@@ -11,7 +11,9 @@ it to one column, :func:`conformity_diagnostic` to all columns, one block
 of harmonics at a time. The horizon schedule exposes how fast the
 remainder dies, which is the only honest truncation-level stand-in for
 the operator-level convergence question; verdicts are therefore trends,
-with "inconclusive" a first-class outcome.
+with "inconclusive" a first-class outcome. The input column's
+fractional-domain trend, :func:`check_b_regularity`, gives conformity
+its bound and trend for every column that P does not touch.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .exosystem import ExoSpace, ExoState
-from .regulator import (FeedforwardGain, ModalCoupling, SylvesterSolution,
-                        _blocks, _check_operands, _forcing_columns,
-                        forcing_matrix, frequency_denominators)
+from .exosystem import ExoSpace
+from .regulator import (FeedforwardGain, ModalCoupling, _blocks,
+                        _check_operands, _forcing_columns)
+# not called here; perfbench/tracing.py wraps this name
+from .regulator import frequency_denominators
 from .spectral import (DiagonalGenerator, SpectralVector, TailReport,
                        classify_tail, fractional_norm, loglog_fit)
 
@@ -192,12 +195,13 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
     smoothing condition. A column that P does not touch is ell_k b, so
     its bound is |ell_k| times the fractional norm of b over f_k, and its
     trend is the trend of the input-column profile
-    ``|mu_n|**(2 beta) |b_n|**2`` that :func:`check_b_regularity` fits:
-    conformity of such columns is b in D((-A)**beta). Only the columns
-    that P touches are built and classified one by one. The verdict is
-    conform-trend when every nonzero column trend is summable and the
-    aggregated horizon tails do not grow; a divergent column trend makes
-    it non-conform-trend; everything else is inconclusive.
+    ``|mu_n|**(2 beta) |b_n|**2``: both come from
+    :func:`check_b_regularity` at beta, and conformity of such columns is
+    b in D((-A)**beta). Only the columns that P touches are built and
+    classified one by one. The verdict is conform-trend when every
+    nonzero column trend is summable and the aggregated horizon tails do
+    not grow; a divergent column trend makes it non-conform-trend;
+    everything else is inconclusive.
 
     The horizon tails take the forcing columns one block of harmonics at
     a time; the whole matrix is never held. The reported largest bound is
@@ -213,12 +217,11 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
     def column(j):
         return _forcing_columns(coupling, gain, space, np.array([j]))[:, 0]
 
-    b = coupling.b.coeffs
+    b_reg = check_b_regularity(gen, coupling.b, [beta]).entries[beta]
+    bounds = np.abs(gain.ell) * math.sqrt(b_reg.partial_sum) / f
+    nonzero = (gain.ell != 0) & bool(np.any(coupling.b.coeffs != 0))
+    fits = [b_reg.tail] * n_exo
     mu_pow = np.abs(gen.eigenvalues) ** (2.0 * beta)
-    profile = mu_pow * np.abs(b) ** 2  # the terms check_b_regularity fits
-    bounds = np.abs(gain.ell) * math.sqrt(profile.sum()) / f
-    nonzero = (gain.ell != 0) & bool(np.any(b != 0))
-    fits = [classify_tail(gen.modes.indices, profile)] * n_exo
     _, p_cols, _ = coupling.disturbance_in(space.modes)
     for j in sorted(set(p_cols.tolist())):  # the columns P touches
         d = column(j)
@@ -268,45 +271,11 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
     )
 
 
-def lemma_identity_check(gen: DiagonalGenerator, coupling: ModalCoupling,
-                         gain: FeedforwardGain, solution: SylvesterSolution,
-                         w: ExoState, t_grid) -> float:
-    """Residual of the finite-time convolution identity.
-
-    The convolution of the semigroup with the forced exosystem orbit must
-    equal the steady-state map evaluated along the orbit minus the
-    semigroup applied to its initial value. Both sides are evaluated per
-    mode from the exponential antiderivative; returns the worst relative
-    mismatch over the grid. The forcing operator is b ell + P, from the
-    coupling and the gain.
-    """
-    space = w.space
-    if solution.plant_modes != gen.modes or solution.exo_modes != space.modes:
-        raise ValueError("solution mode ranges do not match generator/exosystem")
-    _check_operands(gen, coupling, gain, space)
-    denom = frequency_denominators(gen, space)
-    m = forcing_matrix(coupling, gain, space) * w.coeffs[None, :] / denom
-    pw = solution.pi * w.coeffs[None, :]
-    worst = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        exo_ph = np.exp(1j * space.omegas * t)
-        pl_ph = np.exp(gen.eigenvalues * t)
-        lhs = m @ exo_ph - pl_ph * m.sum(axis=1)
-        rhs = pw @ exo_ph - pl_ph * pw.sum(axis=1)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)
-                                 / (1.0 + np.linalg.norm(rhs))))
-    return worst
-
-
 @dataclass
 class BetaVerdict:
     beta: float
     partial_sum: float
     tail: TailReport
-
-    @property
-    def summable(self) -> bool:
-        return self.tail.verdict == "summable"
 
 
 @dataclass
@@ -315,9 +284,6 @@ class BRegularityReport:
     orders beta."""
 
     entries: dict
-
-    def passes_at(self, beta: float) -> bool:
-        return self.entries[float(beta)].summable
 
 
 def check_b_regularity(gen: DiagonalGenerator, b: SpectralVector,

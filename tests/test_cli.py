@@ -766,6 +766,7 @@ class TestSolveLayerWork:
 
         for module in (regulator, simulator, sylvester):
             monkeypatch.setattr(module, "frequency_denominators", counting)
+        for module in (regulator, simulator):
             monkeypatch.setattr(module, "forcing_matrix", counting_forcing)
         monkeypatch.setattr(cli, "forcing_columns", counting_forcing)
         code = main([command, "--config", write(tmp_path, DIAG_OK),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import fmt_number, traced_peak, write_csv_rows
+from paper import from_csv
 
 from modalreg import csvio
 from modalreg.cli import _gain_pipeline, main
@@ -93,7 +94,7 @@ class TestNumberFormat:
                         for k, c in zip(space.modes.indices, coeffs)),
                        fmt=str)
         assert (tmp_path / "w0.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        back = ExoState.from_csv(tmp_path / "w0.csv", space)
+        back = from_csv(tmp_path / "w0.csv", space)
         np.testing.assert_array_equal(back.coeffs.view(float), coeffs.view(float))
 
 

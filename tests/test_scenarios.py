@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from paper import dirac_functional, is_conjugate_symmetric
 from scipy.integrate import quad
 
-from modalreg.exosystem import dirac_functional, is_conjugate_symmetric
 from modalreg.regulator import build_feedforward, frequency_grid
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
                                 build_random_scenario, build_scenario,
@@ -76,14 +76,14 @@ class TestWaveScenario:
         oracle, err = quad(lambda x: x * (1.0 - x) * math.sin(math.pi * x),
                            0.0, 1.0)
         assert err < 1e-12
-        b1 = coupling.b.coeff(1)
+        b1 = coupling.b.coeffs[coupling.modes.position(1)]
         assert b1.real == pytest.approx(4.0 / math.pi**3, rel=1e-12)
         assert b1.real == pytest.approx(oracle, rel=1e-10)
 
     def test_even_coefficients_vanish(self, wave):
         _, coupling, _ = wave
-        assert coupling.b.coeff(2) == 0.0
-        assert coupling.b.coeff(-4) == 0.0
+        for k in (2, -4):
+            assert coupling.b.coeffs[coupling.modes.position(k)] == 0.0
 
     def test_output_is_conjugate_input(self, wave):
         _, coupling, _ = wave
@@ -92,7 +92,7 @@ class TestWaveScenario:
 
     def test_no_disturbance(self, wave):
         _, coupling, _ = wave
-        assert not coupling.has_disturbance
+        assert not any(coupling.p_entries.values())
 
     @pytest.mark.parametrize("d", [math.pi, 2.0 * math.pi, 10.0])
     def test_spectral_wedge_with_exact_constant(self, wave, d):
@@ -103,8 +103,8 @@ class TestWaveScenario:
     def test_input_membership_boundary(self, wave):
         gen, coupling, _ = wave
         report = check_b_regularity(gen, coupling.b, [2.25, 2.6])
-        assert report.passes_at(2.25)
-        assert not report.passes_at(2.6)
+        assert report.entries[2.25].tail.verdict == "summable"
+        assert report.entries[2.6].tail.verdict != "summable"
 
 
 class TestDiagonalScenario:
@@ -127,7 +127,7 @@ class TestDiagonalScenario:
         gen, coupling, space = build_diagonal_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         from modalreg.regulator import check_assumption2
-        assert check_assumption2(gain, space).passed is passes
+        assert (check_assumption2(gain, space).verdict == "summable") is passes
 
 
 class TestRandomScenario:
@@ -142,8 +142,8 @@ class TestRandomScenario:
     def test_spectrum_and_bounds_invariants(self):
         for seed in range(25):
             gen, coupling, space = build_random_scenario(seed)
-            assert gen.spectral_abscissa < 0
-            assert gen.min_real_part >= 1e-2
+            assert gen.eigenvalues.real.max() < 0
+            assert np.abs(gen.eigenvalues.real).min() >= 1e-2
             assert np.abs(gen.eigenvalues.imag).max() <= 1e3
             assert np.abs(coupling.b.coeffs).max() <= 1.0
             assert np.abs(coupling.c.coeffs).max() <= 1.0
@@ -159,7 +159,7 @@ class TestRandomScenario:
     def test_dispatch(self):
         cfg = ScenarioConfig(kind="random", seed=5, n_plant=5, n_exo=5)
         gen, _, _ = build_scenario(cfg)
-        assert gen.spectral_abscissa < 0
+        assert gen.eigenvalues.real.max() < 0
 
 
 class TestPresets:
@@ -169,8 +169,9 @@ class TestPresets:
                                        w0_preset="square11"), space)
         assert is_conjugate_symmetric(w0)
         assert dirac_functional(w0) == pytest.approx(0.0)
-        assert w0.coeff(3) == pytest.approx(-2j / (3.0 * math.pi))
-        assert w0.coeff(2) == 0.0
+        at = space.modes.position
+        assert w0.coeffs[at(3)] == pytest.approx(-2j / (3.0 * math.pi))
+        assert w0.coeffs[at(2)] == 0.0
         support = np.flatnonzero(np.abs(w0.coeffs))
         assert np.abs(space.modes.indices[support]).max() == 5
 
@@ -185,8 +186,9 @@ class TestPresets:
         cfg, (gen, coupling, space) = small_diag
         smooth = resolve_w0(ScenarioConfig(kind="diagonal", w0_preset="smooth",
                                            n_plant=20, n_exo=10), space)
-        assert smooth.coeff(0) == 1.0
-        assert smooth.coeff(3) == pytest.approx(0.125)
+        at = space.modes.position
+        assert smooth.coeffs[at(0)] == 1.0
+        assert smooth.coeffs[at(3)] == pytest.approx(0.125)
         unit = resolve_w0(ScenarioConfig(kind="diagonal", w0_preset="unit",
                                          n_plant=20, n_exo=10), space)
         assert dirac_functional(unit) == 1.0
@@ -209,7 +211,7 @@ class TestPresets:
         z0 = resolve_z0(ScenarioConfig(kind="diagonal",
                                        z0_preset=[0.5j] * len(gen.modes),
                                        n_plant=20, n_exo=10), gen)
-        assert z0.coeff(0) == 0.5j
+        assert z0.coeffs[gen.modes.position(0)] == 0.5j
         with pytest.raises(ValueError, match="length"):
             resolve_z0(ScenarioConfig(kind="diagonal", z0_preset=[1.0, 2.0],
                                       n_plant=20, n_exo=10), gen)

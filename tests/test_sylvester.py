@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import (analytic_tails_whole, conformity_per_column,
                      trapezoid_column)
+from paper import lemma_identity_check
 
 import modalreg.sylvester as sylvester
 from modalreg.errors import ModeMismatchError
@@ -19,8 +20,7 @@ from modalreg.scenarios import (ScenarioConfig, build_custom_scenario,
 from modalreg.spectral import DiagonalGenerator, ModeRange, SpectralVector
 from modalreg.sylvester import (DEFAULT_HORIZONS, QuadratureSpec,
                                 _tail_trend_verdict, check_b_regularity,
-                                conformity_diagnostic, lemma_identity_check,
-                                quadrature_pi_column)
+                                conformity_diagnostic, quadrature_pi_column)
 
 
 def single_mode_gen(mu):
@@ -44,7 +44,7 @@ class TestQuadratureColumn:
         gen = single_mode_gen(-1.0 + 0j)
         col, report = quadrature_pi_column(
             gen, SpectralVector.unit(gen.modes, 0), 0.0)
-        assert col.coeff(0) == pytest.approx(1.0, rel=1e-12)
+        assert col.coeffs[0] == pytest.approx(1.0, rel=1e-12)
         tails = [report.tail_norms[h] for h in sorted(report.tail_norms)]
         assert all(b < a for a, b in zip(tails, tails[1:]))
         assert report.verdict == "conform-trend"
@@ -62,10 +62,10 @@ class TestQuadratureColumn:
             forcing = forcing_matrix(coupling, gain, space)
             for k in (-5, 0, 5):
                 omega = 2.0 * math.pi * k / space.period
-                column = SpectralVector(
-                    gen.modes, forcing[:, space.modes.position(k)])
-                qcol, _ = quadrature_pi_column(gen, column, omega)
-                rcol = sol.column(k)
+                j = space.modes.position(k)
+                qcol, _ = quadrature_pi_column(
+                    gen, SpectralVector(gen.modes, forcing[:, j]), omega)
+                rcol = SpectralVector(gen.modes, sol.pi[:, j])
                 assert (qcol - rcol).norm <= 1e-6 * rcol.norm
 
     def test_remainder_at_final_horizon_is_exact(self):
@@ -78,7 +78,7 @@ class TestQuadratureColumn:
         mu = gen.eigenvalues[0]
         limit = 1.0 / (1j * omega - mu)
         remainder = np.exp((mu - 1j * omega) * 20.0) / (1j * omega - mu)
-        assert col.coeff(0) == pytest.approx(limit - remainder, rel=1e-13)
+        assert col.coeffs[0] == pytest.approx(limit - remainder, rel=1e-13)
 
     def test_numeric_matches_analytic(self):
         gen = single_mode_gen(-1.0 + 0j)
@@ -87,7 +87,7 @@ class TestQuadratureColumn:
             gen, d, 1.0, QuadratureSpec(horizons=(50.0,)))
         numeric, _ = trapezoid_column(gen.eigenvalues, d.coeffs, 1.0,
                                       (50.0,), step=1e-3)
-        assert abs(numeric[0] - analytic.coeff(0)) <= 1e-6
+        assert abs(numeric[0] - analytic.coeffs[0]) <= 1e-6
 
     def test_geometric_tails_for_uniformly_damped_spectra(self):
         # uniform damping floor a: per-entry increments contract by at least
@@ -176,7 +176,7 @@ class TestConformity:
             rank_one = ModalCoupling(b=coupling.b, c=coupling.c)  # P dropped
             report = conformity_diagnostic(gen, rank_one, gain, space, alpha,
                                            eps)
-            if breg.passes_at(alpha + eps):
+            if breg.entries[alpha + eps].tail.verdict == "summable":
                 assert report.verdict == "conform-trend"
 
 
@@ -371,8 +371,8 @@ class TestBRegularity:
         cfg = ScenarioConfig(kind="wave", n_plant=200, n_exo=10)
         gen, coupling, _ = build_wave_scenario(cfg)
         report = check_b_regularity(gen, coupling.b, [2.25, 2.6])
-        assert report.passes_at(2.25)
-        assert not report.passes_at(2.6)
+        assert report.entries[2.25].tail.verdict == "summable"
+        assert report.entries[2.6].tail.verdict != "summable"
         assert report.entries[2.25].tail.exponent == pytest.approx(-1.5,
                                                                    abs=0.05)
         assert report.entries[2.6].tail.exponent == pytest.approx(-0.8,
@@ -382,7 +382,8 @@ class TestBRegularity:
         cfg = ScenarioConfig(kind="diagonal", n_plant=50, n_exo=10)
         gen, coupling, _ = build_diagonal_scenario(cfg)
         report = check_b_regularity(gen, coupling.b, [0.5, 1.0, 5.0, 20.0])
-        assert all(entry.summable for entry in report.entries.values())
+        assert all(entry.tail.verdict == "summable"
+                   for entry in report.entries.values())
 
 
 class TestQuadratureSpec:
