@@ -9,6 +9,7 @@ beats leniency.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 from dataclasses import dataclass, field
 
@@ -103,14 +104,20 @@ _FIELD = {"z0_list": "z0_preset", "w0_list": "w0_preset"}
 
 def _read_section(parser, section, build):
     """Convert every key of ``section`` that the file sets and build the
-    section's object from them; any failure names the section."""
+    section's object from them; any failure names the section. Every
+    converted number must be finite."""
     kwargs = {}
     for key, conv in CONFIG_KEYS[section].items():
         if not parser.has_option(section, key):
             continue
         raw = parser.get(section, key)
         try:
-            kwargs[_FIELD.get(key, key)] = conv(raw)
+            value = conv(raw)
+            items = value if isinstance(value, tuple) else (value,)
+            if not all(cmath.isfinite(x) for x in items
+                       if isinstance(x, (float, complex))):
+                raise ValueError("numbers must be finite")
+            kwargs[_FIELD.get(key, key)] = value
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
     try:

@@ -26,11 +26,7 @@ import numpy as np
 from .errors import AssumptionFailure, ModeMismatchError, SingularResolventError
 from .exosystem import ExoSpace, ExoState, synthesize_signal
 from .spectral import (DiagonalGenerator, ModeRange, SpectralVector,
-                       TailReport, classify_tail)
-
-# Plant modes x harmonics per block of denominators (1 MB of complex
-# entries). Nothing outside the spectral solve holds the whole matrix.
-_BLOCK_ENTRIES = 2**16
+                       TailReport, _blocks, classify_tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +75,9 @@ class ModalCoupling:
 
 @dataclass
 class Assumption1Report:
-    """Per-harmonic magnitudes of the frequency response and the floor test."""
+    """The smallest frequency-response magnitude, the floor test and the
+    per-harmonic resolvent gaps."""
 
-    exo_modes: ModeRange
-    magnitudes: np.ndarray
     resolvent_gaps: np.ndarray
     floor: float
     passed: bool
@@ -119,8 +114,6 @@ class FeedforwardGain:
 class Assumption2Report:
     """Square-summability evidence for the weighted gain sequence."""
 
-    exo_modes: ModeRange
-    terms: np.ndarray
     shell_radii: np.ndarray
     partial_sums: np.ndarray
     total: float
@@ -166,22 +159,6 @@ def _denominators(gen: DiagonalGenerator, omegas: np.ndarray) -> np.ndarray:
 def frequency_denominators(gen: DiagonalGenerator, space: ExoSpace) -> np.ndarray:
     """Matrix D[n, k] = i omega_k - mu_n; raises on an exact eigenvalue hit."""
     return _denominators(gen, space.omegas)
-
-
-def _blocks(n_cols: int, n_rows: int) -> list:
-    """Slices of range(n_cols) in order, each spanning about
-    ``_BLOCK_ENTRIES`` entries of an n_rows-row matrix.
-
-    The last slice holds at least two columns when there are two: numpy
-    sums a one-column block down its rows pairwise, not row by row as it
-    sums wider blocks, so a lone last column would change the last bits
-    of the column sums.
-    """
-    width = max(2, _BLOCK_ENTRIES // max(n_rows, 1))
-    starts = list(range(0, n_cols, width))
-    if len(starts) > 1 and n_cols - starts[-1] < 2:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_cols])]
 
 
 def _check_plant(gen: DiagonalGenerator, coupling: ModalCoupling) -> None:
@@ -244,8 +221,6 @@ def check_assumption1(grid: FrequencyGrid,
     mags = np.abs(grid.h)
     argmin = int(np.argmin(mags))
     return Assumption1Report(
-        exo_modes=modes,
-        magnitudes=mags,
         resolvent_gaps=grid.gaps,
         floor=floor,
         passed=bool(mags[argmin] >= floor),
@@ -285,8 +260,6 @@ def check_assumption2(gain: FeedforwardGain, space: ExoSpace) -> Assumption2Repo
     shell_sums = np.bincount(radii, weights=terms, minlength=max_r + 1)
     partial = np.cumsum(shell_sums)
     return Assumption2Report(
-        exo_modes=space.modes,
-        terms=terms,
         shell_radii=np.arange(max_r + 1),
         partial_sums=partial,
         total=float(terms.sum()),

@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ValueError("mode counts must be at least 1")
         if self.period is not None and self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
+        if self.alpha is not None and self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if isinstance(self.z0_preset, str) and self.z0_preset not in Z0_PRESETS:
             raise ValueError(f"unknown z0 preset {self.z0_preset!r}")
         if isinstance(self.w0_preset, str) and self.w0_preset not in W0_PRESETS:

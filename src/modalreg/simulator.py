@@ -27,9 +27,9 @@ import numpy as np
 
 from .exosystem import ExoState, synthesize_signal
 from .regulator import (FeedforwardGain, ModalCoupling, SteadyStateImage,
-                        SylvesterSolution, _blocks, control_signal,
-                        forcing_matrix, frequency_denominators)
-from .spectral import DiagonalGenerator, SpectralVector, loglog_fit
+                        SylvesterSolution, control_signal, forcing_matrix,
+                        frequency_denominators)
+from .spectral import DiagonalGenerator, SpectralVector, _blocks, loglog_fit
 
 
 @dataclass(eq=False)
@@ -72,10 +72,10 @@ def simulate_closed_loop(gen: DiagonalGenerator, coupling: ModalCoupling,
 
 @dataclass(eq=False)
 class OutputTrajectory:
-    """Outputs on a shared time grid and ``state_deviation``, the distance
-    ||z(t) - Pi T_S(t) w0|| of the state to the steady-state orbit."""
+    """Outputs on the time grid of the run and ``state_deviation``, the
+    distance ||z(t) - Pi T_S(t) w0|| of the state to the steady-state
+    orbit."""
 
-    t_grid: np.ndarray
     y: np.ndarray
     y_r: np.ndarray
     u: np.ndarray
@@ -92,7 +92,7 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
     With x = z0 - Pi w0, the error is e(t) = c . T(t) x
     + sum_k (c pi_k - 1) w0_k exp(i omega_k t) and the state deviation is
     ||T(t) x||. The time points are taken one block at a time (see
-    ``regulator._blocks``): per block, one (time x plant modes) semigroup
+    ``spectral._blocks``): per block, one (time x plant modes) semigroup
     factor and one (time x harmonics) phase matrix, shared by y_r, u and
     the orbit term, each of about 1 MB. Every output row depends on its
     own time point only, so the blocks change no bits, and memory is O(T)
@@ -114,7 +114,7 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
         y_r[blk] = phases @ w0.coeffs
         u[blk] = phases @ ell_w0
         e[blk] = free @ coupling.c.coeffs + phases @ image.mismatch
-    return OutputTrajectory(t_grid=t, y=y_r + e, y_r=y_r, u=u, e=e,
+    return OutputTrajectory(y=y_r + e, y_r=y_r, u=u, e=e,
                             state_deviation=deviation)
 
 
@@ -142,10 +142,10 @@ class DecayCertificate:
 
     ``m`` is the smallest constant with value(t) <= m t**(-1/alpha) on the
     window. ``passed`` asserts decay at least as fast as the nominal rate
-    (slope below target within tolerance); ``matches_nominal`` asserts the
-    two-sided match. ``floor_time`` is the first window time at the
-    rounding floor (see :func:`loglog_fit`), inf when the values stay
-    above it; a slope fitted past it partly fits rounding residue.
+    (slope below target within tolerance). ``floor_time`` is the first
+    window time at the rounding floor (see :func:`loglog_fit`), inf when
+    the values stay above it; a slope fitted past it partly fits rounding
+    residue.
     """
 
     m: float
@@ -153,10 +153,6 @@ class DecayCertificate:
     target_slope: float
     slope_tol: float
     passed: bool
-    matches_nominal: bool
-    n_points: int
-    used_fallback: bool
-    window: tuple
     floor_time: float
 
 
@@ -177,8 +173,7 @@ def certify_decay(t_grid, values, alpha: float, window) -> DecayCertificate:
     crests = np.zeros(t.size, dtype=bool)
     crests[1:-1] = (v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])
     fit = loglog_fit(t, v, (lo, hi), keep=crests, min_points=10)
-    used_fallback = fit.n_points < 10
-    if used_fallback:
+    if fit.n_points < 10:  # too few crests: all window samples
         fit = loglog_fit(t, v, (lo, hi), min_points=10)
     if fit.n_points == 0:
         raise ValueError("values vanish identically on the window")
@@ -193,9 +188,5 @@ def certify_decay(t_grid, values, alpha: float, window) -> DecayCertificate:
         target_slope=target,
         slope_tol=_CERT_SLOPE_TOL,
         passed=fit.slope <= target + _CERT_SLOPE_TOL,
-        matches_nominal=abs(fit.slope - target) <= _CERT_SLOPE_TOL,
-        n_points=fit.n_points,
-        used_fallback=used_fallback,
-        window=(lo, hi),
         floor_time=fit.floor_time,
     )

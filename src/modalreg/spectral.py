@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +38,27 @@ _GEOMETRIC_REL_SLACK = 1e-12
 # An envelope is flagged superpolynomial when its late-window exponent
 # exceeds the early-window one by more than this.
 _SUPERPOLY_MARGIN = 0.5
+
+# Entries per block of a blocked (rows x columns) evaluation: 1 MB of
+# complex entries. Nothing outside the spectral solve holds a whole
+# plant-modes x harmonics matrix.
+_BLOCK_ENTRIES = 2**16
+
+
+def _blocks(n_cols: int, n_rows: int) -> list:
+    """Slices of range(n_cols) in order, each spanning about
+    ``_BLOCK_ENTRIES`` entries of an n_rows-row matrix.
+
+    The last slice holds at least two columns when there are two: numpy
+    sums a one-column block down its rows pairwise, not row by row as it
+    sums wider blocks, so a lone last column would change the last bits
+    of the column sums.
+    """
+    width = max(2, _BLOCK_ENTRIES // max(n_rows, 1))
+    starts = list(range(0, n_cols, width))
+    if len(starts) > 1 and n_cols - starts[-1] < 2:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_cols])]
 
 
 @dataclass(frozen=True)
@@ -88,9 +108,6 @@ class ModeRange:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(int(m) for m in self.indices)
-
     def __contains__(self, mode) -> bool:
         return int(mode) in self._positions
 
@@ -125,30 +142,6 @@ class SpectralVector:
         v[modes.position(mode)] = 1.0
         return cls(modes, v)
 
-    @classmethod
-    def from_dict(cls, modes: ModeRange, entries: dict) -> "SpectralVector":
-        v = np.zeros(len(modes), dtype=np.complex128)
-        for mode, val in entries.items():
-            v[modes.position(mode)] = val
-        return cls(modes, v)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def __add__(self, other: "SpectralVector") -> "SpectralVector":
-        _require_same_modes(self.modes, other.modes)
-        return SpectralVector(self.modes, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralVector") -> "SpectralVector":
-        _require_same_modes(self.modes, other.modes)
-        return SpectralVector(self.modes, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "SpectralVector":
-        return SpectralVector(self.modes, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(eq=False)
 class DiagonalGenerator:
@@ -175,30 +168,19 @@ class DiagonalGenerator:
 
 @dataclass(eq=False)
 class LogLogFit:
-    """Least-squares line ``log y = slope log x + intercept`` through the
-    ``used`` points of (x, y); slope and intercept are nan when there were
-    too few of them. The residual and the floor time are computed when
-    read."""
+    """Slope of the least-squares line through (log x, log y) over the
+    ``used`` points; nan when there were too few of them. The floor time
+    is computed when read."""
 
     x: np.ndarray
     y: np.ndarray
     inside: np.ndarray  # the window, as a mask over x
     used: np.ndarray
     slope: float
-    intercept: float
 
     @property
     def n_points(self) -> int:
         return int(self.used.sum())
-
-    @cached_property
-    def residual(self) -> float:
-        """Largest |log y - line| over the used points; nan without a line."""
-        if not self.used.any():
-            return math.nan
-        line = np.log(self.x[self.used]) * self.slope
-        gap = np.log(self.y[self.used]) - (line + self.intercept)
-        return float(np.abs(gap).max())
 
     @cached_property
     def floor_time(self) -> float:
@@ -212,24 +194,11 @@ class LogLogFit:
 
 
 @dataclass
-class DecayReport:
-    """Least-squares log-log fit of an envelope over a time window."""
-
-    exponent_beta: float
-    intercept: float
-    window: tuple
-    residual: float
-    n_points: int
-
-
-@dataclass
 class TailReport:
     """Trend classification of a positive term sequence over mode index."""
 
     exponent: float
     verdict: str  # "summable" | "divergent" | "inconclusive"
-    n_fit: int
-    note: str = ""
 
 
 @dataclass
@@ -238,11 +207,9 @@ class GeometricConditionReport:
 
     alpha: float
     c: float
-    d: float
     passed: bool
     tightest_c: float
     n_checked: int
-    failing_modes: list
 
 
 @dataclass
@@ -250,9 +217,7 @@ class EnvelopeResult:
     """Decay envelope sup_n exp(Re mu_n t)|mu_n|**(-beta) on a time grid."""
 
     t_grid: np.ndarray
-    beta: float
     values: np.ndarray
-    argmax_modes: np.ndarray
     boundary_mask: np.ndarray
 
 
@@ -272,8 +237,6 @@ def fractional_norm(gen: DiagonalGenerator, beta: float, v: SpectralVector) -> f
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     _require_same_modes(gen.modes, v.modes)
-    if beta == 0:
-        return v.norm
     w = np.abs(gen.eigenvalues) ** beta
     return float(np.linalg.norm(w * v.coeffs))
 
@@ -291,14 +254,13 @@ def check_geometric_condition(gen: DiagonalGenerator, alpha: float, c: float,
     checked = im >= d
     n_checked = int(checked.sum())
     if n_checked == 0:
-        return GeometricConditionReport(alpha, c, d, True, math.inf, 0, [])
+        return GeometricConditionReport(alpha, c, True, math.inf, 0)
     re = mu.real[checked]
     bound = -c / im[checked] ** alpha
     ok = re <= bound * (1.0 - _GEOMETRIC_REL_SLACK)
-    failing = [int(m) for m in gen.modes.indices[checked][~ok]]
     tightest = float(np.min((-re) * im[checked] ** alpha))
-    return GeometricConditionReport(alpha, c, d, not failing, tightest,
-                                    n_checked, failing)
+    return GeometricConditionReport(alpha, c, bool(ok.all()), tightest,
+                                    n_checked)
 
 
 def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResult:
@@ -309,8 +271,6 @@ def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResul
     whose argmax mode sits at the edge of the retained range; past the
     first such time the envelope says nothing about the full operator.
     """
-    from .regulator import _blocks  # regulator builds on this module
-
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     t = np.asarray(t_grid, dtype=float)
@@ -329,13 +289,8 @@ def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResul
         argpos[blk] = am
         log_env[blk] = logs[np.arange(am.size), am]
     boundary = (argpos == 0) | (argpos == n - 1)
-    return EnvelopeResult(
-        t_grid=t,
-        beta=beta,
-        values=np.exp(log_env),
-        argmax_modes=gen.modes.indices[argpos],
-        boundary_mask=boundary,
-    )
+    return EnvelopeResult(t_grid=t, values=np.exp(log_env),
+                          boundary_mask=boundary)
 
 
 def loglog_fit(x, y, window=None, keep=None, min_points: int = 2) -> LogLogFit:
@@ -352,17 +307,16 @@ def loglog_fit(x, y, window=None, keep=None, min_points: int = 2) -> LogLogFit:
     if keep is not None:
         used &= keep
     if used.sum() < min_points:
-        slope = intercept = math.nan
+        slope = math.nan
     else:
-        slope, intercept = np.polyfit(np.log(x[used]), np.log(y[used]), 1)
-    return LogLogFit(x, y, inside, used, float(slope), float(intercept))
+        slope = np.polyfit(np.log(x[used]), np.log(y[used]), 1)[0]
+    return LogLogFit(x, y, inside, used, float(slope))
 
 
-def fit_decay_rate(envelope, t_grid, window) -> DecayReport:
-    """Least-squares slope of log envelope vs log t inside ``window``.
-
-    Returns the decay exponent (negated slope), the intercept, and the
-    maximum absolute log deviation of the fit.
+def fit_decay_rate(envelope, t_grid, window) -> LogLogFit:
+    """Least-squares fit of log envelope vs log t inside ``window``; the
+    decay exponent is the negated slope. The window must hold at least
+    10 grid points, all with a positive envelope.
     """
     env = np.asarray(envelope, dtype=float)
     t = np.asarray(t_grid, dtype=float)
@@ -377,13 +331,7 @@ def fit_decay_rate(envelope, t_grid, window) -> DecayReport:
         )
     if fit.n_points < n_window:
         raise ValueError("envelope must be strictly positive on the fit window")
-    return DecayReport(
-        exponent_beta=-fit.slope,
-        intercept=fit.intercept,
-        window=(lo, hi),
-        residual=fit.residual,
-        n_points=fit.n_points,
-    )
+    return fit
 
 
 def check_superpolynomial(envelope, t_grid, window) -> SuperpolynomialCheck:
@@ -392,13 +340,12 @@ def check_superpolynomial(envelope, t_grid, window) -> SuperpolynomialCheck:
     t = np.asarray(t_grid, dtype=float)
     lo, hi = float(window[0]), float(window[1])
     mid = math.sqrt(lo * hi)  # geometric midpoint splits log-evenly
-    early = fit_decay_rate(envelope, t, (lo, mid))
-    late = fit_decay_rate(envelope, t, (mid, hi))
+    early = -fit_decay_rate(envelope, t, (lo, mid)).slope
+    late = -fit_decay_rate(envelope, t, (mid, hi)).slope
     return SuperpolynomialCheck(
-        early_exponent=early.exponent_beta,
-        late_exponent=late.exponent_beta,
-        is_superpolynomial=(late.exponent_beta
-                            > early.exponent_beta + _SUPERPOLY_MARGIN),
+        early_exponent=early,
+        late_exponent=late,
+        is_superpolynomial=late > early + _SUPERPOLY_MARGIN,
     )
 
 
@@ -421,13 +368,11 @@ def classify_tail(indices, terms) -> TailReport:
     n_max = idx.max() if idx.size else 0
     tail = idx >= max(2.0, math.ceil(n_max / 2))
     fit = loglog_fit(idx[tail], a[tail], min_points=_TAIL_MIN_POINTS)
-    if fit.n_points == 0:
-        return TailReport(-math.inf, "summable", 0,
-                          "no positive terms beyond the tail window")
-    if fit.n_points < _TAIL_MIN_POINTS:
-        return TailReport(math.nan, "inconclusive", fit.n_points,
-                          "too few positive tail terms to fit")
-    return TailReport(fit.slope, _tail_verdict(fit.slope), fit.n_points)
+    if fit.n_points == 0:  # no positive terms beyond the tail window
+        return TailReport(-math.inf, "summable")
+    if fit.n_points < _TAIL_MIN_POINTS:  # too few positive tail terms
+        return TailReport(math.nan, "inconclusive")
+    return TailReport(fit.slope, _tail_verdict(fit.slope))
 
 
 def _tail_verdict(slope: float) -> str:

@@ -25,11 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .exosystem import ExoSpace
-from .regulator import (FeedforwardGain, ModalCoupling, _blocks,
-                        _check_operands, _forcing_columns)
+from .regulator import (FeedforwardGain, ModalCoupling, _check_operands,
+                        _forcing_columns)
 # not called here; perfbench/tracing.py wraps this name
 from .regulator import frequency_denominators
-from .spectral import (DiagonalGenerator, SpectralVector, TailReport,
+from .spectral import (DiagonalGenerator, SpectralVector, TailReport, _blocks,
                        classify_tail, fractional_norm, loglog_fit)
 
 DEFAULT_HORIZONS = tuple(10.0 * 2**j for j in range(8))
@@ -37,12 +37,6 @@ DEFAULT_HORIZONS = tuple(10.0 * 2**j for j in range(8))
 # Log-log slope of the horizon increments below which the remainder trend
 # counts as integrable-looking.
 _DECAYING_SLOPE = -0.05
-
-# Plant modes x harmonics per block of the batched horizon tails. Blocks of
-# 2**15 complex entries (512 KB) stay in cache: at 2000 modes x 2001
-# harmonics they ran twice as fast as blocks of 2 million entries (2-vCPU
-# Xeon, 4 MB L2).
-_BLOCK_ENTRIES = 2**15
 
 # Column bounds within this relative distance of the largest are
 # re-evaluated one column at a time before the largest is reported, so the
@@ -69,10 +63,9 @@ class QuadratureSpec:
 @dataclass
 class SufficientConditionEvidence:
     """Fractional-norm evidence for the smoothing condition at order beta:
-    the f-scaled column bounds and the worst partial-sum trend over modes."""
+    the largest f-scaled column bound, its harmonic, and the worst
+    partial-sum trend over modes."""
 
-    beta: float
-    column_bounds: dict
     sup_bound: float
     argmax_mode: int
     worst_tail: TailReport
@@ -90,7 +83,8 @@ class ConformityReport:
 def _analytic_tails(gen: DiagonalGenerator, forcing: np.ndarray, omegas,
                     horizons) -> np.ndarray:
     """Increment norms of :func:`quadrature_pi_column` for every column of
-    ``forcing`` at once, as a (horizons x harmonics) array.
+    ``forcing`` (one block of harmonics, see ``spectral._blocks``) at
+    once, as a (horizons x harmonics) array.
 
     The exponentials factor as exp((mu_n - i omega_k) t) =
     exp(mu_n t) exp(-i omega_k t), so a block of harmonics costs products,
@@ -104,30 +98,24 @@ def _analytic_tails(gen: DiagonalGenerator, forcing: np.ndarray, omegas,
     mu = gen.eigenvalues[rows]
     t = np.asarray(horizons, dtype=float)
     plant_phases = np.exp(np.multiply.outer(t, mu))
-    step = max(1, _BLOCK_ENTRIES // rows.size)
+    exo_phases = np.exp(-1j * np.multiply.outer(t, omegas))
     # The increment and the phase products of two horizons, in buffers
-    # that every block and horizon reuses.
-    bufs = np.empty((3, rows.size, min(step, len(omegas))), dtype=np.complex128)
-    for start in range(0, len(omegas), step):
-        cols = slice(start, start + step)
-        om = omegas[cols]
-        diff, *phase_bufs = bufs[:, :, :om.size]
-        exo_phases = np.exp(-1j * np.multiply.outer(t, om))
-        inv = forcing[rows, cols]  # a copy, divided in place
-        inv /= np.subtract(1j * om[None, :], mu[:, None], out=diff)
-        prev = 1.0
-        for h in range(t.size):
-            cur, spare = phase_bufs[h % 2], phase_bufs[1 - h % 2]
-            np.multiply.outer(plant_phases[h], exo_phases[h], out=cur)
-            np.subtract(prev, cur, out=diff)
-            diff *= inv
-            # np.linalg.norm(diff, axis=0), step by step, into the buffer
-            # prev no longer needs
-            np.multiply(np.conjugate(diff, out=spare), diff, out=spare)
-            norms = tails[h, cols]
-            np.sqrt(np.add.reduce(spare.real, axis=0, out=norms), out=norms)
-            prev = cur
-        del inv  # freed before the next block copies its slice
+    # that every horizon reuses.
+    diff, *phase_bufs = np.empty((3, rows.size, len(omegas)),
+                                 dtype=np.complex128)
+    inv = forcing[rows]  # a copy, divided in place
+    inv /= np.subtract(1j * omegas[None, :], mu[:, None], out=diff)
+    prev = 1.0
+    for h in range(t.size):
+        cur, spare = phase_bufs[h % 2], phase_bufs[1 - h % 2]
+        np.multiply.outer(plant_phases[h], exo_phases[h], out=cur)
+        np.subtract(prev, cur, out=diff)
+        diff *= inv
+        # np.linalg.norm(diff, axis=0), step by step, into the buffer
+        # prev no longer needs
+        np.multiply(np.conjugate(diff, out=spare), diff, out=spare)
+        np.sqrt(np.add.reduce(spare.real, axis=0, out=tails[h]), out=tails[h])
+        prev = cur
     return tails
 
 
@@ -246,15 +234,11 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
 
     worst_tail = max((fits[j] for j in np.flatnonzero(nonzero)),
                      key=lambda r: _VERDICT_RANK[r.verdict],
-                     default=TailReport(-math.inf, "summable", 0,
-                                        "all columns zero"))
+                     default=TailReport(-math.inf, "summable"))  # all zero
 
-    modes = space.modes.indices
     evidence = SufficientConditionEvidence(
-        beta=beta,
-        column_bounds={int(k): float(b) for k, b in zip(modes, bounds)},
         sup_bound=float(bounds[sup_j]),
-        argmax_mode=int(modes[sup_j]),
+        argmax_mode=int(space.modes.indices[sup_j]),
         worst_tail=worst_tail,
     )
     tails_decay = _tail_trend_verdict(spec.horizons, agg) == "conform-trend"
@@ -273,7 +257,6 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
 
 @dataclass
 class BetaVerdict:
-    beta: float
     partial_sum: float
     tail: TailReport
 
@@ -297,7 +280,6 @@ def check_b_regularity(gen: DiagonalGenerator, b: SpectralVector,
         beta = float(beta)
         terms = np.abs(gen.eigenvalues) ** (2.0 * beta) * mags
         entries[beta] = BetaVerdict(
-            beta=beta,
             partial_sum=float(terms.sum()),
             tail=classify_tail(gen.modes.indices, terms),
         )

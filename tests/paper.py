@@ -111,7 +111,7 @@ def is_conjugate_symmetric(w: ExoState, tol: float = 1e-12) -> bool:
     synthesized signal is real-valued."""
     modes = w.space.modes
     c = w.coeffs
-    for k in modes:
+    for k in modes.indices:
         if -k not in modes:
             if abs(c[modes.position(k)]) > tol:
                 return False

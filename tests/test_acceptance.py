@@ -69,8 +69,9 @@ def test_criterion_2_integral_matches_spectral_solve():
             qcol, report = mr.quadrature_pi_column(gen, column, omega)
             tails = [report.tail_norms[h] for h in sorted(report.tail_norms)]
             monotone &= all(b < a for a, b in zip(tails, tails[1:]))
-            rcol = mr.SpectralVector(gen.modes, sol.pi[:, j])
-            worst_rel = max(worst_rel, (qcol - rcol).norm / rcol.norm)
+            rcol = sol.pi[:, j]
+            worst_rel = max(worst_rel, np.linalg.norm(qcol.coeffs - rcol)
+                            / np.linalg.norm(rcol))
         assert max(sorted(report.tail_norms)) == 1280.0
         checks += [(worst_rel <= 1e-6,
                     f"{kind}: worst column error {worst_rel:.2e} <= 1e-6"),
@@ -112,18 +113,18 @@ def test_criterion_4_polynomial_decay_exponents():
     wave_gen, _, _ = mr.build_wave_scenario(
         mr.ScenarioConfig(kind="wave", n_plant=10_000, n_exo=1))
     wave_env = mr.decay_envelope(wave_gen, 1.0, t)
-    wave_fit = mr.fit_decay_rate(wave_env.values, t, (10.0, 1e3))
+    wave_exp = -mr.fit_decay_rate(wave_env.values, t, (10.0, 1e3)).slope
     diag_gen, _, _ = mr.build_diagonal_scenario(
         mr.ScenarioConfig(kind="diagonal", n_plant=10_000, n_exo=1))
     diag_env = mr.decay_envelope(diag_gen, 1.0, t)
-    diag_fit = mr.fit_decay_rate(diag_env.values, t, (10.0, 1e3))
+    diag_exp = -mr.fit_decay_rate(diag_env.values, t, (10.0, 1e3)).slope
     elapsed = time.perf_counter() - start
     _conclude(4, "semigroup envelope exponents at N = 10^4", [
-        (abs(wave_fit.exponent_beta - 0.5) <= 0.05,
-         f"wave exponent {wave_fit.exponent_beta:.4f} = 0.50 +/- 0.05"),
+        (abs(wave_exp - 0.5) <= 0.05,
+         f"wave exponent {wave_exp:.4f} = 0.50 +/- 0.05"),
         (not wave_env.boundary_mask.any(), "wave argmax interior"),
-        (abs(diag_fit.exponent_beta - 1.0) <= 0.05,
-         f"diagonal exponent {diag_fit.exponent_beta:.4f} = 1.00 +/- 0.05"),
+        (abs(diag_exp - 1.0) <= 0.05,
+         f"diagonal exponent {diag_exp:.4f} = 1.00 +/- 0.05"),
         (not diag_env.boundary_mask.any(), "diagonal argmax interior"),
         (elapsed < 10.0, f"runtime {elapsed:.2f}s < 10s"),
     ])
@@ -152,8 +153,8 @@ def test_criterion_5_tracking_decay():
         sol = mr.solve_regulator(gen, coupling, gain, space)
         w0 = mr.resolve_w0(cfg, space)
         z0 = mr.resolve_z0(cfg, gen)
-        assert z0.norm > 0 and (z0 - mr.SpectralVector(
-            gen.modes, sol.pi @ w0.coeffs)).norm > 1e-3  # off the manifold
+        assert np.linalg.norm(z0.coeffs) > 0 and np.linalg.norm(
+            z0.coeffs - sol.pi @ w0.coeffs) > 1e-3  # off the manifold
         result = mr.simulate_closed_loop(gen, coupling, gain, z0, w0, t)
         dev = mr.state_deviation_norms(result, sol)
         cert = mr.certify_decay(t, dev, alpha, (10.0, 1e3))

@@ -142,6 +142,41 @@ window_hi = 50
                      "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @staticmethod
+    def rejected_by_every_command(path, out, message, capsys):
+        for command in ("check", "solve", "simulate", "decay"):
+            assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n" * 4
+        assert not out.exists()
+
+    # every float key, the horizon list and one complex list
+    NUMBER_KEYS = [(section, key) for section, keys in CONFIG_KEYS.items()
+                   for key, conv in keys.items() if conv is float]
+    NUMBER_KEYS += [("quadrature", "horizons"), ("scenario", "eigenvalues")]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", NUMBER_KEYS)
+    def test_non_finite_number_rejected(self, section, key, value, tmp_path,
+                                        capsys):
+        text = ("[scenario]\nkind = custom\nb = 1, 1\nc = 1, 1\n"
+                if key == "eigenvalues"
+                else "[scenario]\nkind = wave\nn_plant = 5\nn_exo = 5\n")
+        if section != "scenario":
+            text += f"[{section}]\n"
+        raw = {"horizons": f"10, {value}",
+               "eigenvalues": f"{value}, -1"}.get(key, value)
+        path = write(tmp_path, f"{text}{key} = {raw}\n")
+        self.rejected_by_every_command(
+            path, tmp_path / "out",
+            f"[{section}] {key} = {raw!r}: numbers must be finite", capsys)
+
+    @pytest.mark.parametrize("alpha", ["-1", "0"])
+    def test_nonpositive_alpha_rejected(self, alpha, tmp_path, capsys):
+        path = write(tmp_path, DIAG_OK + f"alpha = {alpha}\n")
+        self.rejected_by_every_command(
+            path, tmp_path / "out",
+            f"[scenario]: alpha must be positive, got {float(alpha)}", capsys)
+
 
 class TestCheckCommand:
     def test_passing_scenario(self, tmp_path, capsys):

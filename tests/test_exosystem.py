@@ -95,7 +95,7 @@ class TestSynthesis:
         oracle = sum(
             complex(coeffs[space.modes.position(k)])
             * cmath.exp(2j * cmath.pi * k * t / 3.0)
-            for k in space.modes
+            for k in space.modes.indices
         )
         assert synthesize_signal(w, t) == pytest.approx(oracle, rel=1e-14)
 

@@ -4,6 +4,10 @@ A static closure: from ``cli.main``, the module-level code of every
 module and the names the benchmark's tracer wraps, follow every name and
 attribute that a reached body mentions. Matching by name can only
 over-count what is reached, so a name the CLI uses is never flagged.
+
+A dataclass field is read when a reached body loads an attribute of its
+name or passes its name to ``getattr`` as a string. Matching by name can
+only over-count the reads, so a field the CLI reads is never flagged.
 """
 
 import ast
@@ -20,9 +24,31 @@ def _mentions(nodes) -> set:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def unreached_public_names() -> list:
+def _reads(nodes) -> set:
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                out.add(n.attr)
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "getattr" and len(n.args) >= 2
+                  and isinstance(n.args[1], ast.Constant)
+                  and isinstance(n.args[1].value, str)):
+                out.add(n.args[1].value)
+    return out
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated ``@dataclass`` or ``@dataclass(...)``."""
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _closure():
+    """(unreached definitions, reached nodes, dataclass fields) of src."""
     defs, reached = [], {"main", "quadrature_pi_column", "to_csv"}
     reached |= {attr for _, attr, _ in load_tracing().SPANS}
+    bodies, fields = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             qual = f"{path.stem}.{getattr(node, 'name', '')}"
@@ -35,13 +61,35 @@ def unreached_public_names() -> list:
                 defs.append((qual, node.name, node.bases + node.decorator_list
                              + [m for m in node.body if m not in methods]))
                 defs += [(f"{qual}.{m.name}", m.name, [m]) for m in methods]
+                if _is_dataclass(node):
+                    fields += [f"{qual}.{s.target.id}" for s in node.body
+                               if isinstance(s, ast.AnnAssign)
+                               and isinstance(s.target, ast.Name)]
             else:
                 reached |= _mentions([node])
+                bodies.append(node)
     while hit := [d for d in defs if d[1] in reached]:
         defs = [d for d in defs if d[1] not in reached]
-        reached |= _mentions(n for _, _, body in hit for n in body)
+        hit_nodes = [n for _, _, body in hit for n in body]
+        reached |= _mentions(hit_nodes)
+        bodies += hit_nodes
+    return defs, bodies, fields
+
+
+def unreached_public_names() -> list:
+    defs, _, _ = _closure()
     return sorted(q for q, name, _ in defs if not name.startswith("_"))
+
+
+def unread_fields() -> list:
+    _, bodies, fields = _closure()
+    read = _reads(bodies)
+    return sorted(f for f in fields if f.rsplit(".", 1)[1] not in read)
 
 
 def test_every_public_name_is_reached_from_the_cli():
     assert unreached_public_names() == []
+
+
+def test_every_dataclass_field_is_read_from_the_cli():
+    assert unread_fields() == []

@@ -10,6 +10,7 @@ from oracles import (first_residual_one_shot, frequency_grid_one_shot,
                      traced_peak)
 
 import modalreg.regulator as regulator
+import modalreg.spectral as spectral
 from modalreg.errors import AssumptionFailure, SingularResolventError
 from modalreg.exosystem import ExoState
 from modalreg.regulator import (ModalCoupling, build_feedforward,
@@ -73,7 +74,7 @@ class TestDisturbanceTransfer:
         gen, base, space = diagonal
         k = 3
         entries = {(int(n), k): complex(base.b.coeffs[base.modes.position(n)])
-                   for n in base.modes
+                   for n in base.modes.indices
                    if base.b.coeffs[base.modes.position(n)] != 0}
         coupling = ModalCoupling(b=base.b, c=base.c, p_entries=entries)
         grid = frequency_grid(gen, coupling, space)
@@ -150,7 +151,7 @@ class TestBlockedGrid:
         gen, coupling, space = self.scenario(kind, seed)
         # widths 2 and 7 leave a one-column remainder on some of these
         # harmonic counts (201, 9, 13)
-        monkeypatch.setattr(regulator, "_BLOCK_ENTRIES", width * len(gen.modes))
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", width * len(gen.modes))
         grid = frequency_grid(gen, coupling, space)
         for got, want in zip((grid.h, grid.hd, grid.gaps),
                              frequency_grid_one_shot(gen, coupling, space)):
@@ -162,15 +163,15 @@ class TestBlockedGrid:
             first_residual_one_shot(sol.pi, gen, forcing, space)
 
     def test_blocks_cover_positions_in_order(self, monkeypatch):
-        monkeypatch.setattr(regulator, "_BLOCK_ENTRIES", 30)
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 30)
         for n in range(1, 12):
-            blocks = regulator._blocks(n, 10)  # width 3
+            blocks = spectral._blocks(n, 10)  # width 3
             assert [j for b in blocks for j in range(n)[b]] == list(range(n))
             assert n < 2 or min(b.stop - b.start for b in blocks) >= 2
 
     def test_exact_hit_in_later_block_raises(self, monkeypatch):
         gen, coupling, space = self.scenario("wave", None)
-        monkeypatch.setattr(regulator, "_BLOCK_ENTRIES", 7 * len(gen.modes))
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 7 * len(gen.modes))
         k_pos = len(space.modes) - 3  # in the last block
         n_pos = gen.modes.position(5)
         gen.eigenvalues[n_pos] = 1j * space.omegas[k_pos]
@@ -225,7 +226,7 @@ class TestFeedforward:
         gen, base, space = diagonal
         # p column equal to (1 + i omega_k) b makes H_d(k) = 1 exactly
         entries = {(0, int(k)): 1.0 + 1j * space.omegas[space.modes.position(k)]
-                   for k in space.modes}
+                   for k in space.modes.indices}
         coupling = ModalCoupling(b=base.b, c=base.c, p_entries=entries)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         np.testing.assert_allclose(gain.ell, 0.0, atol=1e-12)
