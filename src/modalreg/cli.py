@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -312,6 +313,7 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)  # built once per process, reused by main
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modalreg",

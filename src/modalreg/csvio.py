@@ -7,11 +7,12 @@ included. Columns are equal-shape arrays written in C order, in blocks cut
 along the leading axis. A file takes one of two paths with the same bytes:
 
 * the template: one ``%`` template over each block's Python values. Files
-  of fewer than ``KERNEL_BLOCK_VALUES`` values, other float formats
+  of fewer than ``KERNEL_MIN_VALUES`` values, other float formats
   (``%r``) and other dtypes go this way;
-* the kernel: numpy fills one ``uint8`` buffer per block with a
-  fixed-width slot per field, NUL where the field is shorter, and the
-  NULs are deleted.
+* the kernel: numpy fills one ``uint8`` buffer per block of
+  ``KERNEL_BLOCK_VALUES`` values with a fixed-width slot per field, NUL
+  where the field is shorter, and the NULs are deleted. Trajectories,
+  envelopes and ``Pi.csv`` go this way.
 
 Why the kernel's ``%.17g`` digits are exact. For finite
 1e-279 <= |x| < 1e280 let E = floor(log10 |x|) and q = 16 - E. The product
@@ -46,11 +47,14 @@ import numpy as np
 # peak memory: the Python floats and strings of one block take about 80 B
 # per value.
 BLOCK_VALUES = 1024
-# Values per kernel block; files with fewer values keep the template path.
-# The kernel overtakes the template at a few hundred values (about 150 us
-# of fixed cost per block against about 0.8 us per value), but its working
-# set is about 100 B per value against the template's 1024-value blocks,
-# so every trajectory, envelope and small table keeps the template.
+# Files of fewer values keep the template path. The kernel costs about
+# 70 us per block plus 0.17 us per value, the template 0.55 us per value:
+# formatting 3, 4 or 11 float columns in memory, the template is faster at
+# 128 values and the kernel at 256.
+KERNEL_MIN_VALUES = 256
+# Values per kernel block. The working set is about 125 B per value
+# (0.7 MB traced for a 512 x 11 trajectory in one block), against the
+# template's 80 kB for its 1024-value blocks.
 KERNEL_BLOCK_VALUES = 8192
 
 _E_MAX = 279  # the kernel's range 1e-279 <= |x| < 1e280 is |E| <= _E_MAX
@@ -82,10 +86,14 @@ def _tables() -> dict:
         t = _SPLIT * hi
         head = t - (t - hi)
         pow10.append((hi, head, hi - head, lo))
-    g = np.arange(10000)
-    g_digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    # uint8 and int16 temporaries: int64 ones would add a few hundred kB
+    # to the resident set of a process that writes one small file
+    g = np.arange(10000, dtype=np.int16)
+    g_digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10],
+                        axis=1).astype(np.uint8)
     # position after the last nonzero digit of each 4-digit group, 0 for 0000
-    last = 4 - (g_digits[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)
+    last = 4 - np.logical_and.accumulate(g_digits[:, ::-1] == 0, axis=1).sum(
+        axis=1, dtype=np.uint8)
     return {
         # hi, head(hi), tail(hi), lo of 10**(16 - E)
         "pow10": np.array(pow10).T.copy(),
@@ -97,11 +105,11 @@ def _tables() -> dict:
         "prefix": _padded([b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b""
                            for e in es]),
         "suffix": _padded([b"" if -4 <= e <= 16 else b"e%+03d" % e for e in es]),
-        "digits4": (g_digits + 48).astype(np.uint8).view(np.uint32).ravel(),
+        "digits4": (g_digits + np.uint8(48)).view(np.uint32).ravel(),
         # digits through the last nonzero one when it lies in group i of
         # the four after the lead digit; 0 for a group 0000
-        "sig": np.where(last > 0, last + np.arange(1, 17, 4)[:, None],
-                        0).astype(np.uint8),
+        "sig": (last + np.arange(1, 17, 4, dtype=np.uint8)[:, None])
+        * (last > 0),
     }
 
 
@@ -127,10 +135,12 @@ def _decimal(x: np.ndarray) -> tuple:
     err += a_tail * head[k]
     err += a_tail * tail[k]
     err += a * lo[k]  # ... plus the low part of 10**q
+    del a, a_head, a_tail  # spent arrays go early: they set the peak
     below = np.floor(err)
     err -= below  # the fraction of p + err
     d = p.astype(np.int64)  # exact: p >= 2**53 wherever d is kept
     d += below.astype(np.int64)
+    del p, below
     exact = in_range & (d >= 10**16) & (np.abs(err - 0.5) > _TIE_GUARD)
     d += err > 0.5
     exact &= d < 10**17
@@ -145,13 +155,18 @@ def _float_fields(x: np.ndarray, out: np.ndarray) -> None:
     t = _tables()
     d, k, uncertified = _decimal(x)
     high, low = np.divmod(d, 10**8)
+    del d
     lead, high = np.divmod(high, 10**8)
     digits = np.empty(x.shape + (5,), np.uint32)  # "000" + lead, 4 groups of 4
     digits[..., 0] = t["digits4"][lead]
+    del lead
     n_dig = t["int_digits"][k]
-    for i, group in enumerate(np.divmod(high, 10**4) + np.divmod(low, 10**4)):
+    # a generator, so that two of the four 4-digit groups live at a time
+    groups = (g for half in (high, low) for g in np.divmod(half, 10**4))
+    for i, group in enumerate(groups):
         digits[..., i + 1] = t["digits4"][group]
         np.maximum(n_dig, t["sig"][i][group], out=n_dig)
+    del high, low, group
     np.maximum(n_dig, 1, out=n_dig)
     chars = digits.view(np.uint8)[..., 3:]
     np.multiply(chars, np.arange(17) < n_dig[..., None], out=out[..., 6:40:2])
@@ -214,6 +229,7 @@ def _kernel_block(cols: list) -> bytes:
             x = np.stack([c for c, _ in run], axis=1).astype(np.float64, copy=False)
             _float_fields(x, slots[..., :-1])
             slots[..., -1] = 44
+            del slots, x  # no view may keep buf alive past its del below
             pos = end
         else:
             for c, width in run:
@@ -240,7 +256,7 @@ def write_csv(path, header, columns, float_format: str = "%.17g") -> None:
                         for c in cols) + "\n"
     row_values = len(cols) * math.prod(shape[1:])
     kernel = (float_format == "%.17g"
-              and shape[0] * row_values >= KERNEL_BLOCK_VALUES
+              and shape[0] * row_values >= KERNEL_MIN_VALUES
               and all(c.dtype.kind in "biu"
                       or (c.dtype.kind == "f" and c.dtype.itemsize <= 8)
                       for c in cols))

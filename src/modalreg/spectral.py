@@ -205,8 +205,6 @@ class TailReport:
 class GeometricConditionReport:
     """Outcome of the spectral wedge test Re mu <= -c/|Im mu|**alpha."""
 
-    alpha: float
-    c: float
     passed: bool
     tightest_c: float
     n_checked: int
@@ -216,7 +214,6 @@ class GeometricConditionReport:
 class EnvelopeResult:
     """Decay envelope sup_n exp(Re mu_n t)|mu_n|**(-beta) on a time grid."""
 
-    t_grid: np.ndarray
     values: np.ndarray
     boundary_mask: np.ndarray
 
@@ -254,13 +251,12 @@ def check_geometric_condition(gen: DiagonalGenerator, alpha: float, c: float,
     checked = im >= d
     n_checked = int(checked.sum())
     if n_checked == 0:
-        return GeometricConditionReport(alpha, c, True, math.inf, 0)
+        return GeometricConditionReport(True, math.inf, 0)
     re = mu.real[checked]
     bound = -c / im[checked] ** alpha
     ok = re <= bound * (1.0 - _GEOMETRIC_REL_SLACK)
     tightest = float(np.min((-re) * im[checked] ** alpha))
-    return GeometricConditionReport(alpha, c, bool(ok.all()), tightest,
-                                    n_checked)
+    return GeometricConditionReport(bool(ok.all()), tightest, n_checked)
 
 
 def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResult:
@@ -289,8 +285,7 @@ def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResul
         argpos[blk] = am
         log_env[blk] = logs[np.arange(am.size), am]
     boundary = (argpos == 0) | (argpos == n - 1)
-    return EnvelopeResult(t_grid=t, values=np.exp(log_env),
-                          boundary_mask=boundary)
+    return EnvelopeResult(values=np.exp(log_env), boundary_mask=boundary)
 
 
 def loglog_fit(x, y, window=None, keep=None, min_points: int = 2) -> LogLogFit:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from oracles import traced_cli_peak
 
+from modalreg import cli
 from modalreg.cli import main
 from modalreg.config import (_FIELD, CONFIG_KEYS, SimGrid, Tolerances,
                              load_config)
@@ -361,6 +362,39 @@ class TestParser:
         for name in ("residuals.txt", "L.csv", "Pi.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_successive_calls_parse_independently(self, tmp_path, capsys):
+        """One parser serves every call of a process; no flag of one call
+        carries into the next."""
+        cfg = write(tmp_path, DIAG_OK)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "a"),
+                     "--modes", "5"]) == 0
+        assert main(["check", "--config", cfg,
+                     "--out", str(tmp_path / "b")]) == 0
+        assert cli._build_parser() is cli._build_parser()
+        assert "plant_modes=11 harmonics=11 " in \
+            (tmp_path / "a" / "residuals.txt").read_text()
+        assert "plant_modes=121 harmonics=121 " in \
+            (tmp_path / "b" / "check_report.txt").read_text()
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
+            ["L.csv", "Pi.csv", "residuals.txt"]
+        assert not (tmp_path / "b" / "residuals.txt").exists()
+
+    def test_usage_error_after_a_good_call(self, tmp_path, capsys):
+        cfg = write(tmp_path, DIAG_OK)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        assert main(["check", "--out", str(tmp_path / "b")]) == 2
+        assert "--config" in capsys.readouterr().err
+        assert main(["check", "--config", cfg, "--modes", "five"]) == 2
+        assert "--modes" in capsys.readouterr().err
+
+    def test_help_after_a_good_call(self, tmp_path, capsys):
+        cfg = write(tmp_path, DIAG_OK)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        assert "usage: modalreg" in capsys.readouterr().out
 
     def test_module_entry_point_exit_codes(self, tmp_path):
         """``python -m modalreg.cli``: 0 on a pass, 1 on a failed

@@ -14,12 +14,14 @@ from oracles import fmt_number, traced_peak, write_csv_rows
 from paper import from_csv
 
 from modalreg import csvio
-from modalreg.cli import _gain_pipeline, main
+from modalreg.cli import _gain_pipeline, _simulate, main
 from modalreg.config import load_config
-from modalreg.csvio import BLOCK_VALUES, KERNEL_BLOCK_VALUES, write_csv
+from modalreg.csvio import (BLOCK_VALUES, KERNEL_BLOCK_VALUES,
+                            KERNEL_MIN_VALUES, write_csv)
 from modalreg.exosystem import ExoSpace, ExoState
 from modalreg.regulator import solve_regulator
-from modalreg.spectral import ModeRange
+from modalreg.scenarios import resolve_w0
+from modalreg.spectral import ModeRange, decay_envelope
 
 SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
            1.7976931348623157e308, -1.7976931348623157e308,
@@ -65,12 +67,18 @@ class TestNumberFormat:
                           float_format="%r")
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, BLOCK_VALUES // 3])
-    def test_block_boundaries(self, tmp_path, extra):
+    def test_block_boundaries(self, tmp_path, kernel_calls, extra):
+        """The template's blocks, in ``%r`` files as ``w0.csv`` writes;
+        ``%.17g`` files this long take the kernel."""
         n = BLOCK_VALUES // 3 + extra  # a 3-column block holds BLOCK_VALUES // 3 rows
         rng = np.random.default_rng(n)
         assert_same_bytes(tmp_path, ["n", "x", "y"],
                           [np.arange(n) - 7, rng.standard_normal(n),
-                           rng.standard_normal(n) * 1e-200])
+                           rng.standard_normal(n) * 1e-200],
+                          fmt=lambda v: fmt_number(v) if isinstance(v, np.integer)
+                          else repr(float(v)),
+                          float_format="%r")
+        assert kernel_calls == []
         lines = (tmp_path / "new.csv").read_text().splitlines()
         assert len(lines) == n + 1
 
@@ -128,8 +136,9 @@ SUBNORMALS = np.array([5e-324, 1e-323, 2.5e-320, 1e-310, 2.225073858507201e-308,
 
 
 class TestKernel:
-    """Files of at least KERNEL_BLOCK_VALUES ``%.17g`` values take the numpy
-    kernel; their bytes must be the template's, value for value."""
+    """Files of at least KERNEL_MIN_VALUES ``%.17g`` values take the numpy
+    kernel, in blocks of KERNEL_BLOCK_VALUES; their bytes must be the
+    template's, value for value."""
 
     @pytest.mark.parametrize("values", [DYADIC, ULPS, SUBNORMALS, SPECIAL,
                                         [0.0, -0.0, 1.0, -1.0, 1e16, 1e17, 1e-5,
@@ -167,24 +176,44 @@ class TestKernel:
                           float_format="%r")
         assert kernel_calls == []
 
-    @pytest.mark.parametrize("rows", [KERNEL_BLOCK_VALUES // 4 - 1,
+    @pytest.mark.parametrize("rows", [KERNEL_MIN_VALUES // 4 - 1,
+                                      KERNEL_MIN_VALUES // 4,
+                                      KERNEL_MIN_VALUES // 4 + 1,
+                                      KERNEL_BLOCK_VALUES // 4 - 1,
                                       KERNEL_BLOCK_VALUES // 4,
                                       KERNEL_BLOCK_VALUES // 4 + 1,
                                       2 * (KERNEL_BLOCK_VALUES // 4) - 1,
                                       5 * (KERNEL_BLOCK_VALUES // 4) + 3])
     def test_threshold_and_block_boundaries(self, tmp_path, kernel_calls, rows):
+        """Below KERNEL_MIN_VALUES the template; from it on the kernel, in
+        blocks of KERNEL_BLOCK_VALUES."""
         rng = np.random.default_rng(rows)
         assert_same_bytes(tmp_path, ["n", "k", "re", "im"],
                           [np.arange(rows) // 7, np.arange(rows) % 13 - 6,
                            rng.standard_normal(rows),
                            rng.standard_normal(rows) * 1e-9])
         per_block = KERNEL_BLOCK_VALUES // 4
-        if 4 * rows < KERNEL_BLOCK_VALUES:
+        if 4 * rows < KERNEL_MIN_VALUES:
             assert kernel_calls == []
         else:
             assert kernel_calls == [min(per_block, rows - lo)
                                     for lo in range(0, rows, per_block)]
         assert len((tmp_path / "new.csv").read_bytes().splitlines()) == rows + 1
+
+    def test_trajectory_with_fallback_values(self, tmp_path, kernel_calls):
+        """A 512 x 11 file, as ``simulate`` writes, in one kernel block, with
+        exact zeros, -0 and values below 1e-279 that the kernel hands to
+        the template one by one."""
+        columns = trajectory_columns(512)
+        columns[7][::5] = 0.0
+        columns[8][1::5] = -0.0
+        columns[9][2::5] = np.geomspace(1e-280, 1e-320, 102)
+        columns[10][3::5] = -5e-324
+        _, _, slow = csvio._decimal(np.stack(columns, axis=1))
+        assert slow[2::5, 9].all() and slow[3::5, 10].all()
+        assert not slow[::5, 7].any() and not slow[1::5, 8].any()
+        assert_same_bytes(tmp_path, TRAJECTORY_HEADER, columns)
+        assert kernel_calls == [512]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2**64 - 1),
@@ -200,8 +229,20 @@ class TestKernel:
         with tempfile.TemporaryDirectory() as tmp, \
                 pytest.MonkeyPatch.context() as patch:
             # every file of 32 values or more takes the kernel, 8 rows a block
+            patch.setattr(csvio, "KERNEL_MIN_VALUES", 32)
             patch.setattr(csvio, "KERNEL_BLOCK_VALUES", 32)
             assert_same_bytes(Path(tmp), ["x", "i", "u", "flag"], columns)
+
+
+TRAJECTORY_HEADER = ["t", "y_re", "y_im", "yr_re", "yr_im", "u_re", "u_im",
+                     "e_re", "e_im", "abs_e", "state_dev_norm"]
+
+
+def trajectory_columns(rows):
+    """A log time grid and ten decaying columns of ``rows`` values."""
+    rng = np.random.default_rng(rows)
+    t = np.geomspace(1e-2, 1e3, rows)
+    return [t] + [rng.standard_normal(rows) * t**-1.5 for _ in range(10)]
 
 
 class TestPiLayout:
@@ -237,6 +278,18 @@ class TestPiLayout:
         _, peak = traced_peak(
             lambda: write_csv(tmp_path / "pi.csv", ["n", "k", "re", "im"], views))
         assert peak < 2_000_000
+
+    def test_small_file_working_set(self, tmp_path):
+        """A 512 x 11 trajectory, written by the kernel in one block after a
+        warm call, stays under 0.8 MB traced: 0.70 MB measured, 0.93 MB if
+        the spent arrays and a view of the buffer live to the end of the
+        block."""
+        columns = trajectory_columns(512)
+        write_csv(tmp_path / "warm.csv", TRAJECTORY_HEADER,
+                  [c[:32] for c in columns])  # a kernel file: builds the tables
+        _, peak = traced_peak(lambda: write_csv(tmp_path / "trajectory.csv",
+                                                TRAJECTORY_HEADER, columns))
+        assert peak < 800_000
 
 
 def test_import_builds_no_tables():
@@ -276,4 +329,56 @@ def test_solve_artifacts_match_reference_writer(tmp_path, capsys):
                     for i, n in enumerate(gen.modes.indices)
                     for j, k in enumerate(space.modes.indices)))
     for name in ("L.csv", "Pi.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+# seed 4 draws a disturbance matrix P
+RANDOM_SEED_4 = """
+[scenario]
+kind = random
+seed = 4
+w0_preset = unit
+z0_preset = inv_mu_sq
+"""
+
+DIAG_60 = """
+[scenario]
+kind = diagonal
+n_plant = 60
+n_exo = 60
+gamma = 2.0
+"""
+
+
+@pytest.mark.parametrize("text", [RANDOM_SEED_4, DIAG_60],
+                         ids=["random-seed-4", "diagonal-60"])
+def test_trajectory_and_envelope_match_reference_writer(tmp_path, capsys,
+                                                        kernel_calls, text):
+    """``trajectory.csv`` and ``envelope.csv`` take the kernel and equal the
+    row-by-row reference writer byte for byte."""
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(text)
+    cfg = load_config(str(cfg_path))
+    gen, coupling, space, _, gain = _gain_pipeline(cfg, force=False)
+    assert any(coupling.p_entries.values()) == (text == RANDOM_SEED_4)
+    t = cfg.sim.grid()
+    run = _simulate(cfg, gen, coupling, gain, resolve_w0(cfg.scenario, space), t)
+    abs_e = np.abs(run.e)
+    dev = run.state_deviation
+    write_csv_rows(tmp_path / "trajectory.csv", TRAJECTORY_HEADER,
+                   zip(t, run.y.real, run.y.imag, run.y_r.real, run.y_r.imag,
+                       run.u.real, run.u.imag, run.e.real, run.e.imag,
+                       abs_e, dev))
+    write_csv_rows(tmp_path / "envelope.csv",
+                   ["t", "semigroup_envelope", "error_envelope",
+                    "state_dev_envelope"],
+                   zip(t, decay_envelope(gen, 1.0, t).values,
+                       np.maximum.accumulate(abs_e[::-1])[::-1],
+                       np.maximum.accumulate(dev[::-1])[::-1]))
+    for command, name in (("simulate", "trajectory.csv"),
+                          ("decay", "envelope.csv")):
+        kernel_calls.clear()
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert kernel_calls == [len(t)]
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
