@@ -91,10 +91,9 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     lines.append(f"Assumption 1 (nonvanishing frequency response): "
                  f"{'PASS' if a1.passed else 'FAIL'}")
     lines.append(f"  min |H(i omega_k)| = {_fmt(a1.min_magnitude)} at "
-                 f"k = {a1.argmin_mode} (floor {_fmt(a1.floor)})")
-    gap_pos = int(np.argmin(a1.resolvent_gaps))
-    lines.append(f"  smallest resolvent gap = "
-                 f"{_fmt(a1.resolvent_gaps[gap_pos])} at "
+                 f"k = {a1.argmin_mode} (floor {_fmt(tol.assumption1_floor)})")
+    gap_pos = int(np.argmin(grid.gaps))
+    lines.append(f"  smallest resolvent gap = {_fmt(grid.gaps[gap_pos])} at "
                  f"k = {int(space.modes.indices[gap_pos])}")
     if not a1.passed:
         failures.append("Assumption 1")
@@ -107,10 +106,10 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
         status = {"summable": "PASS", "divergent": "FAIL",
                   "inconclusive": "INCONCLUSIVE (trend at truncation)"}
         lines.append(f"Assumption 2 (square-summable weighted gains): "
-                     f"{status[a2.verdict]}")
+                     f"{status[a2.tail.verdict]}")
         lines.append(f"  tail exponent = {_fmt(a2.tail.exponent)} "
                      f"({a2.tail.verdict}); partial sum = {_fmt(a2.total)}")
-        if a2.verdict == "divergent":
+        if a2.tail.verdict == "divergent":
             failures.append("Assumption 2")
 
         alpha = cfg.scenario.nominal_alpha
@@ -139,13 +138,14 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
         failures.append("Geometric condition")
 
     _write_csv(out_dir / "assumption2_partial_sums.csv", ["K", "partial_sum"],
-               () if a2 is None else (a2.shell_radii, a2.partial_sums))
+               () if a2 is None else
+               (np.arange(a2.partial_sums.size), a2.partial_sums))
     tails = sorted(conf.tail_norms.items()) if conf is not None else []
     # (horizon, tail_norm) pairs as two columns, (2, 0) when empty
     _write_csv(out_dir / "conformity_tails.csv", ["horizon", "tail_norm"],
                np.array(tails, dtype=float).reshape(-1, 2).T)
     # an inconclusive trend is named but, like a pass, exits 0
-    inconclusive = a2 is not None and a2.verdict == "inconclusive"
+    inconclusive = a2 is not None and a2.tail.verdict == "inconclusive"
     return _overall(lines, failures, "PASS (Assumption 2 inconclusive)"
                     if inconclusive else "PASS")
 
@@ -156,15 +156,16 @@ def _gain_pipeline(cfg: RunConfig, force: bool):
     the header carries one WARN line."""
     gen, coupling, space, grid, a1 = _gate(cfg)
     header = _scenario_header(cfg, gen, space)
+    floor = cfg.tolerances.assumption1_floor
     if not a1.passed:
         if not force:
             raise AssumptionFailure(
                 f"Assumption 1 failed: min |H| = {a1.min_magnitude:.3e} at "
-                f"k = {a1.argmin_mode} is below floor {a1.floor:.3e} "
+                f"k = {a1.argmin_mode} is below floor {floor:.3e} "
                 "(rerun with --force to proceed anyway)")
         header += [f"WARN: Assumption 1 failed (min |H| = "
                    f"{_fmt(a1.min_magnitude)} at k = {a1.argmin_mode}, floor "
-                   f"{_fmt(a1.floor)}); run anyway under --force", ""]
+                   f"{_fmt(floor)}); run anyway under --force", ""]
     return gen, coupling, space, header, build_feedforward(grid)
 
 

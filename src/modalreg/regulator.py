@@ -10,8 +10,8 @@ frequency. The steady-state map has the explicit spectral form
 ``pi_{n,k} = (b_n ell_k + p_{n,k}) / (i omega_k - mu_n)``.
 
 All quantities here are computed from one retained mode set, so both
-regulator residuals vanish to rounding; distance to the untruncated
-problem is reported separately as tail estimates.
+regulator residuals vanish to rounding. They say nothing about the
+distance to the untruncated problem, and nothing here estimates it.
 """
 
 from __future__ import annotations
@@ -75,11 +75,8 @@ class ModalCoupling:
 
 @dataclass
 class Assumption1Report:
-    """The smallest frequency-response magnitude, the floor test and the
-    per-harmonic resolvent gaps."""
+    """The smallest frequency-response magnitude and the floor test."""
 
-    resolvent_gaps: np.ndarray
-    floor: float
     passed: bool
     min_magnitude: float
     argmin_mode: int
@@ -114,14 +111,9 @@ class FeedforwardGain:
 class Assumption2Report:
     """Square-summability evidence for the weighted gain sequence."""
 
-    shell_radii: np.ndarray
-    partial_sums: np.ndarray
+    partial_sums: np.ndarray  # entry K sums the shell |k| <= K
     total: float
     tail: TailReport
-
-    @property
-    def verdict(self) -> str:
-        return self.tail.verdict
 
 
 @dataclass(eq=False)
@@ -145,19 +137,13 @@ class SylvesterSolution:
 
 
 def _denominators(gen: DiagonalGenerator, omegas: np.ndarray) -> np.ndarray:
-    """D[n, k] = i omega_k - mu_n for the given frequencies; raises on an
-    exact eigenvalue hit. The library's only exact-hit check."""
-    denom = 1j * omegas[None, :] - gen.eigenvalues[:, None]
-    hits = np.flatnonzero(denom == 0.0)
-    if hits.size:
-        n_pos, _ = np.unravel_index(hits[0], denom.shape)
-        raise SingularResolventError(int(gen.modes.indices[n_pos]),
-                                     complex(gen.eigenvalues[n_pos]))
-    return denom
+    """D[n, k] = i omega_k - mu_n for the given frequencies, unchecked:
+    :func:`frequency_grid` has ruled out an exact hit."""
+    return 1j * omegas[None, :] - gen.eigenvalues[:, None]
 
 
 def frequency_denominators(gen: DiagonalGenerator, space: ExoSpace) -> np.ndarray:
-    """Matrix D[n, k] = i omega_k - mu_n; raises on an exact eigenvalue hit."""
+    """Matrix D[n, k] = i omega_k - mu_n over every retained harmonic."""
     return _denominators(gen, space.omegas)
 
 
@@ -179,7 +165,15 @@ def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
                    space: ExoSpace) -> FrequencyGrid:
     """H(i omega_k), H_d(k) and the resolvent gaps of every retained
     harmonic, from the denominators built one block of harmonics at a
-    time (each block is checked for an exact hit)."""
+    time.
+
+    A zero gap is an exact eigenvalue hit, which makes the regulator
+    equations unsolvable at that harmonic: it raises
+    :class:`SingularResolventError` naming the mode, before anything in
+    its block is divided. This is the library's only exact-hit check. A
+    generator built in the open left half-plane cannot hit
+    (Re D = -Re mu > 0); one changed after construction can.
+    """
     _check_plant(gen, coupling)
     cb = coupling.c.coeffs * coupling.b.coeffs
     support = np.flatnonzero(cb)  # modes outside it add exact zeros to H
@@ -188,8 +182,12 @@ def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
     gaps = np.empty(n_exo)
     for blk in _blocks(n_exo, len(gen.modes)):
         denom = _denominators(gen, space.omegas[blk])
-        h[blk] = (cb[support, None] / denom[support]).sum(axis=0)
         gaps[blk] = np.abs(denom).min(axis=0)
+        if not gaps[blk].all():
+            n_pos = np.argwhere(denom == 0.0)[0, 0]
+            raise SingularResolventError(int(gen.modes.indices[n_pos]),
+                                         complex(gen.eigenvalues[n_pos]))
+        h[blk] = (cb[support, None] / denom[support]).sum(axis=0)
     return FrequencyGrid(space=space, h=h,
                          hd=_disturbance_response(gen, coupling, space),
                          gaps=gaps)
@@ -212,8 +210,8 @@ def check_assumption1(grid: FrequencyGrid,
                       floor: float = 1e-8) -> Assumption1Report:
     """Nonvanishing frequency response: pass iff min_k |H(i omega_k)| >= floor.
 
-    The per-harmonic resolvent gaps are reported alongside, so resonant
-    near-hits that shrink H are visible rather than hidden.
+    The per-harmonic resolvent gaps stay on the grid (``grid.gaps``), so
+    resonant near-hits that shrink H are visible rather than hidden.
     """
     if floor <= 0:
         raise ValueError(f"floor must be positive, got {floor}")
@@ -221,8 +219,6 @@ def check_assumption1(grid: FrequencyGrid,
     mags = np.abs(grid.h)
     argmin = int(np.argmin(mags))
     return Assumption1Report(
-        resolvent_gaps=grid.gaps,
-        floor=floor,
         passed=bool(mags[argmin] >= floor),
         min_magnitude=float(mags[argmin]),
         argmin_mode=int(modes.indices[argmin]),
@@ -256,12 +252,9 @@ def check_assumption2(gain: FeedforwardGain, space: ExoSpace) -> Assumption2Repo
         raise ModeMismatchError("gain and space mode ranges differ")
     terms = np.abs(gain.ell / space.weights) ** 2
     radii = np.abs(space.modes.indices)
-    max_r = int(radii.max())
-    shell_sums = np.bincount(radii, weights=terms, minlength=max_r + 1)
-    partial = np.cumsum(shell_sums)
+    shell_sums = np.bincount(radii, weights=terms)
     return Assumption2Report(
-        shell_radii=np.arange(max_r + 1),
-        partial_sums=partial,
+        partial_sums=np.cumsum(shell_sums),
         total=float(terms.sum()),
         tail=classify_tail(space.modes.indices, terms),
     )

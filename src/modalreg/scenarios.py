@@ -52,7 +52,6 @@ class ScenarioConfig:
     eigenvalues: Optional[Sequence[complex]] = None
     b: Optional[Sequence[complex]] = None
     c: Optional[Sequence[complex]] = None
-    p_entries: Optional[dict] = None
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
@@ -139,7 +138,6 @@ def build_custom_scenario(cfg: ScenarioConfig):
     coupling = ModalCoupling(
         b=SpectralVector(plant, np.asarray(cfg.b, dtype=np.complex128)),
         c=SpectralVector(plant, np.asarray(cfg.c, dtype=np.complex128)),
-        p_entries=dict(cfg.p_entries or {}),
     )
     space = ExoSpace.power_weights(cfg.resolved_period,
                                    ModeRange.symmetric(cfg.n_exo), cfg.gamma)
@@ -158,7 +156,6 @@ KIND_READS = {
     "eigenvalues": ("custom",),
     "b": ("custom",),
     "c": ("custom",),
-    "p_entries": ("custom",),
 }
 
 

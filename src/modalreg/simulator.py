@@ -159,9 +159,11 @@ class DecayCertificate:
 def certify_decay(t_grid, values, alpha: float, window) -> DecayCertificate:
     """Fit the log-log slope of the envelope of ``values`` on the window.
 
-    Envelope points are strict local maxima (the crests of an oscillating
-    error); monotone data has none, in which case all window samples serve
-    as the envelope. Fewer than 10 usable points is an error.
+    Envelope points are the crests of an oscillating error: interior
+    points no lower than either neighbour, so every point of a plateau
+    counts. With fewer than 10 crests in the window (strictly monotone
+    data has none) all window samples serve as the envelope. Fewer than
+    10 usable points is an error.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")

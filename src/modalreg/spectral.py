@@ -63,34 +63,33 @@ def _blocks(n_cols: int, n_rows: int) -> list:
 
 @dataclass(frozen=True)
 class ModeRange:
-    """Contiguous integer mode window ``[lo, hi]`` minus an excluded set."""
+    """Contiguous integer mode window ``[lo, hi]``, optionally without 0."""
 
     lo: int
     hi: int
-    excluded: frozenset = frozenset()
+    exclude_zero: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "excluded", frozenset(self.excluded))
         if self.lo > self.hi:
             raise ValueError(f"empty mode range: lo={self.lo} > hi={self.hi}")
-        for m in self.excluded:
-            if not (self.lo <= int(m) <= self.hi):
-                raise ValueError(f"excluded mode {m} outside [{self.lo}, {self.hi}]")
-        if len(self.excluded) >= self.hi - self.lo + 1:
-            raise ValueError("mode range empty after exclusion")
+        if self.exclude_zero:
+            if not self.lo <= 0 <= self.hi:
+                raise ValueError(f"excluded mode 0 outside [{self.lo}, {self.hi}]")
+            if self.lo == self.hi:
+                raise ValueError("mode range empty after exclusion")
 
     @classmethod
     def symmetric(cls, n: int, exclude_zero: bool = False) -> "ModeRange":
         """Modes ``-n..n``, optionally without 0."""
         if n < 1:
             raise ValueError("symmetric range needs n >= 1")
-        return cls(-n, n, frozenset({0}) if exclude_zero else frozenset())
+        return cls(-n, n, exclude_zero)
 
     @cached_property
     def indices(self) -> np.ndarray:
         full = np.arange(self.lo, self.hi + 1)
-        if self.excluded:
-            full = full[~np.isin(full, sorted(self.excluded))]
+        if self.exclude_zero:
+            full = full[full != 0]
         full.flags.writeable = False
         return full
 
@@ -102,8 +101,9 @@ class ModeRange:
         try:
             return self._positions[int(mode)]
         except KeyError:
-            raise KeyError(f"mode {mode} not in range [{self.lo}, {self.hi}] "
-                           f"minus {set(self.excluded) or '{}'}") from None
+            without = " without 0" if self.exclude_zero else ""
+            raise KeyError(f"mode {mode} not in range "
+                           f"[{self.lo}, {self.hi}]{without}") from None
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -205,7 +205,7 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
     def column(j):
         return _forcing_columns(coupling, gain, space, np.array([j]))[:, 0]
 
-    b_reg = check_b_regularity(gen, coupling.b, [beta]).entries[beta]
+    b_reg = check_b_regularity(gen, coupling.b, beta)
     bounds = np.abs(gain.ell) * math.sqrt(b_reg.partial_sum) / f
     nonzero = (gain.ell != 0) & bool(np.any(coupling.b.coeffs != 0))
     fits = [b_reg.tail] * n_exo
@@ -257,30 +257,19 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
 
 @dataclass
 class BetaVerdict:
+    """Partial sum and trend of the input column's fractional-domain
+    profile at one order beta."""
+
     partial_sum: float
     tail: TailReport
 
 
-@dataclass
-class BRegularityReport:
-    """Fractional-domain membership trend of the input column at several
-    orders beta."""
-
-    entries: dict
-
-
 def check_b_regularity(gen: DiagonalGenerator, b: SpectralVector,
-                       beta_grid) -> BRegularityReport:
-    """For each beta, partial sum and trend of |mu_n|**(2 beta) |b_n|**2."""
+                       beta: float) -> BetaVerdict:
+    """Partial sum and trend of |mu_n|**(2 beta) |b_n|**2."""
     if gen.modes != b.modes:
         raise ValueError("input column and generator mode ranges differ")
-    entries = {}
-    mags = np.abs(b.coeffs) ** 2
-    for beta in beta_grid:
-        beta = float(beta)
-        terms = np.abs(gen.eigenvalues) ** (2.0 * beta) * mags
-        entries[beta] = BetaVerdict(
-            partial_sum=float(terms.sum()),
-            tail=classify_tail(gen.modes.indices, terms),
-        )
-    return BRegularityReport(entries=entries)
+    terms = (np.abs(gen.eigenvalues) ** (2.0 * float(beta))
+             * np.abs(b.coeffs) ** 2)
+    return BetaVerdict(partial_sum=float(terms.sum()),
+                       tail=classify_tail(gen.modes.indices, terms))

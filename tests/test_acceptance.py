@@ -207,9 +207,9 @@ def test_criterion_7_gain_summability_boundary():
         verdicts[gamma] = mr.check_assumption2(gain, space)
     elapsed = time.perf_counter() - start
     _conclude(7, "weighted-gain summability boundary at gamma = 3/2", [
-        (verdicts[2.0].verdict == "summable",
+        (verdicts[2.0].tail.verdict == "summable",
          f"gamma = 2 summable (exponent {verdicts[2.0].tail.exponent:.2f})"),
-        (verdicts[1.25].verdict == "divergent",
+        (verdicts[1.25].tail.verdict == "divergent",
          f"gamma = 1.25 divergent (exponent {verdicts[1.25].tail.exponent:.2f})"),
         (elapsed < 1.0, f"runtime {elapsed:.2f}s < 1s"),
     ])
@@ -219,9 +219,9 @@ def test_criterion_8_input_column_membership_boundary():
     start = time.perf_counter()
     gen, coupling, _ = mr.build_wave_scenario(
         mr.ScenarioConfig(kind="wave", n_plant=200, n_exo=1))
-    report = mr.check_b_regularity(gen, coupling.b, [2.25, 2.6])
+    verdict = {beta: mr.check_b_regularity(gen, coupling.b, beta).tail.verdict
+               for beta in (2.25, 2.6)}
     elapsed = time.perf_counter() - start
-    verdict = {beta: e.tail.verdict for beta, e in report.entries.items()}
     _conclude(8, "input-column fractional membership boundary", [
         (verdict[2.25] == "summable", "summable at order 2.25"),
         (verdict[2.6] != "summable", "not summable at order 2.6"),

@@ -730,9 +730,8 @@ class TestKeyTable:
         ("scenario", ScenarioConfig), ("tolerances", Tolerances),
         ("quadrature", QuadratureSpec), ("simulate", SimGrid)])
     def test_every_field_has_a_key(self, section, cls):
-        # and every key names a field; p_entries is a mapping, which no INI
-        # value spells
-        settable = {f.name for f in fields(cls)} - {"p_entries"}
+        # and every key names a field
+        settable = {f.name for f in fields(cls)}
         assert {_FIELD.get(key, key) for key in CONFIG_KEYS[section]} == settable
 
     def test_map_names_scenario_fields(self):

@@ -19,8 +19,9 @@ import modalreg.spectral as spectral
 from modalreg.cli import main
 from modalreg.config import load_config
 from modalreg.exosystem import ExoState
-from modalreg.regulator import (build_feedforward, forcing_matrix,
-                                frequency_grid, residual_first_equation,
+from modalreg.regulator import (ModalCoupling, build_feedforward,
+                                forcing_matrix, frequency_grid,
+                                residual_first_equation,
                                 residual_second_equation, solve_regulator,
                                 steady_state_image)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
@@ -140,8 +141,8 @@ class TestOutputPath:
         kind="custom", eigenvalues=(-0.3 + 1j, -0.05 - 2.5j, -1.0 + 4j,
                                     -0.01 + 0.5j),
         b=(1.0, 0.5j, 0.25, -0.75), c=(0.5, 1.0, -0.5j, 0.25), n_exo=6,
-        period=5.0, p_entries={(1, 2): 0.3 - 0.1j, (3, -1): 0.5j, (2, 6): 1.0},
-        w0_preset="smooth", z0_preset="inv_mu_sq")
+        period=5.0, w0_preset="smooth", z0_preset="inv_mu_sq")
+    CUSTOM_P = {(1, 2): 0.3 - 0.1j, (3, -1): 0.5j, (2, 6): 1.0}
 
     def states(self, case):
         """(gen, coupling, space, w0, z0) of one case; random seeds 1, 4
@@ -160,6 +161,9 @@ class TestOutputPath:
             kind=case, n_plant=200, n_exo=200, w0_preset="square11",
             z0_preset="inv_mu_sq")
         gen, coupling, space = build_scenario(cfg)
+        if case == "custom":
+            coupling = ModalCoupling(b=coupling.b, c=coupling.c,
+                                     p_entries=self.CUSTOM_P)
         return (gen, coupling, space, resolve_w0(cfg, space),
                 resolve_z0(cfg, gen))
 

@@ -52,11 +52,11 @@ class TestModeRange:
 
     def test_empty_after_exclusion_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ModeRange(0, 0, frozenset({0}))
+            ModeRange(0, 0, exclude_zero=True)
 
     def test_excluded_outside_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            ModeRange(0, 2, frozenset({5}))
+            ModeRange(1, 2, exclude_zero=True)
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -162,9 +162,8 @@ class TestConformity:
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         alpha, eps = 2.0, 0.25
         report = conformity_diagnostic(gen, coupling, gain, space, alpha, eps)
-        breg = check_b_regularity(gen, coupling.b, [alpha + eps])
-        assert (report.sufficient_condition.worst_tail
-                == breg.entries[alpha + eps].tail)
+        breg = check_b_regularity(gen, coupling.b, alpha + eps)
+        assert report.sufficient_condition.worst_tail == breg.tail
 
     def test_regular_rank_one_implies_conform(self):
         # whenever the input column is regular at alpha + eps and the
@@ -173,11 +172,11 @@ class TestConformity:
             gen, coupling, space = build_random_scenario(seed)
             gain = build_feedforward(frequency_grid(gen, coupling, space))
             alpha, eps = 1.0, 0.25
-            breg = check_b_regularity(gen, coupling.b, [alpha + eps])
+            breg = check_b_regularity(gen, coupling.b, alpha + eps)
             rank_one = ModalCoupling(b=coupling.b, c=coupling.c)  # P dropped
             report = conformity_diagnostic(gen, rank_one, gain, space, alpha,
                                            eps)
-            if breg.entries[alpha + eps].tail.verdict == "summable":
+            if breg.tail.verdict == "summable":
                 assert report.verdict == "conform-trend"
 
 
@@ -187,10 +186,13 @@ def _disturbance_off_the_input_column():
     last mode changes the tail its column fits."""
     n = np.arange(30)
     b = np.where(n % 2 == 0, 1.0 / (1.0 + n) ** 4, 0.0)
-    return build_custom_scenario(ScenarioConfig(
+    gen, coupling, space = build_custom_scenario(ScenarioConfig(
         kind="custom", n_exo=10, eigenvalues=-0.5 / (1.0 + n) + 1j * (n + 0.5),
-        b=b, c=b, p_entries={(3, 2): 0.5 + 0.2j, (7, 2): -0.3j, (11, -4): 1.0,
-                             (29, 5): 0.7}))
+        b=b, c=b))
+    return gen, ModalCoupling(
+        b=coupling.b, c=coupling.c,
+        p_entries={(3, 2): 0.5 + 0.2j, (7, 2): -0.3j, (11, -4): 1.0,
+                   (29, 5): 0.7}), space
 
 
 def _random_with_disturbance():
@@ -376,20 +378,18 @@ class TestBRegularity:
     def test_wave_membership_boundary(self):
         cfg = ScenarioConfig(kind="wave", n_plant=200, n_exo=10)
         gen, coupling, _ = build_wave_scenario(cfg)
-        report = check_b_regularity(gen, coupling.b, [2.25, 2.6])
-        assert report.entries[2.25].tail.verdict == "summable"
-        assert report.entries[2.6].tail.verdict != "summable"
-        assert report.entries[2.25].tail.exponent == pytest.approx(-1.5,
-                                                                   abs=0.05)
-        assert report.entries[2.6].tail.exponent == pytest.approx(-0.8,
-                                                                  abs=0.05)
+        inside = check_b_regularity(gen, coupling.b, 2.25).tail
+        outside = check_b_regularity(gen, coupling.b, 2.6).tail
+        assert inside.verdict == "summable"
+        assert outside.verdict != "summable"
+        assert inside.exponent == pytest.approx(-1.5, abs=0.05)
+        assert outside.exponent == pytest.approx(-0.8, abs=0.05)
 
     def test_finitely_supported_column_regular_at_every_order(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=50, n_exo=10)
         gen, coupling, _ = build_diagonal_scenario(cfg)
-        report = check_b_regularity(gen, coupling.b, [0.5, 1.0, 5.0, 20.0])
-        assert all(entry.tail.verdict == "summable"
-                   for entry in report.entries.values())
+        assert all(check_b_regularity(gen, coupling.b, beta).tail.verdict
+                   == "summable" for beta in (0.5, 1.0, 5.0, 20.0))
 
 
 class TestQuadratureSpec:
