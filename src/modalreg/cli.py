@@ -102,7 +102,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     conf = None
     if a1.passed:
         gain = build_feedforward(grid)
-        a2 = check_assumption2(gain, space)
+        a2 = check_assumption2(gain)
         status = {"summable": "PASS", "divergent": "FAIL",
                   "inconclusive": "INCONCLUSIVE (trend at truncation)"}
         lines.append(f"Assumption 2 (square-summable weighted gains): "
@@ -113,7 +113,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
             failures.append("Assumption 2")
 
         alpha = cfg.scenario.nominal_alpha
-        conf = conformity_diagnostic(gen, coupling, gain, space, alpha=alpha,
+        conf = conformity_diagnostic(gen, coupling, gain, alpha=alpha,
                                      eps=tol.conformity_eps,
                                      spec=cfg.quadrature)
         lines.append(f"Conformity (smoothing order {_fmt(alpha + tol.conformity_eps)}): "
@@ -179,10 +179,10 @@ def _simulate(cfg: RunConfig, gen, coupling, gain, w0, t_grid):
 
 def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     gen, coupling, space, lines, gain = _gain_pipeline(cfg, force)
-    solution = solve_regulator(gen, coupling, gain, space)
+    solution = solve_regulator(gen, coupling, gain)
     tol = cfg.tolerances
-    res1 = residual_first_equation(solution, gen, coupling, gain, space)
-    res2 = residual_second_equation(solution, coupling, space)
+    res1 = residual_first_equation(solution, gen, coupling, gain)
+    res2 = residual_second_equation(solution, coupling)
 
     ok1 = res1 <= tol.first_residual
     ok2 = res2 <= tol.second_residual

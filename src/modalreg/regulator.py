@@ -23,10 +23,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import AssumptionFailure, ModeMismatchError, SingularResolventError
+from .errors import AssumptionFailure, SingularResolventError
 from .exosystem import ExoSpace, ExoState, synthesize_signal
 from .spectral import (DiagonalGenerator, ModeRange, SpectralVector,
-                       TailReport, _blocks, classify_tail)
+                       TailReport, _blocks, _require_same_modes, classify_tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +44,7 @@ class ModalCoupling:
     p_entries: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.b.modes != self.c.modes:
-            raise ModeMismatchError("input and output vectors live on "
-                                    "different plant mode ranges")
+        _require_same_modes(self.b.modes, self.c.modes)
         entries = dict(self.p_entries)
         for n, _k in entries:
             if n not in self.b.modes:
@@ -98,9 +96,10 @@ class FrequencyGrid:
 
 @dataclass(eq=False)
 class FeedforwardGain:
-    """Modal gain sequence ell_k, one entry per retained harmonic."""
+    """Modal gain sequence ell_k, one entry per retained harmonic of the
+    exosystem space it was designed on."""
 
-    exo_modes: ModeRange
+    space: ExoSpace
     ell: np.ndarray
 
     def __post_init__(self):
@@ -119,7 +118,8 @@ class Assumption2Report:
 @dataclass(eq=False)
 class SylvesterSolution:
     """Modal matrix pi_{n,k} of the steady-state map, one column per
-    exosystem harmonic, with the exosystem weights f_k.
+    harmonic of ``space``, the exosystem space of the gain it was solved
+    for (its weights f_k weight the columns).
 
     ``operator_norm_estimate`` is a power-iteration estimate of the norm of
     the map between the weighted spaces. It is computed on first access
@@ -127,13 +127,12 @@ class SylvesterSolution:
     reports it."""
 
     plant_modes: ModeRange
-    exo_modes: ModeRange
+    space: ExoSpace
     pi: np.ndarray
-    weights: np.ndarray
 
     @cached_property
     def operator_norm_estimate(self) -> float:
-        return _weighted_norm_estimate(self.pi, self.weights)
+        return _weighted_norm_estimate(self.pi, self.space.weights)
 
 
 def _denominators(gen: DiagonalGenerator, omegas: np.ndarray) -> np.ndarray:
@@ -145,20 +144,6 @@ def _denominators(gen: DiagonalGenerator, omegas: np.ndarray) -> np.ndarray:
 def frequency_denominators(gen: DiagonalGenerator, space: ExoSpace) -> np.ndarray:
     """Matrix D[n, k] = i omega_k - mu_n over every retained harmonic."""
     return _denominators(gen, space.omegas)
-
-
-def _check_plant(gen: DiagonalGenerator, coupling: ModalCoupling) -> None:
-    if gen.modes != coupling.modes:
-        raise ModeMismatchError("coupling and generator mode ranges differ")
-
-
-def _check_operands(gen: DiagonalGenerator, coupling: ModalCoupling,
-                    gain: FeedforwardGain, space: ExoSpace) -> None:
-    """The forcing operator (coupling, gain) must live on the mode ranges
-    of the plant and the exosystem it is applied to."""
-    _check_plant(gen, coupling)
-    if gain.exo_modes != space.modes:
-        raise ModeMismatchError("gain and space mode ranges differ")
 
 
 def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
@@ -174,7 +159,7 @@ def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
     generator built in the open left half-plane cannot hit
     (Re D = -Re mu > 0); one changed after construction can.
     """
-    _check_plant(gen, coupling)
+    _require_same_modes(gen.modes, coupling.modes)
     cb = coupling.c.coeffs * coupling.b.coeffs
     support = np.flatnonzero(cb)  # modes outside it add exact zeros to H
     n_exo = len(space.modes)
@@ -238,18 +223,17 @@ def build_feedforward(grid: FrequencyGrid) -> FeedforwardGain:
     if zeros.size:
         raise AssumptionFailure(f"frequency response vanishes exactly at "
                                 f"harmonic {int(modes.indices[zeros[0]])}")
-    return FeedforwardGain(exo_modes=modes, ell=(1.0 - grid.hd) / h)
+    return FeedforwardGain(space=grid.space, ell=(1.0 - grid.hd) / h)
 
 
-def check_assumption2(gain: FeedforwardGain, space: ExoSpace) -> Assumption2Report:
+def check_assumption2(gain: FeedforwardGain) -> Assumption2Report:
     """Square-summability of the weighted gains (ell_k / f_k).
 
     Reports the partial sums over growing symmetric shells |k| <= K and a
     tail-exponent fit of the terms; the verdict is a trend at truncation,
     not a proof about the untruncated sequence.
     """
-    if gain.exo_modes != space.modes:
-        raise ModeMismatchError("gain and space mode ranges differ")
+    space = gain.space
     terms = np.abs(gain.ell / space.weights) ** 2
     radii = np.abs(space.modes.indices)
     shell_sums = np.bincount(radii, weights=terms)
@@ -260,17 +244,16 @@ def check_assumption2(gain: FeedforwardGain, space: ExoSpace) -> Assumption2Repo
     )
 
 
-def forcing_matrix(coupling: ModalCoupling, gain: FeedforwardGain,
-                   space: ExoSpace) -> np.ndarray:
+def forcing_matrix(coupling: ModalCoupling, gain: FeedforwardGain) -> np.ndarray:
     """Columns of the closed-loop forcing operator: g_{n,k} = b_n ell_k + p_{n,k}."""
-    return _forcing_columns(coupling, gain, space, np.arange(len(space.modes)))
+    return _forcing_columns(coupling, gain, np.arange(gain.ell.size))
 
 
 def _forcing_columns(coupling: ModalCoupling, gain: FeedforwardGain,
-                     space: ExoSpace, positions: np.ndarray) -> np.ndarray:
+                     positions: np.ndarray) -> np.ndarray:
     """The forcing-matrix columns at the sorted harmonic ``positions``."""
     mat = np.outer(coupling.b.coeffs, gain.ell[positions])
-    rows, cols, vals = coupling.disturbance_in(space.modes)
+    rows, cols, vals = coupling.disturbance_in(gain.space.modes)
     j = np.minimum(np.searchsorted(positions, cols), positions.size - 1)
     keep = positions[j] == cols
     mat[rows[keep], j[keep]] += vals[keep]  # the keys of P are unique
@@ -298,7 +281,7 @@ def _weighted_norm_estimate(pi: np.ndarray, weights: np.ndarray) -> float:
 
 
 def solve_regulator(gen: DiagonalGenerator, coupling: ModalCoupling,
-                    gain: FeedforwardGain, space: ExoSpace) -> SylvesterSolution:
+                    gain: FeedforwardGain) -> SylvesterSolution:
     """Spectral solution pi_{n,k} = (b_n ell_k + p_{n,k}) / (i omega_k - mu_n).
 
     Every column is exactly the resolvent at i omega_k applied to the
@@ -306,15 +289,10 @@ def solve_regulator(gen: DiagonalGenerator, coupling: ModalCoupling,
     construction, and the gain choice makes the output of every column
     equal one (the second equation).
     """
-    _check_operands(gen, coupling, gain, space)
-    pi = forcing_matrix(coupling, gain, space)
-    pi /= frequency_denominators(gen, space)  # the one full build of D
-    return SylvesterSolution(
-        plant_modes=gen.modes,
-        exo_modes=space.modes,
-        pi=pi,
-        weights=space.weights,
-    )
+    _require_same_modes(gen.modes, coupling.modes)
+    pi = forcing_matrix(coupling, gain)
+    pi /= frequency_denominators(gen, gain.space)  # the one full build of D
+    return SylvesterSolution(plant_modes=gen.modes, space=gain.space, pi=pi)
 
 
 @dataclass(eq=False)
@@ -334,13 +312,14 @@ def steady_state_image(gen: DiagonalGenerator, coupling: ModalCoupling,
     one block of harmonics at a time and never held whole. Only the
     harmonics with w0_k != 0 are visited: the others add exact zeros."""
     space = w0.space
-    _check_operands(gen, coupling, gain, space)
+    _require_same_modes(gen.modes, coupling.modes)
+    _require_same_modes(space.modes, gain.space.modes)
     pi_w0 = np.zeros(len(gen.modes), dtype=np.complex128)
     mismatch = np.zeros(len(space.modes), dtype=np.complex128)
     support = np.flatnonzero(w0.coeffs)
     for blk in _blocks(support.size, len(gen.modes)):
         pos = support[blk]
-        pi = _forcing_columns(coupling, gain, space, pos)
+        pi = _forcing_columns(coupling, gain, pos)
         pi /= _denominators(gen, space.omegas[pos])
         pi_w0 += pi @ w0.coeffs[pos]
         mismatch[pos] = (coupling.c.coeffs @ pi - 1.0) * w0.coeffs[pos]
@@ -348,27 +327,27 @@ def steady_state_image(gen: DiagonalGenerator, coupling: ModalCoupling,
 
 
 def residual_first_equation(solution: SylvesterSolution, gen: DiagonalGenerator,
-                            coupling: ModalCoupling, gain: FeedforwardGain,
-                            space: ExoSpace) -> float:
+                            coupling: ModalCoupling,
+                            gain: FeedforwardGain) -> float:
     """max_k ||i omega_k pi_k - mu pi_k - g_k|| / (1 + ||pi_k||).
 
     Zero in exact arithmetic for a spectral solve; this is the floating
     point self-check. Evaluated one block of harmonics at a time.
     """
+    space = gain.space
     n_exo = len(space.modes)
     ratios = np.empty(n_exo)
     for blk in _blocks(n_exo, len(gen.modes)):
         pi = solution.pi[:, blk]  # a view: a copy would be column-major
         lhs = _denominators(gen, space.omegas[blk]) * pi
-        lhs -= _forcing_columns(coupling, gain, space, np.arange(n_exo)[blk])
+        lhs -= _forcing_columns(coupling, gain, np.arange(n_exo)[blk])
         ratios[blk] = (np.linalg.norm(lhs, axis=0)
                        / (1.0 + np.linalg.norm(pi, axis=0)))
     return float(np.max(ratios))
 
 
 def residual_second_equation(solution: SylvesterSolution,
-                             coupling: ModalCoupling,
-                             space: ExoSpace) -> float:
+                             coupling: ModalCoupling) -> float:
     """max_k |c . pi_k - 1|: each steady-state column must reproduce the
     unit output of its harmonic."""
     out = coupling.c.coeffs @ solution.pi
@@ -378,6 +357,5 @@ def residual_second_equation(solution: SylvesterSolution,
 def control_signal(gain: FeedforwardGain, w0: ExoState, t):
     """Feedforward input sum_k ell_k w0_k exp(i omega_k t); equals the gain
     applied to the shifted exosystem state."""
-    if gain.exo_modes != w0.space.modes:
-        raise ModeMismatchError("gain and state mode ranges differ")
+    _require_same_modes(gain.space.modes, w0.space.modes)
     return synthesize_signal(ExoState(w0.space, gain.ell * w0.coeffs), t)

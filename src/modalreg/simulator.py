@@ -29,7 +29,8 @@ from .exosystem import ExoState, synthesize_signal
 from .regulator import (FeedforwardGain, ModalCoupling, SteadyStateImage,
                         SylvesterSolution, control_signal, forcing_matrix,
                         frequency_denominators)
-from .spectral import DiagonalGenerator, SpectralVector, _blocks, loglog_fit
+from .spectral import (DiagonalGenerator, SpectralVector, _blocks,
+                       _require_same_modes, loglog_fit)
 
 
 @dataclass(eq=False)
@@ -50,11 +51,10 @@ def simulate_closed_loop(gen: DiagonalGenerator, coupling: ModalCoupling,
                          gain: FeedforwardGain, z0: SpectralVector,
                          w0: ExoState, t_grid) -> SimulationResult:
     """Closed-loop run from (z0, w0) over the grid, exact per mode."""
-    if z0.modes != gen.modes:
-        raise ValueError("initial state and generator mode ranges differ")
+    _require_same_modes(z0.modes, gen.modes)
     t = np.asarray(t_grid, dtype=float)
     space = w0.space
-    m = forcing_matrix(coupling, gain, space)
+    m = forcing_matrix(coupling, gain)
     m *= w0.coeffs[None, :]
     m /= frequency_denominators(gen, space)
     transient = z0.coeffs - m.sum(axis=1)
@@ -98,8 +98,7 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
     own time point only, so the blocks change no bits, and memory is O(T)
     plus one block.
     """
-    if z0.modes != gen.modes:
-        raise ValueError("initial state and generator mode ranges differ")
+    _require_same_modes(z0.modes, gen.modes)
     w0 = image.w0
     t = np.asarray(t_grid, dtype=float)
     x = z0.coeffs - image.pi_w0
@@ -123,8 +122,8 @@ def state_deviation_norms(result: SimulationResult,
     """||z(t) - Pi T_S(t) w0|| per grid point: distance to the periodic
     steady-state orbit."""
     space = result.w0.space
-    if solution.exo_modes != space.modes or solution.plant_modes != result.plant_modes:
-        raise ValueError("solution mode ranges do not match the simulation")
+    _require_same_modes(solution.space.modes, space.modes)
+    _require_same_modes(solution.plant_modes, result.plant_modes)
     exo_phases = np.exp(1j * np.multiply.outer(result.t_grid, space.omegas))
     exo_phases *= result.w0.coeffs  # scale the T x K phases, not Pi (N x K)
     orbit = exo_phases @ solution.pi.T

@@ -24,13 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .exosystem import ExoSpace
-from .regulator import (FeedforwardGain, ModalCoupling, _check_operands,
-                        _forcing_columns)
+from .regulator import FeedforwardGain, ModalCoupling, _forcing_columns
 # not called here; perfbench/tracing.py wraps this name
 from .regulator import frequency_denominators
 from .spectral import (DiagonalGenerator, SpectralVector, TailReport, _blocks,
-                       classify_tail, fractional_norm, loglog_fit)
+                       _require_same_modes, classify_tail, fractional_norm,
+                       loglog_fit)
 
 DEFAULT_HORIZONS = tuple(10.0 * 2**j for j in range(8))
 
@@ -146,8 +145,7 @@ def quadrature_pi_column(gen: DiagonalGenerator, delta_column: SpectralVector,
     integral to it. Divergence would show up as non-decreasing tails; it
     is reported, never raised.
     """
-    if gen.modes != delta_column.modes:
-        raise ValueError("forcing column and generator mode ranges differ")
+    _require_same_modes(gen.modes, delta_column.modes)
     s = gen.eigenvalues - 1j * omega_k
     inv = delta_column.coeffs / (1j * omega_k - gen.eigenvalues)
     t = np.concatenate(([0.0], spec.horizons))
@@ -169,8 +167,7 @@ _VERDICT_RANK = {"summable": 0, "inconclusive": 1, "divergent": 2}
 
 
 def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
-                          gain: FeedforwardGain, space: ExoSpace, alpha: float,
-                          eps: float,
+                          gain: FeedforwardGain, alpha: float, eps: float,
                           spec: QuadratureSpec = QuadratureSpec()) -> ConformityReport:
     """Evidence that the forcing operator smooths into the fractional
     domain of order beta = alpha + eps, combined with the horizon-tail
@@ -197,13 +194,14 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
     """
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
-    _check_operands(gen, coupling, gain, space)
+    _require_same_modes(gen.modes, coupling.modes)
+    space = gain.space
     beta = alpha + eps
     f = space.weights
     n_exo = len(f)
 
     def column(j):
-        return _forcing_columns(coupling, gain, space, np.array([j]))[:, 0]
+        return _forcing_columns(coupling, gain, np.array([j]))[:, 0]
 
     b_reg = check_b_regularity(gen, coupling.b, beta)
     bounds = np.abs(gain.ell) * math.sqrt(b_reg.partial_sum) / f
@@ -220,8 +218,7 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
 
     tails = np.empty((len(spec.horizons), n_exo))
     for blk in _blocks(n_exo, len(gen.modes)):
-        forcing = _forcing_columns(coupling, gain, space,
-                                   np.arange(n_exo)[blk])
+        forcing = _forcing_columns(coupling, gain, np.arange(n_exo)[blk])
         tails[:, blk] = _analytic_tails(gen, forcing, space.omegas[blk],
                                         spec.horizons)
     agg = (tails / f).max(axis=1)
@@ -267,8 +264,7 @@ class BetaVerdict:
 def check_b_regularity(gen: DiagonalGenerator, b: SpectralVector,
                        beta: float) -> BetaVerdict:
     """Partial sum and trend of |mu_n|**(2 beta) |b_n|**2."""
-    if gen.modes != b.modes:
-        raise ValueError("input column and generator mode ranges differ")
+    _require_same_modes(gen.modes, b.modes)
     terms = (np.abs(gen.eigenvalues) ** (2.0 * float(beta))
              * np.abs(b.coeffs) ** 2)
     return BetaVerdict(partial_sum=float(terms.sum()),

@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from modalreg.exosystem import ExoSpace, ExoState
-from modalreg.regulator import (_check_operands, forcing_matrix,
-                                frequency_denominators)
+from modalreg.regulator import forcing_matrix, frequency_denominators
 from modalreg.spectral import (SpectralVector, TailReport,
                                _require_same_modes, classify_tail)
 
@@ -35,11 +34,13 @@ def lemma_identity_check(gen, coupling, gain, solution, w: ExoState,
     coupling and the gain.
     """
     space = w.space
-    if solution.plant_modes != gen.modes or solution.exo_modes != space.modes:
-        raise ValueError("solution mode ranges do not match generator/exosystem")
-    _check_operands(gen, coupling, gain, space)
+    for a, b in ((solution.plant_modes, gen.modes),
+                 (gen.modes, coupling.modes),
+                 (solution.space.modes, space.modes),
+                 (gain.space.modes, space.modes)):
+        _require_same_modes(a, b)
     denom = frequency_denominators(gen, space)
-    m = forcing_matrix(coupling, gain, space) * w.coeffs[None, :] / denom
+    m = forcing_matrix(coupling, gain) * w.coeffs[None, :] / denom
     pw = solution.pi * w.coeffs[None, :]
     worst = 0.0
     for t in np.asarray(t_grid, dtype=float):

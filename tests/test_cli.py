@@ -828,9 +828,9 @@ class TestSolveLayerWork:
             builds.append((len(gen.modes), len(space.modes)))
             return inner(gen, space)
 
-        def counting_forcing(coupling, gain, space):
-            forcing_builds.append((len(coupling.modes), len(space.modes)))
-            return inner_forcing(coupling, gain, space)
+        def counting_forcing(coupling, gain):
+            forcing_builds.append((len(coupling.modes), len(gain.space.modes)))
+            return inner_forcing(coupling, gain)
 
         for module in (regulator, simulator, sylvester):
             monkeypatch.setattr(module, "frequency_denominators", counting)

@@ -320,7 +320,7 @@ def test_solve_artifacts_match_reference_writer(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
     gen, coupling, space, _, gain = _gain_pipeline(load_config(str(cfg_path)),
                                                    force=False)
-    solution = solve_regulator(gen, coupling, gain, space)
+    solution = solve_regulator(gen, coupling, gain)
     write_csv_rows(tmp_path / "L.csv", ["k", "re", "im"],
                    ((int(k), gain.ell[j].real, gain.ell[j].imag)
                     for j, k in enumerate(space.modes.indices)))

@@ -2,6 +2,7 @@
 solution of the regulator equations."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,16 +12,22 @@ from oracles import (first_residual_one_shot, frequency_grid_one_shot,
 
 import modalreg.regulator as regulator
 import modalreg.spectral as spectral
-from modalreg.errors import AssumptionFailure, SingularResolventError
+from modalreg.errors import (AssumptionFailure, ModeMismatchError,
+                             SingularResolventError)
 from modalreg.exosystem import ExoState
 from modalreg.regulator import (ModalCoupling, build_feedforward,
                                 check_assumption1, check_assumption2,
                                 control_signal, forcing_matrix, frequency_grid,
                                 residual_first_equation,
-                                residual_second_equation, solve_regulator)
+                                residual_second_equation, solve_regulator,
+                                steady_state_image)
 from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
                                 build_random_scenario, build_wave_scenario)
+from modalreg.simulator import (simulate_closed_loop, simulate_outputs,
+                                state_deviation_norms)
 from modalreg.spectral import SpectralVector
+from modalreg.sylvester import (check_b_regularity, conformity_diagnostic,
+                                quadrature_pi_column)
 
 
 @pytest.fixture(scope="module")
@@ -121,14 +128,13 @@ class TestDisturbanceEncoding:
         np.testing.assert_array_equal(grid.hd, grid_ref.hd)
         gain, gain_ref = build_feedforward(grid), build_feedforward(grid_ref)
         np.testing.assert_array_equal(gain.ell, gain_ref.ell)
-        np.testing.assert_array_equal(forcing_matrix(coupling, gain, space),
-                                      forcing_matrix(ref, gain_ref, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        np.testing.assert_array_equal(forcing_matrix(coupling, gain),
+                                      forcing_matrix(ref, gain_ref))
+        sol = solve_regulator(gen, coupling, gain)
         np.testing.assert_array_equal(
-            sol.pi, solve_regulator(gen, ref, gain_ref, space).pi)
-        assert residual_first_equation(sol, gen, coupling, gain,
-                                       space) <= 1e-10
-        assert residual_second_equation(sol, coupling, space) <= 1e-10
+            sol.pi, solve_regulator(gen, ref, gain_ref).pi)
+        assert residual_first_equation(sol, gen, coupling, gain) <= 1e-10
+        assert residual_second_equation(sol, coupling) <= 1e-10
 
 
 class TestBlockedGrid:
@@ -157,9 +163,9 @@ class TestBlockedGrid:
                              frequency_grid_one_shot(gen, coupling, space)):
             assert got.tobytes() == want.tobytes()
         gain = build_feedforward(grid)
-        sol = solve_regulator(gen, coupling, gain, space)
-        forcing = forcing_matrix(coupling, gain, space)
-        assert residual_first_equation(sol, gen, coupling, gain, space) == \
+        sol = solve_regulator(gen, coupling, gain)
+        forcing = forcing_matrix(coupling, gain)
+        assert residual_first_equation(sol, gen, coupling, gain) == \
             first_residual_one_shot(sol.pi, gen, forcing, space)
 
     def test_blocks_cover_positions_in_order(self, monkeypatch):
@@ -248,8 +254,8 @@ class TestFeedforward:
         fresh = build_feedforward(frequency_grid(gen, coupling, space))
         np.testing.assert_array_equal(gain.ell, fresh.ell)
         np.testing.assert_array_equal(
-            solve_regulator(gen, coupling, gain, space).pi,
-            solve_regulator(gen, coupling, fresh, space).pi)
+            solve_regulator(gen, coupling, gain).pi,
+            solve_regulator(gen, coupling, fresh).pi)
 
     def test_gain_transfer_consistency(self, wave_resonant):
         gen, coupling, space = wave_resonant
@@ -266,7 +272,7 @@ class TestAssumption2:
                              gamma=gamma)
         gen, coupling, space = build_diagonal_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        report = check_assumption2(gain, space)
+        report = check_assumption2(gain)
         assert report.tail.verdict == verdict
         # terms are (1 + omega**2)**(1 - gamma)
         assert report.tail.exponent == pytest.approx(2.0 * (1.0 - gamma),
@@ -278,7 +284,7 @@ class TestAssumption2:
         gen, coupling, space = diagonal
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         gain.ell = np.zeros_like(gain.ell)
-        report = check_assumption2(gain, space)
+        report = check_assumption2(gain)
         assert report.tail.verdict == "summable"
         assert report.total == 0.0
 
@@ -287,25 +293,36 @@ class TestRegulatorSolve:
     def test_diagonal_steady_state_is_rank_one(self, diagonal):
         gen, coupling, space = diagonal
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         row0 = gen.modes.position(0)
         np.testing.assert_allclose(sol.pi[row0, :], 1.0, rtol=1e-12)
         others = np.delete(sol.pi, row0, axis=0)
         assert np.all(others == 0)
 
+    def test_solution_carries_the_gain_space(self):
+        # the solve reads the frequencies and weights of the space the
+        # gain was designed on, so no other space can be paired with it
+        cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10,
+                             period=2.0 * math.pi)
+        gen, coupling, space = build_diagonal_scenario(cfg)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        sol = solve_regulator(gen, coupling, gain)
+        assert sol.space is gain.space
+        assert residual_second_equation(sol, coupling) <= 1e-10
+
     def test_zero_forcing_gives_zero_map(self, diagonal):
         gen, coupling, space = diagonal
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         gain.ell = np.zeros_like(gain.ell)
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         assert np.all(sol.pi == 0)
         assert sol.operator_norm_estimate == 0.0
 
     def test_columns_equal_resolvent_application(self, wave_resonant):
         gen, coupling, space = wave_resonant
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
-        forcing = forcing_matrix(coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
+        forcing = forcing_matrix(coupling, gain)
         for k in (-11, 0, 9):
             j = space.modes.position(k)
             resolvent = forcing[:, j] / (1j * space.omegas[j] - gen.eigenvalues)
@@ -316,7 +333,7 @@ class TestRegulatorSolve:
         iteration to rounding."""
         gen, coupling, space = wave_resonant
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         assert sol.operator_norm_estimate == pytest.approx(
             power_iteration_norm(sol.pi, space.weights), rel=1e-12)
 
@@ -324,14 +341,14 @@ class TestRegulatorSolve:
     def test_norm_estimate_matches_plain_power_iteration_random(self, seed):
         gen, coupling, space = build_random_scenario(seed)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         assert sol.operator_norm_estimate == pytest.approx(
             power_iteration_norm(sol.pi, space.weights), rel=1e-12)
 
     def test_norm_estimate_makes_no_copy_of_pi(self, wave_resonant):
         gen, coupling, space = wave_resonant
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        pi = solve_regulator(gen, coupling, gain, space).pi
+        pi = solve_regulator(gen, coupling, gain).pi
         _, peak = traced_peak(
             lambda: regulator._weighted_norm_estimate(pi, space.weights))
         assert peak < pi.nbytes / 4
@@ -350,7 +367,7 @@ class TestRegulatorSolve:
             return inner(pi, weights)
 
         monkeypatch.setattr(regulator, "_weighted_norm_estimate", counting)
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         assert calls == []
         first = sol.operator_norm_estimate
         assert sol.operator_norm_estimate == first
@@ -359,7 +376,7 @@ class TestRegulatorSolve:
     def test_norm_estimate_matches_svd(self, diagonal):
         gen, coupling, space = diagonal
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         exact = np.linalg.svd(sol.pi / space.weights[None, :],
                               compute_uv=False)[0]
         assert sol.operator_norm_estimate == pytest.approx(exact, rel=1e-6)
@@ -369,30 +386,30 @@ class TestResiduals:
     def test_solved_residuals_at_rounding_level(self, wave_resonant):
         gen, coupling, space = wave_resonant
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
-        assert residual_first_equation(sol, gen, coupling, gain, space) <= 1e-10
-        assert residual_second_equation(sol, coupling, space) <= 1e-10
+        sol = solve_regulator(gen, coupling, gain)
+        assert residual_first_equation(sol, gen, coupling, gain) <= 1e-10
+        assert residual_second_equation(sol, coupling) <= 1e-10
 
     def test_injected_fault_detected(self, diagonal):
         gen, coupling, space = diagonal
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         n_pos, k_pos = gen.modes.position(2), space.modes.position(5)
         sol.pi[n_pos, k_pos] += 1e-3
         expected = 1e-3 * abs(1j * space.omegas[k_pos]
                               - gen.eigenvalues[n_pos]) \
             / (1.0 + np.linalg.norm(sol.pi[:, k_pos]))
-        res = residual_first_equation(sol, gen, coupling, gain, space)
+        res = residual_first_equation(sol, gen, coupling, gain)
         assert res == pytest.approx(expected, rel=1e-6)
 
     def test_zero_map_residual_is_forcing_norm(self, diagonal):
         gen, coupling, space = diagonal
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         sol.pi = np.zeros_like(sol.pi)
-        expected = np.linalg.norm(forcing_matrix(coupling, gain, space),
+        expected = np.linalg.norm(forcing_matrix(coupling, gain),
                                   axis=0).max()
-        res = residual_first_equation(sol, gen, coupling, gain, space)
+        res = residual_first_equation(sol, gen, coupling, gain)
         assert res == pytest.approx(expected, rel=1e-12)
 
     def test_two_resolution_mismatch_reported(self):
@@ -414,8 +431,8 @@ class TestResiduals:
                                        2.0)
         gain_fine = build_feedforward(frequency_grid(*plant(240), space))
         gen_c, coupling_c = plant(120)
-        sol = solve_regulator(gen_c, coupling_c, gain_fine, space)
-        res = residual_second_equation(sol, coupling_c, space)
+        sol = solve_regulator(gen_c, coupling_c, gain_fine)
+        res = residual_second_equation(sol, coupling_c)
         # oracle: with no disturbance the column output is H_coarse * ell_fine
         h_coarse = np.array([
             naive_transfer_value(gen_c.eigenvalues, coupling_c.b.coeffs,
@@ -429,10 +446,9 @@ class TestResiduals:
         for seed in range(20):
             gen, coupling, space = build_random_scenario(seed)
             gain = build_feedforward(frequency_grid(gen, coupling, space))
-            sol = solve_regulator(gen, coupling, gain, space)
-            assert residual_first_equation(sol, gen, coupling, gain,
-                                           space) <= 1e-10
-            assert residual_second_equation(sol, coupling, space) <= 1e-10
+            sol = solve_regulator(gen, coupling, gain)
+            assert residual_first_equation(sol, gen, coupling, gain) <= 1e-10
+            assert residual_second_equation(sol, coupling) <= 1e-10
 
 
 class TestControlSignal:
@@ -461,3 +477,55 @@ class TestControlSignal:
         u0 = control_signal(gain, w0, 1.1)
         u1 = control_signal(gain, w0, 1.1 + space.period)
         assert abs(u1 - u0) <= 1e-12 * max(1.0, abs(u0))
+
+
+# Each operand check, called with one operand from the other run, whose
+# plant and harmonic ranges are both one mode wider on each side.
+_MISMATCHED = {
+    "grid-coupling": lambda r, o: frequency_grid(r.gen, o.coupling, r.space),
+    "solve-coupling": lambda r, o: solve_regulator(r.gen, o.coupling, r.gain),
+    "image-coupling": lambda r, o: steady_state_image(
+        r.gen, o.coupling, r.gain, r.w0),
+    "conformity-coupling": lambda r, o: conformity_diagnostic(
+        r.gen, o.coupling, r.gain, 1.0, 0.25),
+    "coupling-b-c": lambda r, o: ModalCoupling(b=r.coupling.b,
+                                               c=o.coupling.c),
+    "image-w0": lambda r, o: steady_state_image(r.gen, r.coupling, r.gain,
+                                                o.w0),
+    "control-w0": lambda r, o: control_signal(r.gain, o.w0, 0.5),
+    "outputs-z0": lambda r, o: simulate_outputs(
+        r.gen, r.coupling, r.gain, o.z0, r.image, r.t),
+    "closed-loop-z0": lambda r, o: simulate_closed_loop(
+        r.gen, r.coupling, r.gain, o.z0, r.w0, r.t),
+    "deviation-solution": lambda r, o: state_deviation_norms(
+        simulate_closed_loop(r.gen, r.coupling, r.gain, r.z0, r.w0, r.t),
+        solve_regulator(o.gen, o.coupling, o.gain)),
+    "b-regularity": lambda r, o: check_b_regularity(r.gen, o.coupling.b, 1.0),
+    "quadrature-column": lambda r, o: quadrature_pi_column(
+        r.gen, o.coupling.b, 1.0),
+}
+
+
+class TestModeRangeRule:
+    """Every operand pair on different mode ranges raises
+    ModeMismatchError, the one mode-range rule."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        def run(n_plant, n_exo):
+            cfg = ScenarioConfig(kind="diagonal", n_plant=n_plant,
+                                 n_exo=n_exo)
+            gen, coupling, space = build_diagonal_scenario(cfg)
+            gain = build_feedforward(frequency_grid(gen, coupling, space))
+            w0 = ExoState.unit(space, 1)
+            return SimpleNamespace(
+                gen=gen, coupling=coupling, space=space, gain=gain, w0=w0,
+                z0=SpectralVector.unit(gen.modes, 0),
+                image=steady_state_image(gen, coupling, gain, w0),
+                t=np.linspace(0.0, 5.0, 6))
+        return run(8, 5), run(9, 6)
+
+    @pytest.mark.parametrize("check", list(_MISMATCHED))
+    def test_other_range_raises_mode_mismatch(self, runs, check):
+        with pytest.raises(ModeMismatchError):
+            _MISMATCHED[check](*runs)

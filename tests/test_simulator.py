@@ -38,7 +38,7 @@ def diagonal():
                          w0_preset="square11", z0_preset="inv_mu_sq")
     gen, coupling, space = build_diagonal_scenario(cfg)
     gain = build_feedforward(frequency_grid(gen, coupling, space))
-    sol = solve_regulator(gen, coupling, gain, space)
+    sol = solve_regulator(gen, coupling, gain)
     return cfg, gen, coupling, space, gain, sol
 
 
@@ -122,7 +122,7 @@ class TestSimulation:
                           + 1j * rng.standard_normal(len(space.modes)))
             times = [0.0, 2.0, 5.0]
             oracle = rk4_closed_loop(gen.eigenvalues,
-                                     [forcing_matrix(coupling, gain, space)],
+                                     [forcing_matrix(coupling, gain)],
                                      [w0.coeffs], [space.omegas], z0.coeffs,
                                      t_end=5.0, step=1e-3, checkpoints=times)
             exact = simulate_closed_loop(gen, coupling, gain, z0, w0,
@@ -191,7 +191,7 @@ class TestOutputPath:
             monkeypatch.setattr(spectral, "_BLOCK_ENTRIES",
                                 width * len(gen.modes))
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         t = np.geomspace(1e-2, 1e3, 512)
         ref = simulate_closed_loop(gen, coupling, gain, z0, w0, t)
         ref_dev = state_deviation_norms(ref, sol)
@@ -418,10 +418,9 @@ class TestPolynomiallyStableCustom:
             cfg = load_config(path)
             gen, coupling, space = build_scenario(cfg.scenario)
             gain = build_feedforward(frequency_grid(gen, coupling, space))
-            sol = solve_regulator(gen, coupling, gain, space)
-            assert residual_first_equation(sol, gen, coupling, gain,
-                                           space) <= 1e-10
-            assert residual_second_equation(sol, coupling, space) <= 1e-10
+            sol = solve_regulator(gen, coupling, gain)
+            assert residual_first_equation(sol, gen, coupling, gain) <= 1e-10
+            assert residual_second_equation(sol, coupling) <= 1e-10
 
             w0 = resolve_w0(cfg.scenario, space)
             z0 = resolve_z0(cfg.scenario, gen)

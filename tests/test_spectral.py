@@ -174,9 +174,9 @@ class TestResolvent:
         coupling = ModalCoupling(b=b, c=b)
         space = ExoSpace.power_weights(3.0, ModeRange.symmetric(4), 2.0)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         back = (1j * space.omegas[None, :] - gen.eigenvalues[:, None]) * sol.pi
-        np.testing.assert_allclose(back, forcing_matrix(coupling, gain, space),
+        np.testing.assert_allclose(back, forcing_matrix(coupling, gain),
                                    rtol=1e-13)
 
     def test_min_gap_reported(self):

@@ -28,8 +28,8 @@ def single_mode_gen(mu):
     return DiagonalGenerator(ModeRange(0, 0), np.array([mu], dtype=complex))
 
 
-def constant_gain(modes, ell):
-    return FeedforwardGain(modes, np.full(len(modes), ell, dtype=complex))
+def constant_gain(space, ell):
+    return FeedforwardGain(space, np.full(len(space.modes), ell, dtype=complex))
 
 
 def forcing_operator(b, space, ell=1.0, p_entries=None):
@@ -37,7 +37,7 @@ def forcing_operator(b, space, ell=1.0, p_entries=None):
     diagnostics take; they never read the output row."""
     coupling = ModalCoupling(b=b, c=SpectralVector.zeros(b.modes),
                              p_entries=p_entries or {})
-    return coupling, constant_gain(space.modes, ell)
+    return coupling, constant_gain(space, ell)
 
 
 class TestQuadratureColumn:
@@ -59,8 +59,8 @@ class TestQuadratureColumn:
                                            n_exo=20))):
             gen, coupling, space = build(cfg)
             gain = build_feedforward(frequency_grid(gen, coupling, space))
-            sol = solve_regulator(gen, coupling, gain, space)
-            forcing = forcing_matrix(coupling, gain, space)
+            sol = solve_regulator(gen, coupling, gain)
+            forcing = forcing_matrix(coupling, gain)
             for k in (-5, 0, 5):
                 omega = 2.0 * math.pi * k / space.period
                 j = space.modes.position(k)
@@ -121,7 +121,7 @@ class TestConformity:
         cfg = ScenarioConfig(kind="wave", n_plant=200, n_exo=30, period=2.0)
         gen, coupling, space = build_wave_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        report = conformity_diagnostic(gen, coupling, gain, space, alpha=2.0,
+        report = conformity_diagnostic(gen, coupling, gain, alpha=2.0,
                                        eps=0.25)
         assert report.verdict == "conform-trend"
         ev = report.sufficient_condition
@@ -136,7 +136,7 @@ class TestConformity:
         rough = SpectralVector(gen.modes,
                                1.0 / np.abs(gen.eigenvalues) ** 0.1 + 0j)
         report = conformity_diagnostic(gen, *forcing_operator(rough, space),
-                                       space, alpha=2.0, eps=0.25)
+                                       alpha=2.0, eps=0.25)
         assert report.verdict == "non-conform-trend"
         assert report.sufficient_condition.worst_tail.verdict == "divergent"
 
@@ -145,7 +145,7 @@ class TestConformity:
         gen, _, space = build_diagonal_scenario(cfg)
         report = conformity_diagnostic(
             gen, *forcing_operator(SpectralVector.zeros(gen.modes), space),
-            space, alpha=1.0, eps=0.5)
+            alpha=1.0, eps=0.5)
         assert report.verdict == "conform-trend"
         assert report.sufficient_condition.sup_bound == 0.0
 
@@ -161,7 +161,7 @@ class TestConformity:
         gen, coupling, space = build(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         alpha, eps = 2.0, 0.25
-        report = conformity_diagnostic(gen, coupling, gain, space, alpha, eps)
+        report = conformity_diagnostic(gen, coupling, gain, alpha, eps)
         breg = check_b_regularity(gen, coupling.b, alpha + eps)
         assert report.sufficient_condition.worst_tail == breg.tail
 
@@ -174,7 +174,7 @@ class TestConformity:
             alpha, eps = 1.0, 0.25
             breg = check_b_regularity(gen, coupling.b, alpha + eps)
             rank_one = ModalCoupling(b=coupling.b, c=coupling.c)  # P dropped
-            report = conformity_diagnostic(gen, rank_one, gain, space, alpha,
+            report = conformity_diagnostic(gen, rank_one, gain, alpha,
                                            eps)
             if breg.tail.verdict == "summable":
                 assert report.verdict == "conform-trend"
@@ -223,9 +223,9 @@ class TestBatchedConformity:
         gen, coupling, space = scenario()
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         alpha, eps, spec = 2.0, 0.25, QuadratureSpec()
-        report = conformity_diagnostic(gen, coupling, gain, space, alpha, eps,
+        report = conformity_diagnostic(gen, coupling, gain, alpha, eps,
                                        spec)
-        forcing = forcing_matrix(coupling, gain, space)
+        forcing = forcing_matrix(coupling, gain)
         agg, bounds, worst = conformity_per_column(gen, forcing, space,
                                                    alpha + eps, spec)
         got = np.array([report.tail_norms[h] for h in spec.horizons])
@@ -249,7 +249,7 @@ class TestBatchedConformity:
     def test_buffered_tails_match_whole_arrays(self, scenario, monkeypatch):
         gen, coupling, space = scenario()
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        forcing = forcing_matrix(coupling, gain, space)
+        forcing = forcing_matrix(coupling, gain)
         # the blocks of 7 harmonics that conformity_diagnostic walks
         monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 7 * len(gen.modes))
         blocks = spectral._blocks(len(space.modes), len(gen.modes))
@@ -269,7 +269,7 @@ class TestBatchedConformity:
         odd = set(space.modes.indices[1::2].tolist())
         sparse = ModalCoupling(b=coupling.b, c=coupling.c, p_entries={
             nk: v for nk, v in coupling.p_entries.items() if nk[1] not in odd})
-        ev = conformity_diagnostic(gen, sparse, gain, space, 1.0,
+        ev = conformity_diagnostic(gen, sparse, gain, 1.0,
                                    0.25).sufficient_condition
         assert ev.sup_bound > 0.0 and ev.argmax_mode not in odd
         # every column zero, the columns P touches among them: the largest
@@ -277,7 +277,7 @@ class TestBatchedConformity:
         gain.ell[:] = 0.0
         zero = ModalCoupling(b=coupling.b, c=coupling.c,
                              p_entries=dict.fromkeys(coupling.p_entries, 0.0))
-        ev = conformity_diagnostic(gen, zero, gain, space, 1.0,
+        ev = conformity_diagnostic(gen, zero, gain, 1.0,
                                    0.25).sufficient_condition
         assert ev.sup_bound == 0.0
 
@@ -299,7 +299,7 @@ class TestBatchedConformity:
         coupling, gain = forcing_operator(SpectralVector.zeros(gen.modes),
                                           space, p_entries=entries)
         spec = QuadratureSpec(horizons=(2.0, 4.0, 8.0))
-        report = conformity_diagnostic(gen, coupling, gain, space, 1.0, 0.25,
+        report = conformity_diagnostic(gen, coupling, gain, 1.0, 0.25,
                                        spec)
         want = np.array([trapezoid_column(gen.eigenvalues, forcing[:, j], om,
                                           spec.horizons, step=1e-4)[1]
@@ -320,7 +320,7 @@ class TestLemmaIdentity:
         cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10)
         gen, coupling, space = build_diagonal_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         w = ExoState.unit(space, 1)
         res = lemma_identity_check(gen, coupling, gain, sol, w, [0.0])
         assert res == 0.0
@@ -329,7 +329,7 @@ class TestLemmaIdentity:
         cfg = ScenarioConfig(kind="diagonal", n_plant=30, n_exo=15)
         gen, coupling, space = build_diagonal_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         w = ExoState.unit(space, 1)
         res = lemma_identity_check(gen, coupling, gain, sol, w,
                                    [0.1, 1.0, 10.0])
@@ -340,7 +340,7 @@ class TestLemmaIdentity:
         for seed in range(10):
             gen, coupling, space = build_random_scenario(seed)
             gain = build_feedforward(frequency_grid(gen, coupling, space))
-            sol = solve_regulator(gen, coupling, gain, space)
+            sol = solve_regulator(gen, coupling, gain)
             w = ExoState(space, rng.standard_normal(len(space.modes))
                          + 1j * rng.standard_normal(len(space.modes)))
             res = lemma_identity_check(gen, coupling, gain, sol, w,
@@ -350,11 +350,12 @@ class TestLemmaIdentity:
 
 class TestForcingOperands:
     """Both diagnostics take the forcing operator as (coupling, gain); a
-    coupling or a gain from another mode range is rejected."""
+    coupling from another mode range is rejected. The gain carries the
+    space it was designed on, so it cannot disagree with one."""
 
     @pytest.mark.parametrize("check", [
         lambda gen, coupling, gain, space, sol: conformity_diagnostic(
-            gen, coupling, gain, space, 1.0, 0.25),
+            gen, coupling, gain, 1.0, 0.25),
         lambda gen, coupling, gain, space, sol: lemma_identity_check(
             gen, coupling, gain, sol, ExoState.unit(space, 1), [1.0]),
     ], ids=["conformity", "lemma_identity"])
@@ -362,16 +363,13 @@ class TestForcingOperands:
         cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10)
         gen, coupling, space = build_diagonal_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        sol = solve_regulator(gen, coupling, gain, space)
+        sol = solve_regulator(gen, coupling, gain)
         check(gen, coupling, gain, space, sol)  # matching ranges are accepted
         wider = ModeRange(gen.modes.lo, gen.modes.hi + 1)
         other_coupling = ModalCoupling(b=SpectralVector.zeros(wider),
                                        c=SpectralVector.zeros(wider))
-        other_gain = constant_gain(ModeRange(space.modes.lo,
-                                             space.modes.hi + 1), 1.0)
-        for wrong in ((other_coupling, gain), (coupling, other_gain)):
-            with pytest.raises(ModeMismatchError):
-                check(gen, *wrong, space, sol)
+        with pytest.raises(ModeMismatchError):
+            check(gen, other_coupling, gain, space, sol)
 
 
 class TestBRegularity:
