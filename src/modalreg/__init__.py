@@ -12,9 +12,8 @@ from .regulator import (Assumption1Report, Assumption2Report, FeedforwardGain,
                         forcing_matrix, frequency_grid,
                         residual_first_equation, residual_second_equation,
                         solve_regulator, steady_state_image)
-from .scenarios import (ScenarioConfig, build_diagonal_scenario,
-                        build_random_scenario, build_scenario,
-                        build_wave_scenario, resolve_w0, resolve_z0)
+from .scenarios import (ScenarioConfig, build_random_scenario, build_scenario,
+                        resolve_w0, resolve_z0)
 from .simulator import (DecayCertificate, OutputTrajectory, SimulationResult,
                         certify_decay, simulate_closed_loop, simulate_outputs,
                         state_deviation_norms)

@@ -1,6 +1,11 @@
 """Golden scenario constructors and a seeded random-scenario generator.
 
-Two named scenarios are built from closed-form data:
+A scenario kind is its plant data: the modes, the spectrum mu and the
+input/output columns b and c. One assembly turns them, with the
+disturbance entries and the exosystem's period, harmonic count and weight
+exponent, into the generator, the coupling and the weighted space.
+
+Two named kinds have closed-form data:
 
 * ``wave``: damped second-order string modes, spectrum
   ``mu_k = -nu pi / k**2 + i k pi`` over ``k != 0``; the input column is
@@ -12,9 +17,9 @@ Two named scenarios are built from closed-form data:
   ``mu_n = -1/(1+|n|) + i omega_n``; the frequency response is exactly
   ``1/(1 + i omega)`` and the envelope falls like ``1/t`` (alpha = 1).
 
-Random scenarios are bounded away from every degeneracy (spectrum in the
-open left half-plane, response magnitudes floored by resampling) and are
-deterministic in the seed.
+``custom`` lists its data explicitly. Random scenarios are bounded away
+from every degeneracy (spectrum in the open left half-plane, response
+magnitudes floored by resampling) and are deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -92,55 +97,44 @@ class ScenarioConfig:
         return {"wave": 2.0, "diagonal": 1.0}.get(self.kind, 1.0)
 
 
-def build_wave_scenario(cfg: ScenarioConfig):
-    """Damped-wave modal data: spectrum, odd-harmonic input column,
-    conjugate output, no disturbance."""
-    if cfg.kind != "wave":
-        raise ValueError(f"expected kind 'wave', got {cfg.kind!r}")
-    plant = ModeRange.symmetric(cfg.n_plant, exclude_zero=True)
-    k = plant.indices.astype(float)
+def _wave_plant(cfg: ScenarioConfig):
+    """Damped-wave modes without 0: odd-harmonic input column, conjugate
+    output."""
+    modes = ModeRange.symmetric(cfg.n_plant, exclude_zero=True)
+    k = modes.indices.astype(float)
     mu = -cfg.nu * math.pi / k**2 + 1j * math.pi * k
-    b = 2.0 * (1.0 - (-1.0) ** plant.indices) / (k**3 * math.pi**3)
-    gen = DiagonalGenerator(plant, mu)
-    coupling = ModalCoupling(
-        b=SpectralVector(plant, b.astype(np.complex128)),
-        c=SpectralVector(plant, np.conj(b).astype(np.complex128)),
-    )
-    space = ExoSpace.power_weights(cfg.resolved_period,
-                                   ModeRange.symmetric(cfg.n_exo), cfg.gamma)
-    return gen, coupling, space
+    b = 2.0 * (1.0 - (-1.0) ** modes.indices) / (k**3 * math.pi**3)
+    return modes, mu, b, np.conj(b)
 
 
-def build_diagonal_scenario(cfg: ScenarioConfig):
-    """Rank-one plant on mode 0 with slowly accumulating spectrum."""
-    if cfg.kind != "diagonal":
-        raise ValueError(f"expected kind 'diagonal', got {cfg.kind!r}")
-    period = cfg.resolved_period
-    plant = ModeRange.symmetric(cfg.n_plant)
-    n = plant.indices.astype(float)
-    mu = -1.0 / (1.0 + np.abs(n)) + 2j * math.pi * n / period
-    gen = DiagonalGenerator(plant, mu)
-    coupling = ModalCoupling(
-        b=SpectralVector.unit(plant, 0),
-        c=SpectralVector.unit(plant, 0),
-    )
-    space = ExoSpace.power_weights(period, ModeRange.symmetric(cfg.n_exo),
-                                   cfg.gamma)
-    return gen, coupling, space
+def _diagonal_plant(cfg: ScenarioConfig):
+    """Slowly accumulating spectrum with input and output on mode 0."""
+    modes = ModeRange.symmetric(cfg.n_plant)
+    n = modes.indices.astype(float)
+    mu = -1.0 / (1.0 + np.abs(n)) + 2j * math.pi * n / cfg.resolved_period
+    unit = (modes.indices == 0).astype(float)
+    return modes, mu, unit, unit
 
 
-def build_custom_scenario(cfg: ScenarioConfig):
+def _custom_plant(cfg: ScenarioConfig):
     """Explicitly listed plant data; modes are numbered 0..len-1."""
-    if cfg.kind != "custom":
-        raise ValueError(f"expected kind 'custom', got {cfg.kind!r}")
-    plant = ModeRange(0, len(cfg.eigenvalues) - 1)
-    gen = DiagonalGenerator(plant, np.asarray(cfg.eigenvalues, dtype=np.complex128))
-    coupling = ModalCoupling(
-        b=SpectralVector(plant, np.asarray(cfg.b, dtype=np.complex128)),
-        c=SpectralVector(plant, np.asarray(cfg.c, dtype=np.complex128)),
-    )
-    space = ExoSpace.power_weights(cfg.resolved_period,
-                                   ModeRange.symmetric(cfg.n_exo), cfg.gamma)
+    modes = ModeRange(0, len(cfg.eigenvalues) - 1)
+    return modes, cfg.eigenvalues, cfg.b, cfg.c
+
+
+# kind -> its plant data (modes, mu, b, c); random draws its own
+_PLANTS = {"wave": _wave_plant, "diagonal": _diagonal_plant,
+           "custom": _custom_plant}
+
+
+def _assemble(modes, mu, b, c, p_entries, period: float, n_exo: int,
+              gamma: float):
+    """Generator, coupling and weighted harmonic space -n_exo..n_exo of
+    one plant and exosystem: the one place a scenario is assembled."""
+    gen = DiagonalGenerator(modes, mu)
+    coupling = ModalCoupling(b=SpectralVector(modes, b),
+                             c=SpectralVector(modes, c), p_entries=p_entries)
+    space = ExoSpace.power_weights(period, ModeRange.symmetric(n_exo), gamma)
     return gen, coupling, space
 
 
@@ -199,13 +193,8 @@ def build_random_scenario(seed: int):
                 n_mode = int(rng.choice(plant.indices))
                 k_mode = int(rng.integers(-n_exo, n_exo + 1))
                 p_entries[(n_mode, k_mode)] = complex(_unit_disc(rng, 1)[0])
-        gen = DiagonalGenerator(plant, mu)
-        coupling = ModalCoupling(
-            b=SpectralVector(plant, b),
-            c=SpectralVector(plant, c),
-            p_entries=p_entries,
-        )
-        space = ExoSpace.power_weights(period, ModeRange.symmetric(n_exo), gamma)
+        gen, coupling, space = _assemble(plant, mu, b, c, p_entries, period,
+                                         n_exo, gamma)
         report = check_assumption1(frequency_grid(gen, coupling, space),
                                    floor=_MIN_RESPONSE)
         if report.passed:
@@ -221,27 +210,27 @@ def _unit_disc(rng, size: int) -> np.ndarray:
 
 
 def build_scenario(cfg: ScenarioConfig):
-    """Dispatch on the configured kind."""
-    if cfg.kind == "wave":
-        return build_wave_scenario(cfg)
-    if cfg.kind == "diagonal":
-        return build_diagonal_scenario(cfg)
-    if cfg.kind == "custom":
-        return build_custom_scenario(cfg)
-    return build_random_scenario(cfg.seed)
+    """(generator, coupling, space) of the configured kind."""
+    if cfg.kind == "random":
+        return build_random_scenario(cfg.seed)
+    return _assemble(*_PLANTS[cfg.kind](cfg), {}, cfg.resolved_period,
+                     cfg.n_exo, cfg.gamma)
+
+
+def _explicit(name: str, values, modes: ModeRange) -> np.ndarray:
+    """An explicitly listed state's coefficients, one per mode."""
+    coeffs = np.asarray(list(values), dtype=np.complex128)
+    if coeffs.shape != (len(modes),):
+        raise ValueError(f"explicit {name} list has length {coeffs.size}, "
+                         f"expected {len(modes)}")
+    return coeffs
 
 
 def resolve_w0(cfg: ScenarioConfig, space: ExoSpace) -> ExoState:
     """Materialize the configured reference/initial exosystem state."""
     preset = cfg.w0_preset
     if not isinstance(preset, str):
-        coeffs = np.asarray(list(preset), dtype=np.complex128)
-        if coeffs.shape != (len(space.modes),):
-            raise ValueError(
-                f"explicit w0 list has length {coeffs.size}, "
-                f"expected {len(space.modes)}"
-            )
-        return ExoState(space, coeffs)
+        return ExoState(space, _explicit("w0", preset, space.modes))
     if preset == "zero":
         return ExoState.zeros(space)
     if preset == "unit":
@@ -269,13 +258,7 @@ def resolve_z0(cfg: ScenarioConfig, gen: DiagonalGenerator,
     """
     preset = cfg.z0_preset
     if not isinstance(preset, str):
-        coeffs = np.asarray(list(preset), dtype=np.complex128)
-        if coeffs.shape != (len(gen.modes),):
-            raise ValueError(
-                f"explicit z0 list has length {coeffs.size}, "
-                f"expected {len(gen.modes)}"
-            )
-        return SpectralVector(gen.modes, coeffs)
+        return SpectralVector(gen.modes, _explicit("z0", preset, gen.modes))
     if preset == "zero":
         return SpectralVector.zeros(gen.modes)
     if preset == "inv_mu_sq":

@@ -52,6 +52,7 @@ def simulate_closed_loop(gen: DiagonalGenerator, coupling: ModalCoupling,
                          w0: ExoState, t_grid) -> SimulationResult:
     """Closed-loop run from (z0, w0) over the grid, exact per mode."""
     _require_same_modes(z0.modes, gen.modes)
+    _require_same_modes(w0.space.modes, gain.space.modes)
     t = np.asarray(t_grid, dtype=float)
     space = w0.space
     m = forcing_matrix(coupling, gain)
@@ -100,6 +101,7 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
     """
     _require_same_modes(z0.modes, gen.modes)
     w0 = image.w0
+    _require_same_modes(w0.space.modes, gain.space.modes)
     t = np.asarray(t_grid, dtype=float)
     x = z0.coeffs - image.pi_w0
     ell_w0 = gain.ell * w0.coeffs

@@ -136,12 +136,6 @@ class SpectralVector:
     def zeros(cls, modes: ModeRange) -> "SpectralVector":
         return cls(modes, np.zeros(len(modes), dtype=np.complex128))
 
-    @classmethod
-    def unit(cls, modes: ModeRange, mode: int) -> "SpectralVector":
-        v = np.zeros(len(modes), dtype=np.complex128)
-        v[modes.position(mode)] = 1.0
-        return cls(modes, v)
-
 
 @dataclass(eq=False)
 class DiagonalGenerator:

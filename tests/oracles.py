@@ -8,7 +8,8 @@ line the shared fitter must reproduce bit for bit, and the one-shot
 denominator-matrix computations the blocked frequency grid and residual
 must reproduce bit for bit, and a composite trapezoid for the
 steady-state integral the closed-form horizon increments must reproduce
-to quadrature accuracy. ``traced_peak`` is the one memory measurement the
+to quadrature accuracy. ``unit_vector`` is the unit plant state the
+tests start from. ``traced_peak`` is the one memory measurement the
 memory tests share; ``traced_cli_peak`` takes it for one command-line call
 in a fresh interpreter.
 """
@@ -21,6 +22,15 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+
+from modalreg.spectral import SpectralVector
+
+
+def unit_vector(modes, mode: int) -> SpectralVector:
+    """The plant state 1 at ``mode`` and 0 elsewhere."""
+    v = np.zeros(len(modes), dtype=np.complex128)
+    v[modes.position(mode)] = 1.0
+    return SpectralVector(modes, v)
 
 
 def rk4_closed_loop(mu, g_matrices, w0s, omegas, z0, t_end, step,

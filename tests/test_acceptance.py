@@ -110,11 +110,11 @@ def test_criterion_3_convolution_identity_on_random_scenarios():
 def test_criterion_4_polynomial_decay_exponents():
     start = time.perf_counter()
     t = np.geomspace(10.0, 1e3, 160)
-    wave_gen, _, _ = mr.build_wave_scenario(
+    wave_gen, _, _ = mr.build_scenario(
         mr.ScenarioConfig(kind="wave", n_plant=10_000, n_exo=1))
     wave_env = mr.decay_envelope(wave_gen, 1.0, t)
     wave_exp = -mr.fit_decay_rate(wave_env.values, t, (10.0, 1e3)).slope
-    diag_gen, _, _ = mr.build_diagonal_scenario(
+    diag_gen, _, _ = mr.build_scenario(
         mr.ScenarioConfig(kind="diagonal", n_plant=10_000, n_exo=1))
     diag_env = mr.decay_envelope(diag_gen, 1.0, t)
     diag_exp = -mr.fit_decay_rate(diag_env.values, t, (10.0, 1e3)).slope
@@ -202,7 +202,7 @@ def test_criterion_7_gain_summability_boundary():
     for gamma in (2.0, 1.25):
         cfg = mr.ScenarioConfig(kind="diagonal", n_plant=200, n_exo=200,
                                 gamma=gamma)
-        gen, coupling, space = mr.build_diagonal_scenario(cfg)
+        gen, coupling, space = mr.build_scenario(cfg)
         gain = mr.build_feedforward(mr.frequency_grid(gen, coupling, space))
         verdicts[gamma] = mr.check_assumption2(gain)
     elapsed = time.perf_counter() - start
@@ -217,7 +217,7 @@ def test_criterion_7_gain_summability_boundary():
 
 def test_criterion_8_input_column_membership_boundary():
     start = time.perf_counter()
-    gen, coupling, _ = mr.build_wave_scenario(
+    gen, coupling, _ = mr.build_scenario(
         mr.ScenarioConfig(kind="wave", n_plant=200, n_exo=1))
     verdict = {beta: mr.check_b_regularity(gen, coupling.b, beta).tail.verdict
                for beta in (2.25, 2.6)}

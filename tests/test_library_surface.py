@@ -2,8 +2,11 @@
 
 A static closure: from ``cli.main``, the module-level code of every
 module and the names the benchmark's tracer wraps, follow every name and
-attribute that a reached body mentions. Matching by name can only
-over-count what is reached, so a name the CLI uses is never flagged.
+attribute that a reached body mentions. A classmethod is reached only
+when a reached body mentions it as ``ClassName.method``, the form of
+every classmethod call in src; every other name is matched bare.
+Matching by name can only over-count what is reached, so a name the CLI
+uses is never flagged.
 
 A dataclass field is read when a reached body loads an attribute of its
 name or passes its name to ``getattr`` as a string. Matching by name can
@@ -22,9 +25,17 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "modalreg"
 
 
 def _mentions(nodes) -> set:
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for node in nodes for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+    """Names and attributes, and ``Name.attr`` for an attribute of a name."""
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+                if isinstance(n.value, ast.Name):
+                    out.add(f"{n.value.id}.{n.attr}")
+    return out
 
 
 def _reads(nodes) -> set:
@@ -47,6 +58,11 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
+def _is_classmethod(node: ast.FunctionDef) -> bool:
+    return any(getattr(d, "id", None) == "classmethod"
+               for d in node.decorator_list)
+
+
 def _closure():
     """(unreached definitions, reached nodes, dataclass fields) of src."""
     defs, reached = [], {"main", "quadrature_pi_column", "to_csv"}
@@ -63,7 +79,9 @@ def _closure():
                            and not m.name.startswith("__")]
                 defs.append((qual, node.name, node.bases + node.decorator_list
                              + [m for m in node.body if m not in methods]))
-                defs += [(f"{qual}.{m.name}", m.name, [m]) for m in methods]
+                defs += [(f"{qual}.{m.name}",
+                          f"{node.name}.{m.name}" if _is_classmethod(m)
+                          else m.name, [m]) for m in methods]
                 if _is_dataclass(node):
                     fields += [f"{qual}.{s.target.id}" for s in node.body
                                if isinstance(s, ast.AnnAssign)

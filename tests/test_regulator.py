@@ -2,13 +2,14 @@
 solution of the regulator equations."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from oracles import (first_residual_one_shot, frequency_grid_one_shot,
                      naive_transfer_value, power_iteration_norm,
-                     traced_peak)
+                     traced_peak, unit_vector)
 
 import modalreg.regulator as regulator
 import modalreg.spectral as spectral
@@ -21,8 +22,8 @@ from modalreg.regulator import (ModalCoupling, build_feedforward,
                                 residual_first_equation,
                                 residual_second_equation, solve_regulator,
                                 steady_state_image)
-from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
-                                build_random_scenario, build_wave_scenario)
+from modalreg.scenarios import (ScenarioConfig, build_random_scenario,
+                                build_scenario)
 from modalreg.simulator import (simulate_closed_loop, simulate_outputs,
                                 state_deviation_norms)
 from modalreg.spectral import SpectralVector
@@ -33,13 +34,13 @@ from modalreg.sylvester import (check_b_regularity, conformity_diagnostic,
 @pytest.fixture(scope="module")
 def diagonal():
     cfg = ScenarioConfig(kind="diagonal", n_plant=40, n_exo=40)
-    return build_diagonal_scenario(cfg)
+    return build_scenario(cfg)
 
 
 @pytest.fixture(scope="module")
 def wave_resonant():
     cfg = ScenarioConfig(kind="wave", n_plant=120, n_exo=50, period=2.0)
-    return build_wave_scenario(cfg)
+    return build_scenario(cfg)
 
 
 class TestTransferFunction:
@@ -147,7 +148,7 @@ class TestBlockedGrid:
     @staticmethod
     def scenario(kind, seed):
         if kind == "wave":
-            return build_wave_scenario(ScenarioConfig(
+            return build_scenario(ScenarioConfig(
                 kind="wave", n_plant=60, n_exo=100, period=2.0))
         return build_random_scenario(seed)
 
@@ -270,7 +271,7 @@ class TestAssumption2:
     def test_weight_exponent_boundary(self, gamma, verdict):
         cfg = ScenarioConfig(kind="diagonal", n_plant=200, n_exo=200,
                              gamma=gamma)
-        gen, coupling, space = build_diagonal_scenario(cfg)
+        gen, coupling, space = build_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         report = check_assumption2(gain)
         assert report.tail.verdict == verdict
@@ -304,7 +305,7 @@ class TestRegulatorSolve:
         # gain was designed on, so no other space can be paired with it
         cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10,
                              period=2.0 * math.pi)
-        gen, coupling, space = build_diagonal_scenario(cfg)
+        gen, coupling, space = build_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain)
         assert sol.space is gain.space
@@ -461,7 +462,7 @@ class TestControlSignal:
     def test_single_harmonic_matches_gain_phase(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=10, n_exo=10,
                              period=2.0 * math.pi)
-        gen, coupling, space = build_diagonal_scenario(cfg)
+        gen, coupling, space = build_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         w0 = ExoState.unit(space, 1)
         for t in (0.0, 0.4, 2.0):
@@ -495,8 +496,12 @@ _MISMATCHED = {
     "control-w0": lambda r, o: control_signal(r.gain, o.w0, 0.5),
     "outputs-z0": lambda r, o: simulate_outputs(
         r.gen, r.coupling, r.gain, o.z0, r.image, r.t),
+    "outputs-gain": lambda r, o: simulate_outputs(
+        r.gen, r.coupling, r.gain, r.z0, replace(r.image, w0=o.w0), r.t),
     "closed-loop-z0": lambda r, o: simulate_closed_loop(
         r.gen, r.coupling, r.gain, o.z0, r.w0, r.t),
+    "closed-loop-w0": lambda r, o: simulate_closed_loop(
+        r.gen, r.coupling, r.gain, r.z0, o.w0, r.t),
     "deviation-solution": lambda r, o: state_deviation_norms(
         simulate_closed_loop(r.gen, r.coupling, r.gain, r.z0, r.w0, r.t),
         solve_regulator(o.gen, o.coupling, o.gain)),
@@ -515,12 +520,12 @@ class TestModeRangeRule:
         def run(n_plant, n_exo):
             cfg = ScenarioConfig(kind="diagonal", n_plant=n_plant,
                                  n_exo=n_exo)
-            gen, coupling, space = build_diagonal_scenario(cfg)
+            gen, coupling, space = build_scenario(cfg)
             gain = build_feedforward(frequency_grid(gen, coupling, space))
             w0 = ExoState.unit(space, 1)
             return SimpleNamespace(
                 gen=gen, coupling=coupling, space=space, gain=gain, w0=w0,
-                z0=SpectralVector.unit(gen.modes, 0),
+                z0=unit_vector(gen.modes, 0),
                 image=steady_state_image(gen, coupling, gain, w0),
                 t=np.linspace(0.0, 5.0, 6))
         return run(8, 5), run(9, 6)

@@ -7,11 +7,12 @@ import pytest
 from paper import dirac_functional, is_conjugate_symmetric
 from scipy.integrate import quad
 
+import modalreg.scenarios as scenarios
 from modalreg.regulator import build_feedforward, frequency_grid
-from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
+from modalreg.scenarios import (VALID_KINDS, ScenarioConfig,
                                 build_random_scenario, build_scenario,
-                                build_wave_scenario, nominal_geometric_params,
-                                resolve_w0, resolve_z0)
+                                nominal_geometric_params, resolve_w0,
+                                resolve_z0)
 from modalreg.spectral import check_geometric_condition
 from modalreg.sylvester import check_b_regularity
 
@@ -43,20 +44,19 @@ class TestConfigValidation:
 
 @pytest.fixture(scope="module")
 def wave():
-    return build_wave_scenario(ScenarioConfig(kind="wave", n_plant=200,
-                                              n_exo=30))
+    return build_scenario(ScenarioConfig(kind="wave", n_plant=200, n_exo=30))
 
 
 @pytest.fixture(scope="module")
 def diag():
-    return build_diagonal_scenario(ScenarioConfig(kind="diagonal",
-                                                  n_plant=100, n_exo=50))
+    return build_scenario(ScenarioConfig(kind="diagonal", n_plant=100,
+                                         n_exo=50))
 
 
 @pytest.fixture(scope="module")
 def small_diag():
     cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10)
-    return cfg, build_diagonal_scenario(cfg)
+    return cfg, build_scenario(cfg)
 
 
 class TestWaveScenario:
@@ -125,7 +125,7 @@ class TestDiagonalScenario:
     def test_gain_summability_boundary(self, gamma, passes):
         cfg = ScenarioConfig(kind="diagonal", n_plant=200, n_exo=200,
                              gamma=gamma)
-        gen, coupling, space = build_diagonal_scenario(cfg)
+        gen, coupling, space = build_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         from modalreg.regulator import check_assumption2
         assert (check_assumption2(gain).tail.verdict
@@ -158,10 +158,39 @@ class TestRandomScenario:
             assert check_assumption1(frequency_grid(gen, coupling, space),
                                      floor=1e-3).passed
 
-    def test_dispatch(self):
-        cfg = ScenarioConfig(kind="random", seed=5, n_plant=5, n_exo=5)
-        gen, _, _ = build_scenario(cfg)
+
+class TestDispatch:
+    """build_scenario builds the mode ranges and period the config
+    implies; a random scenario's are the ones its seed draws."""
+
+    @pytest.mark.parametrize("cfg, plant, period", [
+        (ScenarioConfig(kind="wave", n_plant=4, n_exo=3),
+         [-4, -3, -2, -1, 1, 2, 3, 4], 2.0),
+        (ScenarioConfig(kind="diagonal", n_plant=4, n_exo=3, period=3.0),
+         list(range(-4, 5)), 3.0),
+        (ScenarioConfig(kind="custom", n_exo=3, period=5.0,
+                        eigenvalues=[-1.0, -2.0 + 1j, -0.5 - 3j],
+                        b=[1.0, 0.5j, 1.0], c=[1.0, 0.0, -1.0]),
+         [0, 1, 2], 5.0),
+        (ScenarioConfig(kind="random", seed=5, n_plant=5, n_exo=5),
+         None, None),
+    ], ids=["wave", "diagonal", "custom", "random"])
+    def test_dispatch(self, cfg, plant, period):
+        gen, coupling, space = build_scenario(cfg)
         assert gen.eigenvalues.real.max() < 0
+        exo = list(range(-cfg.n_exo, cfg.n_exo + 1))
+        if cfg.kind == "random":
+            drawn_gen, _, drawn_space = build_random_scenario(cfg.seed)
+            plant = list(drawn_gen.modes.indices)
+            exo = list(drawn_space.modes.indices)
+            period = drawn_space.period
+        assert list(gen.modes.indices) == plant
+        assert coupling.modes == gen.modes
+        assert list(space.modes.indices) == exo
+        assert space.period == period
+
+    def test_every_kind_is_built(self):
+        assert set(scenarios._PLANTS) | {"random"} == set(VALID_KINDS)
 
 
 class TestPresets:
@@ -180,7 +209,7 @@ class TestPresets:
     def test_square_wave_needs_room(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=3,
                              w0_preset="square11")
-        _, _, space = build_diagonal_scenario(cfg)
+        _, _, space = build_scenario(cfg)
         with pytest.raises(ValueError, match="square11"):
             resolve_w0(cfg, space)
 
@@ -217,12 +246,16 @@ class TestPresets:
         with pytest.raises(ValueError, match="length"):
             resolve_z0(ScenarioConfig(kind="diagonal", z0_preset=[1.0, 2.0],
                                       n_plant=20, n_exo=10), gen)
+        with pytest.raises(ValueError, match="explicit w0 list has length 3, "
+                                             "expected 21"):
+            resolve_w0(ScenarioConfig(kind="diagonal", w0_preset=[1.0] * 3,
+                                      n_plant=20, n_exo=10), space)
 
 
 class TestNominalGeometry:
     def test_wave_constants(self):
         cfg = ScenarioConfig(kind="wave", nu=0.5, n_plant=50, n_exo=10)
-        gen, _, _ = build_wave_scenario(cfg)
+        gen, _, _ = build_scenario(cfg)
         alpha, c, d = nominal_geometric_params(cfg, gen)
         assert (alpha, d) == (2.0, math.pi)
         assert c == pytest.approx(0.5 * math.pi**3)
@@ -230,7 +263,7 @@ class TestNominalGeometry:
 
     def test_diagonal_constants(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=50, n_exo=10, period=4.0)
-        gen, _, _ = build_diagonal_scenario(cfg)
+        gen, _, _ = build_scenario(cfg)
         alpha, c, d = nominal_geometric_params(cfg, gen)
         assert alpha == 1.0
         assert c == pytest.approx(math.pi / 4.0)

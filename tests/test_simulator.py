@@ -24,9 +24,8 @@ from modalreg.regulator import (ModalCoupling, build_feedforward,
                                 residual_first_equation,
                                 residual_second_equation, solve_regulator,
                                 steady_state_image)
-from modalreg.scenarios import (ScenarioConfig, build_diagonal_scenario,
-                                build_random_scenario, build_scenario,
-                                build_wave_scenario, resolve_w0, resolve_z0)
+from modalreg.scenarios import (ScenarioConfig, build_random_scenario,
+                                build_scenario, resolve_w0, resolve_z0)
 from modalreg.simulator import (certify_decay, simulate_closed_loop,
                                 simulate_outputs, state_deviation_norms)
 from modalreg.spectral import SpectralVector, decay_envelope, loglog_fit
@@ -36,7 +35,7 @@ from modalreg.spectral import SpectralVector, decay_envelope, loglog_fit
 def diagonal():
     cfg = ScenarioConfig(kind="diagonal", n_plant=30, n_exo=15,
                          w0_preset="square11", z0_preset="inv_mu_sq")
-    gen, coupling, space = build_diagonal_scenario(cfg)
+    gen, coupling, space = build_scenario(cfg)
     gain = build_feedforward(frequency_grid(gen, coupling, space))
     sol = solve_regulator(gen, coupling, gain)
     return cfg, gen, coupling, space, gain, sol
@@ -352,7 +351,7 @@ class TestDecayCertificate:
         cfg = ScenarioConfig(kind="wave", nu=1.0, gamma=2.0, n_plant=1000,
                              n_exo=1000, w0_preset="square11",
                              z0_preset="inv_mu_sq")
-        gen, coupling, space = build_wave_scenario(cfg)
+        gen, coupling, space = build_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         w0 = resolve_w0(cfg, space)
         z0 = resolve_z0(cfg, gen)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import loglog_polyfit
+from oracles import loglog_polyfit, unit_vector
 from paper import semigroup_apply
 
 from modalreg.errors import ModeMismatchError, SingularResolventError
@@ -81,14 +81,14 @@ class TestSemigroup:
 
     def test_scalar_exponential(self):
         gen = DiagonalGenerator(ModeRange(0, 0), np.array([-1.0 + 0j]))
-        v = SpectralVector.unit(gen.modes, 0)
+        v = unit_vector(gen.modes, 0)
         out = semigroup_apply(gen, 1.0, v)
         assert out.coeffs[0] == pytest.approx(math.exp(-1.0))
 
     def test_wave_mode_five_magnitude(self):
         # damping rate nu pi / k**2 at k = 5 integrated over t = 10
         gen = wave_spectrum(8)
-        v = SpectralVector.unit(gen.modes, 5)
+        v = unit_vector(gen.modes, 5)
         out = semigroup_apply(gen, 10.0, v)
         assert abs(out.coeffs[gen.modes.position(5)]) == pytest.approx(
             math.exp(-10.0 * math.pi / 25.0), rel=1e-12)
@@ -189,12 +189,12 @@ class TestResolvent:
 class TestFractionalNorm:
     def test_beta_zero_plain_norm(self):
         gen = accumulating_spectrum(3)
-        v = SpectralVector.unit(gen.modes, 0)
+        v = unit_vector(gen.modes, 0)
         assert fractional_norm(gen, 0.0, v) == pytest.approx(1.0)
 
     def test_single_mode_weight(self):
         gen = DiagonalGenerator(ModeRange(0, 0), np.array([-3.0 + 4.0j]))
-        v = SpectralVector.unit(gen.modes, 0)
+        v = unit_vector(gen.modes, 0)
         assert fractional_norm(gen, 2.0, v) == pytest.approx(25.0)
 
     @pytest.mark.parametrize("beta,verdict,exponent", [

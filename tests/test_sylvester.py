@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (analytic_tails_whole, conformity_per_column,
-                     trapezoid_column)
+                     trapezoid_column, unit_vector)
 from paper import lemma_identity_check
 
 import modalreg.spectral as spectral
@@ -15,9 +15,8 @@ from modalreg.exosystem import ExoSpace, ExoState
 from modalreg.regulator import (FeedforwardGain, ModalCoupling,
                                 build_feedforward, forcing_matrix,
                                 frequency_grid, solve_regulator)
-from modalreg.scenarios import (ScenarioConfig, build_custom_scenario,
-                                build_diagonal_scenario, build_random_scenario,
-                                build_wave_scenario)
+from modalreg.scenarios import (ScenarioConfig, build_random_scenario,
+                                build_scenario)
 from modalreg.spectral import DiagonalGenerator, ModeRange, SpectralVector
 from modalreg.sylvester import (DEFAULT_HORIZONS, QuadratureSpec,
                                 _tail_trend_verdict, check_b_regularity,
@@ -44,20 +43,17 @@ class TestQuadratureColumn:
     def test_unit_decay_integrates_to_one(self):
         gen = single_mode_gen(-1.0 + 0j)
         col, report = quadrature_pi_column(
-            gen, SpectralVector.unit(gen.modes, 0), 0.0)
+            gen, unit_vector(gen.modes, 0), 0.0)
         assert col.coeffs[0] == pytest.approx(1.0, rel=1e-12)
         tails = [report.tail_norms[h] for h in sorted(report.tail_norms)]
         assert all(b < a for a, b in zip(tails, tails[1:]))
         assert report.verdict == "conform-trend"
 
     def test_limit_equals_resolvent_columns(self):
-        for build, cfg in ((build_wave_scenario,
-                            ScenarioConfig(kind="wave", n_plant=120, n_exo=20,
-                                           period=2.0 * math.pi)),
-                           (build_diagonal_scenario,
-                            ScenarioConfig(kind="diagonal", n_plant=120,
-                                           n_exo=20))):
-            gen, coupling, space = build(cfg)
+        for cfg in (ScenarioConfig(kind="wave", n_plant=120, n_exo=20,
+                                   period=2.0 * math.pi),
+                    ScenarioConfig(kind="diagonal", n_plant=120, n_exo=20)):
+            gen, coupling, space = build_scenario(cfg)
             gain = build_feedforward(frequency_grid(gen, coupling, space))
             sol = solve_regulator(gen, coupling, gain)
             forcing = forcing_matrix(coupling, gain)
@@ -73,7 +69,7 @@ class TestQuadratureColumn:
     def test_remainder_at_final_horizon_is_exact(self):
         # difference from the limit must equal the dropped exponential tail
         gen = single_mode_gen(-0.02 + 3j)
-        d = SpectralVector.unit(gen.modes, 0)
+        d = unit_vector(gen.modes, 0)
         omega = 1.0
         spec = QuadratureSpec(horizons=(5.0, 10.0, 20.0))
         col, _ = quadrature_pi_column(gen, d, omega, spec)
@@ -84,7 +80,7 @@ class TestQuadratureColumn:
 
     def test_numeric_matches_analytic(self):
         gen = single_mode_gen(-1.0 + 0j)
-        d = SpectralVector.unit(gen.modes, 0)
+        d = unit_vector(gen.modes, 0)
         analytic, _ = quadrature_pi_column(
             gen, d, 1.0, QuadratureSpec(horizons=(50.0,)))
         numeric, _ = trapezoid_column(gen.eigenvalues, d.coeffs, 1.0,
@@ -119,7 +115,7 @@ class TestQuadratureColumn:
 class TestConformity:
     def test_wave_rank_one_forcing_is_conform(self):
         cfg = ScenarioConfig(kind="wave", n_plant=200, n_exo=30, period=2.0)
-        gen, coupling, space = build_wave_scenario(cfg)
+        gen, coupling, space = build_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         report = conformity_diagnostic(gen, coupling, gain, alpha=2.0,
                                        eps=0.25)
@@ -131,7 +127,7 @@ class TestConformity:
 
     def test_rough_columns_are_not_conform(self):
         cfg = ScenarioConfig(kind="wave", n_plant=200, n_exo=10, period=2.0)
-        gen, _, space = build_wave_scenario(cfg)
+        gen, _, space = build_scenario(cfg)
         # every column is the same rough input column
         rough = SpectralVector(gen.modes,
                                1.0 / np.abs(gen.eigenvalues) ** 0.1 + 0j)
@@ -142,23 +138,21 @@ class TestConformity:
 
     def test_zero_forcing_trivially_conform(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=30, n_exo=10)
-        gen, _, space = build_diagonal_scenario(cfg)
+        gen, _, space = build_scenario(cfg)
         report = conformity_diagnostic(
             gen, *forcing_operator(SpectralVector.zeros(gen.modes), space),
             alpha=1.0, eps=0.5)
         assert report.verdict == "conform-trend"
         assert report.sufficient_condition.sup_bound == 0.0
 
-    @pytest.mark.parametrize("build, cfg", [
-        (build_wave_scenario, ScenarioConfig(kind="wave", n_plant=200,
-                                             n_exo=30, period=2.0)),
-        (build_diagonal_scenario, ScenarioConfig(kind="diagonal", n_plant=40,
-                                                 n_exo=40)),
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(kind="wave", n_plant=200, n_exo=30, period=2.0),
+        ScenarioConfig(kind="diagonal", n_plant=40, n_exo=40),
     ], ids=["wave", "diagonal"])
-    def test_trend_is_the_input_column_trend(self, build, cfg):
+    def test_trend_is_the_input_column_trend(self, cfg):
         # without P every forcing column is ell_k b, so conformity's
         # mode-sum trend is the trend of b in D((-A)**(alpha + eps))
-        gen, coupling, space = build(cfg)
+        gen, coupling, space = build_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         alpha, eps = 2.0, 0.25
         report = conformity_diagnostic(gen, coupling, gain, alpha, eps)
@@ -186,7 +180,7 @@ def _disturbance_off_the_input_column():
     last mode changes the tail its column fits."""
     n = np.arange(30)
     b = np.where(n % 2 == 0, 1.0 / (1.0 + n) ** 4, 0.0)
-    gen, coupling, space = build_custom_scenario(ScenarioConfig(
+    gen, coupling, space = build_scenario(ScenarioConfig(
         kind="custom", n_exo=10, eigenvalues=-0.5 / (1.0 + n) + 1j * (n + 0.5),
         b=b, c=b))
     return gen, ModalCoupling(
@@ -208,10 +202,10 @@ class TestBatchedConformity:
     per-column loop in the oracle is the reference."""
 
     SCENARIOS = [
-        lambda: build_wave_scenario(ScenarioConfig(kind="wave", n_plant=200,
-                                                   n_exo=30, period=2.0)),
-        lambda: build_diagonal_scenario(ScenarioConfig(kind="diagonal",
-                                                       n_plant=40, n_exo=40)),
+        lambda: build_scenario(ScenarioConfig(kind="wave", n_plant=200,
+                                              n_exo=30, period=2.0)),
+        lambda: build_scenario(ScenarioConfig(kind="diagonal", n_plant=40,
+                                              n_exo=40)),
         _random_with_disturbance,
         _disturbance_off_the_input_column,
     ]
@@ -318,7 +312,7 @@ class TestBatchedConformity:
 class TestLemmaIdentity:
     def test_zero_time_both_sides_vanish(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10)
-        gen, coupling, space = build_diagonal_scenario(cfg)
+        gen, coupling, space = build_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain)
         w = ExoState.unit(space, 1)
@@ -327,7 +321,7 @@ class TestLemmaIdentity:
 
     def test_diagonal_identity(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=30, n_exo=15)
-        gen, coupling, space = build_diagonal_scenario(cfg)
+        gen, coupling, space = build_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain)
         w = ExoState.unit(space, 1)
@@ -361,7 +355,7 @@ class TestForcingOperands:
     ], ids=["conformity", "lemma_identity"])
     def test_other_mode_range_rejected(self, check):
         cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10)
-        gen, coupling, space = build_diagonal_scenario(cfg)
+        gen, coupling, space = build_scenario(cfg)
         gain = build_feedforward(frequency_grid(gen, coupling, space))
         sol = solve_regulator(gen, coupling, gain)
         check(gen, coupling, gain, space, sol)  # matching ranges are accepted
@@ -375,7 +369,7 @@ class TestForcingOperands:
 class TestBRegularity:
     def test_wave_membership_boundary(self):
         cfg = ScenarioConfig(kind="wave", n_plant=200, n_exo=10)
-        gen, coupling, _ = build_wave_scenario(cfg)
+        gen, coupling, _ = build_scenario(cfg)
         inside = check_b_regularity(gen, coupling.b, 2.25).tail
         outside = check_b_regularity(gen, coupling.b, 2.6).tail
         assert inside.verdict == "summable"
@@ -385,7 +379,7 @@ class TestBRegularity:
 
     def test_finitely_supported_column_regular_at_every_order(self):
         cfg = ScenarioConfig(kind="diagonal", n_plant=50, n_exo=10)
-        gen, coupling, _ = build_diagonal_scenario(cfg)
+        gen, coupling, _ = build_scenario(cfg)
         assert all(check_b_regularity(gen, coupling.b, beta).tail.verdict
                    == "summable" for beta in (0.5, 1.0, 5.0, 20.0))
 
