@@ -22,7 +22,7 @@ from .spectral import (DiagonalGenerator, EnvelopeResult,
                        SpectralVector, TailReport, check_geometric_condition,
                        classify_tail, decay_envelope, fit_decay_rate,
                        fractional_norm)
-from .sylvester import (ConformityReport, QuadratureSpec, check_b_regularity,
+from .sylvester import (ConformityReport, check_b_regularity,
                         conformity_diagnostic, quadrature_pi_column)
 
 __version__ = "0.1.0"

@@ -42,6 +42,13 @@ from .spectral import (check_geometric_condition, check_superpolynomial,
                        decay_envelope, fit_decay_rate)
 from .sylvester import conformity_diagnostic
 
+# The regulator equations count as solved when both residuals are at most
+# this bound: the pair is solved in closed form, so it is a rounding level.
+_RESIDUAL_BOUND = 1e-10
+# Conformity asks the forcing operator to smooth into D((-A)**(alpha + eps))
+# for some eps > 0; check reports it at this one eps.
+_CONFORMITY_EPS = 0.25
+
 
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
@@ -114,10 +121,9 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
 
         alpha = cfg.scenario.nominal_alpha
         conf = conformity_diagnostic(gen, coupling, gain, alpha=alpha,
-                                     eps=tol.conformity_eps,
-                                     spec=cfg.quadrature)
-        lines.append(f"Conformity (smoothing order {_fmt(alpha + tol.conformity_eps)}): "
-                     f"{conf.verdict}")
+                                     eps=_CONFORMITY_EPS)
+        lines.append(f"Conformity (smoothing order "
+                     f"{_fmt(alpha + _CONFORMITY_EPS)}): {conf.verdict}")
         ev = conf.sufficient_condition
         lines.append(f"  sup_k column bound / f_k = {_fmt(ev.sup_bound)} at "
                      f"k = {ev.argmax_mode}; worst mode-sum trend: "
@@ -180,16 +186,15 @@ def _simulate(cfg: RunConfig, gen, coupling, gain, w0, t_grid):
 def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     gen, coupling, space, lines, gain = _gain_pipeline(cfg, force)
     solution = solve_regulator(gen, coupling, gain)
-    tol = cfg.tolerances
     res1 = residual_first_equation(solution, gen, coupling, gain)
     res2 = residual_second_equation(solution, coupling)
 
-    ok1 = res1 <= tol.first_residual
-    ok2 = res2 <= tol.second_residual
+    ok1 = res1 <= _RESIDUAL_BOUND
+    ok2 = res2 <= _RESIDUAL_BOUND
     lines.append(f"first regulator equation residual  = {_fmt(res1)}  "
-                 f"[{'PASS' if ok1 else 'FAIL'} <= {_fmt(tol.first_residual)}]")
+                 f"[{'PASS' if ok1 else 'FAIL'} <= {_fmt(_RESIDUAL_BOUND)}]")
     lines.append(f"second regulator equation residual = {_fmt(res2)}  "
-                 f"[{'PASS' if ok2 else 'FAIL'} <= {_fmt(tol.second_residual)}]")
+                 f"[{'PASS' if ok2 else 'FAIL'} <= {_fmt(_RESIDUAL_BOUND)}]")
     lines.append(f"operator norm estimate of the steady-state map = "
                  f"{_fmt(solution.operator_norm_estimate)}")
 
@@ -339,14 +344,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _override(cfg: RunConfig, flag: str, **settings) -> RunConfig:
     """Apply a flag to the scenario settings its kind reads; a flag that
-    sets none of them is a config error."""
+    sets none of them, or sets one out of range, is a config error."""
     kind = cfg.scenario.kind
     read = {k: v for k, v in settings.items() if kind_reads(kind, k)}
     if not read:
         raise ConfigError(f"{flag} does not apply to kind = {kind}, which "
                           f"does not read {' or '.join(settings)}")
-    return dataclasses.replace(
-        cfg, scenario=dataclasses.replace(cfg.scenario, **read))
+    try:
+        scenario = dataclasses.replace(cfg.scenario, **read)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+    return dataclasses.replace(cfg, scenario=scenario)
 
 
 def main(argv=None) -> int:

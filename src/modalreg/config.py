@@ -1,10 +1,11 @@
 """INI-style run configuration for the command-line tools.
 
-Flat ``key = value`` entries in four sections: ``[scenario]``,
-``[tolerances]``, ``[quadrature]``, ``[simulate]``; ``;`` or ``#`` after
-whitespace starts a comment. Unknown sections or keys, and keys the
-scenario kind does not read, are errors, not warnings; reproducibility
-beats leniency.
+Flat ``key = value`` entries in three sections: ``[scenario]``,
+``[tolerances]``, ``[simulate]``; ``;`` or ``#`` after whitespace starts
+a comment. Unknown sections or keys, and keys the scenario kind does not
+read, are errors, not warnings; reproducibility beats leniency. The
+method settings (residual bounds, conformity margin, horizon schedule)
+are constants beside the code that uses them, not keys.
 """
 
 from __future__ import annotations
@@ -17,16 +18,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .scenarios import VALID_KINDS, ScenarioConfig, kind_reads
-from .sylvester import QuadratureSpec
 
 
 @dataclass
 class Tolerances:
     assumption1_floor: float = 1e-8
-    first_residual: float = 1e-10
-    second_residual: float = 1e-10
     slope_tol: float = 0.05
-    conformity_eps: float = 0.25
 
     def __post_init__(self):
         for name in CONFIG_KEYS["tolerances"]:
@@ -67,17 +64,12 @@ class SimGrid:
 class RunConfig:
     scenario: ScenarioConfig
     tolerances: Tolerances = field(default_factory=Tolerances)
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     sim: SimGrid = field(default_factory=SimGrid)
 
 
 def _complex_list(raw: str):
     return tuple(complex(part.strip().replace(" ", ""))
                  for part in raw.split(",") if part.strip())
-
-
-def _float_list(raw: str):
-    return tuple(float(part) for part in raw.split(",") if part.strip())
 
 
 # section -> key -> converter: a key is accepted exactly when it is read
@@ -90,10 +82,7 @@ CONFIG_KEYS = {
         "z0_list": _complex_list, "w0_list": _complex_list,
         "eigenvalues": _complex_list, "b": _complex_list, "c": _complex_list,
     },
-    "tolerances": dict.fromkeys(
-        ("assumption1_floor", "first_residual", "second_residual",
-         "slope_tol", "conformity_eps"), float),
-    "quadrature": {"horizons": _float_list},
+    "tolerances": dict.fromkeys(("assumption1_floor", "slope_tol"), float),
     "simulate": {"t_min": float, "t_max": float, "n_points": int,
                  "spacing": str.strip, "window_lo": float,
                  "window_hi": float},
@@ -162,6 +151,5 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         scenario=_read_section(parser, "scenario", ScenarioConfig),
         tolerances=_read_section(parser, "tolerances", Tolerances),
-        quadrature=_read_section(parser, "quadrature", QuadratureSpec),
         sim=_read_section(parser, "simulate", SimGrid),
     )

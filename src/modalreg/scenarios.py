@@ -68,6 +68,8 @@ class ScenarioConfig:
             raise ValueError(f"gamma must exceed 1/2, got {self.gamma}")
         if self.n_plant < 1 or self.n_exo < 1:
             raise ValueError("mode counts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.period is not None and self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
         if self.alpha is not None and self.alpha <= 0:

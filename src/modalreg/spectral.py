@@ -31,6 +31,9 @@ DIVERGENT_ABOVE = -0.95
 # A tail trend needs this many positive terms to fit.
 _TAIL_MIN_POINTS = 5
 
+# A decay-rate fit needs this many grid points in its window.
+_FIT_MIN_POINTS = 10
+
 # The geometric condition admits equality cases that differ only by this
 # relative rounding in the two ways of evaluating the bound.
 _GEOMETRIC_REL_SLACK = 1e-12
@@ -312,12 +315,11 @@ def fit_decay_rate(envelope, t_grid, window) -> LogLogFit:
     if env.shape != t.shape:
         raise ValueError("envelope and time grid lengths differ")
     lo, hi = float(window[0]), float(window[1])
-    fit = loglog_fit(t, env, (lo, hi), min_points=10)
+    fit = loglog_fit(t, env, (lo, hi), min_points=_FIT_MIN_POINTS)
     n_window = int(fit.inside.sum())
-    if n_window < 10:
-        raise ValueError(
-            f"window [{lo}, {hi}] contains {n_window} grid points; need >= 10"
-        )
+    if n_window < _FIT_MIN_POINTS:
+        raise ValueError(f"window [{lo}, {hi}] contains {n_window} grid "
+                         f"points; need >= {_FIT_MIN_POINTS}")
     if fit.n_points < n_window:
         raise ValueError("envelope must be strictly positive on the fit window")
     return fit
@@ -325,12 +327,20 @@ def fit_decay_rate(envelope, t_grid, window) -> LogLogFit:
 
 def check_superpolynomial(envelope, t_grid, window) -> SuperpolynomialCheck:
     """Flag envelopes whose fitted exponent grows along the window, the
-    signature of faster-than-polynomial decay on a log-log plot."""
+    signature of faster-than-polynomial decay on a log-log plot. Each half
+    of the window must hold as many grid points as one fit needs."""
     t = np.asarray(t_grid, dtype=float)
     lo, hi = float(window[0]), float(window[1])
     mid = math.sqrt(lo * hi)  # geometric midpoint splits log-evenly
-    early = -fit_decay_rate(envelope, t, (lo, mid)).slope
-    late = -fit_decay_rate(envelope, t, (mid, hi)).slope
+    halves = ((lo, mid), (mid, hi))
+    counts = [int(np.count_nonzero((t >= a) & (t <= b))) for a, b in halves]
+    if min(counts) < _FIT_MIN_POINTS:
+        raise ValueError(
+            f"window [{lo}, {hi}] splits at its geometric midpoint {mid} "
+            f"into halves of {counts[0]} and {counts[1]} grid points; need "
+            f">= {_FIT_MIN_POINTS} in each")
+    early, late = (-fit_decay_rate(envelope, t, half).slope
+                   for half in halves)
     return SuperpolynomialCheck(
         early_exponent=early,
         late_exponent=late,

@@ -31,7 +31,9 @@ from .spectral import (DiagonalGenerator, SpectralVector, TailReport, _blocks,
                        _require_same_modes, classify_tail, fractional_norm,
                        loglog_fit)
 
-DEFAULT_HORIZONS = tuple(10.0 * 2**j for j in range(8))
+# Horizons of the truncated integral, octaves from 10 to 1280; the
+# increments between them are the remainder trend.
+HORIZONS = tuple(10.0 * 2**j for j in range(8))
 
 # Log-log slope of the horizon increments below which the remainder trend
 # counts as integrable-looking.
@@ -42,21 +44,6 @@ _DECAYING_SLOPE = -0.05
 # reported bound and harmonic are the per-column ones even where the
 # bounds |ell_k| |b|_beta / f_k round a tie (k and -k) the other way.
 _SUP_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Horizon schedule of the steady-state integral."""
-
-    horizons: tuple = DEFAULT_HORIZONS
-
-    def __post_init__(self):
-        if len(self.horizons) == 0:
-            raise ValueError("horizon schedule is empty")
-        hs = tuple(float(h) for h in self.horizons)
-        if hs[0] <= 0 or any(b <= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("horizons must be positive and strictly increasing")
-        object.__setattr__(self, "horizons", hs)
 
 
 @dataclass
@@ -136,9 +123,9 @@ def _tail_trend_verdict(horizons, tails: np.ndarray) -> str:
 
 
 def quadrature_pi_column(gen: DiagonalGenerator, delta_column: SpectralVector,
-                         omega_k: float,
-                         spec: QuadratureSpec = QuadratureSpec()):
-    """Steady-state column via the truncated integral at each horizon.
+                         omega_k: float, horizons=HORIZONS):
+    """Steady-state column via the truncated integral at each horizon
+    (positive and increasing).
 
     Returns the column at the final horizon together with a report whose
     ``tail_norms`` record, per horizon, the norm gained by extending the
@@ -148,7 +135,7 @@ def quadrature_pi_column(gen: DiagonalGenerator, delta_column: SpectralVector,
     _require_same_modes(gen.modes, delta_column.modes)
     s = gen.eigenvalues - 1j * omega_k
     inv = delta_column.coeffs / (1j * omega_k - gen.eigenvalues)
-    t = np.concatenate(([0.0], spec.horizons))
+    t = np.concatenate(([0.0], horizons))
     exps = np.exp(np.multiply.outer(t, s))
     # increments from the antiderivative differences directly, not by
     # differencing near-saturated columns, so they stay meaningful down to
@@ -156,9 +143,8 @@ def quadrature_pi_column(gen: DiagonalGenerator, delta_column: SpectralVector,
     tail_vals = np.linalg.norm((exps[:-1] - exps[1:]) * inv[None, :], axis=1)
     final = (1.0 - exps[-1]) * inv
     report = ConformityReport(
-        tail_norms={float(h): float(v)
-                    for h, v in zip(spec.horizons, tail_vals)},
-        verdict=_tail_trend_verdict(spec.horizons, tail_vals),
+        tail_norms={float(h): float(v) for h, v in zip(horizons, tail_vals)},
+        verdict=_tail_trend_verdict(horizons, tail_vals),
     )
     return SpectralVector(gen.modes, final), report
 
@@ -168,7 +154,7 @@ _VERDICT_RANK = {"summable": 0, "inconclusive": 1, "divergent": 2}
 
 def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
                           gain: FeedforwardGain, alpha: float, eps: float,
-                          spec: QuadratureSpec = QuadratureSpec()) -> ConformityReport:
+                          horizons=HORIZONS) -> ConformityReport:
     """Evidence that the forcing operator smooths into the fractional
     domain of order beta = alpha + eps, combined with the horizon-tail
     trend.
@@ -216,11 +202,11 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
         nonzero[j] = bool(np.any(d != 0))
         fits[j] = classify_tail(gen.modes.indices, terms)
 
-    tails = np.empty((len(spec.horizons), n_exo))
+    tails = np.empty((len(horizons), n_exo))
     for blk in _blocks(n_exo, len(gen.modes)):
         forcing = _forcing_columns(coupling, gain, np.arange(n_exo)[blk])
         tails[:, blk] = _analytic_tails(gen, forcing, space.omegas[blk],
-                                        spec.horizons)
+                                        horizons)
     agg = (tails / f).max(axis=1)
 
     near_sup = np.flatnonzero(bounds >= bounds.max() * (1.0 - _SUP_RTOL))
@@ -238,7 +224,7 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
         argmax_mode=int(space.modes.indices[sup_j]),
         worst_tail=worst_tail,
     )
-    tails_decay = _tail_trend_verdict(spec.horizons, agg) == "conform-trend"
+    tails_decay = _tail_trend_verdict(horizons, agg) == "conform-trend"
     if worst_tail.verdict == "divergent":
         verdict = "non-conform-trend"
     elif worst_tail.verdict == "summable" and tails_decay:
@@ -246,7 +232,7 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
     else:
         verdict = "inconclusive"
     return ConformityReport(
-        tail_norms={float(h): float(v) for h, v in zip(spec.horizons, agg)},
+        tail_norms={float(h): float(v) for h, v in zip(horizons, agg)},
         verdict=verdict,
         sufficient_condition=evidence,
     )

@@ -113,7 +113,7 @@ def power_iteration_norm(matrix, weights, iterations=50):
     return float(np.linalg.norm(m @ v))
 
 
-def conformity_per_column(gen, forcing, space, beta, spec):
+def conformity_per_column(gen, forcing, space, beta, horizons):
     """Conformity evidence one harmonic at a time: the horizon tails of
     ``quadrature_pi_column``, the ``classify_tail`` trend and the
     ``fractional_norm`` bound of every column ``forcing[:, j]`` of the
@@ -128,7 +128,7 @@ def conformity_per_column(gen, forcing, space, beta, spec):
 
     rank = {"summable": 0, "inconclusive": 1, "divergent": 2}
     mu_pow = np.abs(gen.eigenvalues) ** (2.0 * beta)
-    agg = np.zeros(len(spec.horizons))
+    agg = np.zeros(len(horizons))
     bounds, worst = {}, None
     for j, k in enumerate(space.modes.indices):
         col = SpectralVector(gen.modes, forcing[:, j])
@@ -140,8 +140,8 @@ def conformity_per_column(gen, forcing, space, beta, spec):
             if worst is None or rank[tail.verdict] > rank[worst.verdict]:
                 worst = tail
         _, report = quadrature_pi_column(gen, col, float(space.omegas[j]),
-                                         spec)
-        tails = np.array([report.tail_norms[h] for h in spec.horizons])
+                                         horizons=horizons)
+        tails = np.array([report.tail_norms[h] for h in horizons])
         agg = np.maximum(agg, tails / f_k)
     return agg, bounds, worst
 

@@ -21,7 +21,6 @@ from modalreg.errors import ConfigError
 from modalreg.scenarios import (KIND_READS, VALID_KINDS, ScenarioConfig,
                                 build_scenario, nominal_geometric_params,
                                 resolve_w0, resolve_z0)
-from modalreg.sylvester import QuadratureSpec
 
 DIAG_OK = """
 [scenario]
@@ -68,7 +67,6 @@ class TestConfigParsing:
         cfg = load_config(write(tmp_path, DIAG_OK))
         assert cfg.scenario.kind == "diagonal"
         assert cfg.tolerances.assumption1_floor == 1e-8
-        assert cfg.quadrature.horizons[-1] == 1280.0
         assert cfg.sim.n_points == 512
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -96,9 +94,6 @@ class TestConfigParsing:
 assumption1_floor = 1e-6
 slope_tol = 0.1
 
-[quadrature]
-horizons = 10, 20, 40
-
 [simulate]
 t_min = 0.1
 t_max = 100
@@ -109,7 +104,6 @@ window_hi = 50
 """
         cfg = load_config(write(tmp_path, text))
         assert cfg.tolerances.assumption1_floor == 1e-6
-        assert cfg.quadrature.horizons == (10.0, 20.0, 40.0)
         assert cfg.sim.spacing == "linear"
         assert len(cfg.sim.grid()) == 64
 
@@ -120,17 +114,28 @@ window_hi = 50
         cfg = load_config(write(tmp_path, text))
         assert cfg.scenario.w0_preset == (1.0, 0.0, 0.5j)
 
-    @pytest.mark.parametrize("line", ["method = analytic", "step = 0.01"],
-                             ids=["method", "step"])
-    def test_removed_quadrature_keys_rejected(self, line, tmp_path, capsys):
-        path = write(tmp_path, DIAG_OK + f"\n[quadrature]\n{line}\n")
-        key = line.split()[0]
-        with pytest.raises(ConfigError,
-                           match=rf"unknown key\(s\) in \[quadrature\]: {key}$"):
+    # the method settings are constants: the horizon schedule, the
+    # residual bounds and the conformity margin
+    @pytest.mark.parametrize("section, line, message", [
+        ("quadrature", "horizons = 10, 20, 40", "unknown section [quadrature]"),
+        ("quadrature", "method = analytic", "unknown section [quadrature]"),
+        ("quadrature", "step = 0.01", "unknown section [quadrature]"),
+        ("tolerances", "first_residual = 1e-10",
+         "unknown key(s) in [tolerances]: first_residual"),
+        ("tolerances", "second_residual = 1e-10",
+         "unknown key(s) in [tolerances]: second_residual"),
+        ("tolerances", "conformity_eps = 0.25",
+         "unknown key(s) in [tolerances]: conformity_eps"),
+    ], ids=["horizons", "method", "step", "first_residual", "second_residual",
+            "conformity_eps"])
+    def test_removed_quadrature_keys_rejected(self, section, line, message,
+                                              tmp_path, capsys):
+        path = write(tmp_path, DIAG_OK + f"\n[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
         assert main(["check", "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
-        assert f"[quadrature]: {key}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["eigenvalues", "b", "c"])
@@ -150,10 +155,10 @@ window_hi = 50
         assert capsys.readouterr().err == f"config error: {message}\n" * 4
         assert not out.exists()
 
-    # every float key, the horizon list and one complex list
+    # every float key and one complex list
     NUMBER_KEYS = [(section, key) for section, keys in CONFIG_KEYS.items()
                    for key, conv in keys.items() if conv is float]
-    NUMBER_KEYS += [("quadrature", "horizons"), ("scenario", "eigenvalues")]
+    NUMBER_KEYS += [("scenario", "eigenvalues")]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section, key", NUMBER_KEYS)
@@ -164,8 +169,7 @@ window_hi = 50
                 else "[scenario]\nkind = wave\nn_plant = 5\nn_exo = 5\n")
         if section != "scenario":
             text += f"[{section}]\n"
-        raw = {"horizons": f"10, {value}",
-               "eigenvalues": f"{value}, -1"}.get(key, value)
+        raw = {"eigenvalues": f"{value}, -1"}.get(key, value)
         path = write(tmp_path, f"{text}{key} = {raw}\n")
         self.rejected_by_every_command(
             path, tmp_path / "out",
@@ -501,6 +505,27 @@ window_hi = 10.1
         assert list(out.iterdir()) == []
         assert "window [10.0, 10.1]" in capsys.readouterr().err
 
+    def test_window_halves_too_sparse_named(self, tmp_path, capsys):
+        # the window's 12 points pass the whole fit, but the superpolynomial
+        # check fits each half, and each half holds 6
+        text = """
+[scenario]
+kind = diagonal
+n_plant = 20
+n_exo = 10
+
+[simulate]
+n_points = 30
+"""
+        out = tmp_path / "out"
+        code = main(["decay", "--config", write(tmp_path, text),
+                     "--out", str(out)])
+        assert code == 2
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == (
+            "error: window [10.0, 1000.0] splits at its geometric midpoint "
+            "100.0 into halves of 6 and 6 grid points; need >= 10 in each\n")
+
     def test_exponential_spectrum_flagged(self, tmp_path, capsys):
         text = """
 [scenario]
@@ -587,6 +612,18 @@ class TestFlags:
               "--seed", "3"])
         assert (tmp_path / "a" / "L.csv").read_bytes() \
             != (tmp_path / "b" / "L.csv").read_bytes()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        config = write(tmp_path, "[scenario]\nkind = random\nseed = -1\n")
+        flag = write(tmp_path, "[scenario]\nkind = random\n", name="flag.ini")
+        for path, extra, message in (
+                (config, [], "[scenario]: seed must be non-negative, got -1"),
+                (flag, ["--seed", "-3"],
+                 "--seed: seed must be non-negative, got -3")):
+            assert main(["check", "--config", path,
+                         "--out", str(tmp_path / "out")] + extra) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not (tmp_path / "out").exists()
 
 
 class TestScenarioHeader:
@@ -728,7 +765,7 @@ class TestKeyTable:
 
     @pytest.mark.parametrize(("section", "cls"), [
         ("scenario", ScenarioConfig), ("tolerances", Tolerances),
-        ("quadrature", QuadratureSpec), ("simulate", SimGrid)])
+        ("simulate", SimGrid)])
     def test_every_field_has_a_key(self, section, cls):
         # and every key names a field
         settable = {f.name for f in fields(cls)}

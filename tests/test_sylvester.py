@@ -18,9 +18,9 @@ from modalreg.regulator import (FeedforwardGain, ModalCoupling,
 from modalreg.scenarios import (ScenarioConfig, build_random_scenario,
                                 build_scenario)
 from modalreg.spectral import DiagonalGenerator, ModeRange, SpectralVector
-from modalreg.sylvester import (DEFAULT_HORIZONS, QuadratureSpec,
-                                _tail_trend_verdict, check_b_regularity,
-                                conformity_diagnostic, quadrature_pi_column)
+from modalreg.sylvester import (HORIZONS, _tail_trend_verdict,
+                                check_b_regularity, conformity_diagnostic,
+                                quadrature_pi_column)
 
 
 def single_mode_gen(mu):
@@ -71,8 +71,8 @@ class TestQuadratureColumn:
         gen = single_mode_gen(-0.02 + 3j)
         d = unit_vector(gen.modes, 0)
         omega = 1.0
-        spec = QuadratureSpec(horizons=(5.0, 10.0, 20.0))
-        col, _ = quadrature_pi_column(gen, d, omega, spec)
+        col, _ = quadrature_pi_column(gen, d, omega,
+                                      horizons=(5.0, 10.0, 20.0))
         mu = gen.eigenvalues[0]
         limit = 1.0 / (1j * omega - mu)
         remainder = np.exp((mu - 1j * omega) * 20.0) / (1j * omega - mu)
@@ -81,8 +81,7 @@ class TestQuadratureColumn:
     def test_numeric_matches_analytic(self):
         gen = single_mode_gen(-1.0 + 0j)
         d = unit_vector(gen.modes, 0)
-        analytic, _ = quadrature_pi_column(
-            gen, d, 1.0, QuadratureSpec(horizons=(50.0,)))
+        analytic, _ = quadrature_pi_column(gen, d, 1.0, horizons=(50.0,))
         numeric, _ = trapezoid_column(gen.eigenvalues, d.coeffs, 1.0,
                                       (50.0,), step=1e-3)
         assert abs(numeric[0] - analytic.coeffs[0]) <= 1e-6
@@ -216,13 +215,12 @@ class TestBatchedConformity:
     def test_matches_per_column_oracle(self, scenario):
         gen, coupling, space = scenario()
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        alpha, eps, spec = 2.0, 0.25, QuadratureSpec()
-        report = conformity_diagnostic(gen, coupling, gain, alpha, eps,
-                                       spec)
+        alpha, eps = 2.0, 0.25
+        report = conformity_diagnostic(gen, coupling, gain, alpha, eps)
         forcing = forcing_matrix(coupling, gain)
         agg, bounds, worst = conformity_per_column(gen, forcing, space,
-                                                   alpha + eps, spec)
-        got = np.array([report.tail_norms[h] for h in spec.horizons])
+                                                   alpha + eps, HORIZONS)
+        got = np.array([report.tail_norms[h] for h in HORIZONS])
         np.testing.assert_allclose(got, agg, rtol=1e-12, atol=0.0)
         ev = report.sufficient_condition
         sup_k = max(bounds, key=lambda k: bounds[k])
@@ -233,7 +231,7 @@ class TestBatchedConformity:
         if worst.verdict == "divergent":
             expected = "non-conform-trend"
         elif (worst.verdict == "summable" and _tail_trend_verdict(
-                spec.horizons, agg) == "conform-trend"):
+                HORIZONS, agg) == "conform-trend"):
             expected = "conform-trend"
         else:
             expected = "inconclusive"
@@ -250,10 +248,10 @@ class TestBatchedConformity:
         assert len(blocks) > 1
         got = np.concatenate(
             [sylvester._analytic_tails(gen, forcing[:, blk], space.omegas[blk],
-                                       DEFAULT_HORIZONS) for blk in blocks],
+                                       HORIZONS) for blk in blocks],
             axis=1)
         want = analytic_tails_whole(gen, forcing, space.omegas,
-                                    DEFAULT_HORIZONS)
+                                    HORIZONS)
         assert got.tobytes() == want.tobytes()
 
     def test_zeroed_columns_have_zero_bounds(self):
@@ -292,19 +290,19 @@ class TestBatchedConformity:
                    for j, k in enumerate(space.modes.indices)}
         coupling, gain = forcing_operator(SpectralVector.zeros(gen.modes),
                                           space, p_entries=entries)
-        spec = QuadratureSpec(horizons=(2.0, 4.0, 8.0))
+        horizons = (2.0, 4.0, 8.0)
         report = conformity_diagnostic(gen, coupling, gain, 1.0, 0.25,
-                                       spec)
+                                       horizons=horizons)
         want = np.array([trapezoid_column(gen.eigenvalues, forcing[:, j], om,
-                                          spec.horizons, step=1e-4)[1]
+                                          horizons, step=1e-4)[1]
                          for j, om in enumerate(space.omegas)]).T
         # the trapezoid's relative error is about step**2 / 12 times the
         # largest |mu_n - i omega_k|**2, 1.3e-8 here; the per-column tails
         # are checked too, since the f-scaled maximum is the k = 0 column's
         np.testing.assert_allclose(
             sylvester._analytic_tails(gen, forcing, space.omegas,
-                                      spec.horizons), want, rtol=1e-7, atol=0.0)
-        got = np.array([report.tail_norms[h] for h in spec.horizons])
+                                      horizons), want, rtol=1e-7, atol=0.0)
+        got = np.array([report.tail_norms[h] for h in horizons])
         np.testing.assert_allclose(got, (want / space.weights).max(axis=1),
                                    rtol=1e-7, atol=0.0)
 
@@ -384,13 +382,6 @@ class TestBRegularity:
                    == "summable" for beta in (0.5, 1.0, 5.0, 20.0))
 
 
-class TestQuadratureSpec:
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError, match="increasing"):
-            QuadratureSpec(horizons=(10.0, 10.0))
-        with pytest.raises(ValueError, match="empty"):
-            QuadratureSpec(horizons=())
-
+class TestHorizons:
     def test_default_schedule_is_octaves_from_ten(self):
-        spec = QuadratureSpec()
-        assert spec.horizons == tuple(10.0 * 2**j for j in range(8))
+        assert HORIZONS == tuple(10.0 * 2**j for j in range(8))

@@ -14,10 +14,15 @@ into different directories can be compared with ``diff -r``: run one on
 the parent's source and one on the change's, and any difference is a
 change in stdout, stderr, an exit code or an artifact. The set is:
 
-* five closed-form configs, each with check, solve, simulate, decay and
+* seven closed-form configs, each with check, solve, simulate, decay and
   ``solve --force``: wave N = 300 (square11, inv_mu_sq; its solves at
   ``--modes 100``), diagonal N = 60 at gamma = 1.25, diagonal 60 x 30
-  (smooth, pi_w0), a 5-mode custom plant, wave N = 50 at gamma = 1.0;
+  (smooth, pi_w0), a 5-mode custom plant, wave N = 50 at gamma = 1.0,
+  and two that set ``[tolerances]`` and ``[simulate]`` keys: diagonal
+  60 x 30 with ``assumption1_floor = 0.5`` (Assumption 1 fails, so only
+  ``solve --force`` runs past the gate) and wave N = 50 (square11,
+  inv_mu_sq) with ``slope_tol = 0.2`` on a linear grid of 777 points
+  with the decay window [5, 500];
 * random seeds 0-199, each with the four commands.
 """
 
@@ -74,6 +79,32 @@ n_exo = 50
 gamma = 1.0
 w0_preset = square11
 z0_preset = inv_mu_sq
+""",
+    "diag60x30floor": """\
+[scenario]
+kind = diagonal
+n_plant = 60
+n_exo = 30
+
+[tolerances]
+assumption1_floor = 0.5
+""",
+    "wave50linear": """\
+[scenario]
+kind = wave
+n_plant = 50
+n_exo = 50
+w0_preset = square11
+z0_preset = inv_mu_sq
+
+[tolerances]
+slope_tol = 0.2
+
+[simulate]
+spacing = linear
+n_points = 777
+window_lo = 5
+window_hi = 500
 """,
     "random": """\
 [scenario]
