@@ -17,11 +17,10 @@ from .scenarios import (ScenarioConfig, build_random_scenario, build_scenario,
 from .simulator import (DecayCertificate, OutputTrajectory, SimulationResult,
                         certify_decay, simulate_closed_loop, simulate_outputs,
                         state_deviation_norms)
-from .spectral import (DiagonalGenerator, EnvelopeResult,
-                       GeometricConditionReport, LogLogFit, ModeRange,
-                       SpectralVector, TailReport, check_geometric_condition,
-                       classify_tail, decay_envelope, fit_decay_rate,
-                       fractional_norm)
+from .spectral import (DiagonalGenerator, EnvelopeResult, LogLogFit,
+                       ModeRange, SpectralVector, TailReport,
+                       check_geometric_condition, classify_tail,
+                       decay_envelope, fit_decay_rate, fractional_norm)
 from .sylvester import (ConformityReport, check_b_regularity,
                         conformity_diagnostic, quadrature_pi_column)
 

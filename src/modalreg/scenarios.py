@@ -92,12 +92,6 @@ class ScenarioConfig:
         # resonant default for the wave scenario, benign default otherwise
         return 2.0 if self.kind == "wave" else 2.0 * math.pi
 
-    @property
-    def nominal_alpha(self) -> float:
-        if self.alpha is not None:
-            return float(self.alpha)
-        return {"wave": 2.0, "diagonal": 1.0}.get(self.kind, 1.0)
-
 
 def _wave_plant(cfg: ScenarioConfig):
     """Damped-wave modes without 0: odd-harmonic input column, conjugate
@@ -274,23 +268,10 @@ def resolve_z0(cfg: ScenarioConfig, gen: DiagonalGenerator,
     raise ValueError(f"unknown z0 preset {preset!r}")
 
 
-def nominal_geometric_params(cfg: ScenarioConfig, gen: DiagonalGenerator):
-    """(alpha, c, d) for the spectral wedge test of this scenario.
-
-    Wave and diagonal have exact constants; for other kinds the tightest
-    admissible c is computed from the retained spectrum and backed off by
-    a factor two, so the test documents the wedge rather than gating it.
-    """
-    if cfg.kind == "wave":
-        return 2.0, cfg.nu * math.pi**3, math.pi
-    if cfg.kind == "diagonal":
-        p = cfg.resolved_period
-        return 1.0, math.pi / p, 2.0 * math.pi / p
-    alpha = cfg.nominal_alpha
-    im = np.abs(gen.eigenvalues.imag)
-    pos = im[im > 0]
-    if pos.size == 0:
-        return alpha, 1.0, 1.0
-    d = float(pos.min())
-    tight = float(np.min(-gen.eigenvalues.real[im >= d] * im[im >= d] ** alpha))
-    return alpha, max(tight / 2.0, 1e-300), d
+def nominal_geometric_params(cfg: ScenarioConfig) -> float:
+    """The nominal order alpha of polynomial stability, the one rule every
+    command reads: the configured ``alpha``, else 2 for wave and 1 for
+    every other kind."""
+    if cfg.alpha is not None:
+        return float(cfg.alpha)
+    return 2.0 if cfg.kind == "wave" else 1.0

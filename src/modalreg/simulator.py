@@ -142,17 +142,15 @@ class DecayCertificate:
     """Empirical polynomial-decay certificate on a window.
 
     ``m`` is the smallest constant with value(t) <= m t**(-1/alpha) on the
-    window. ``passed`` asserts decay at least as fast as the nominal rate
-    (slope below target within tolerance). ``floor_time`` is the first
-    window time at the rounding floor (see :func:`loglog_fit`), inf when
-    the values stay above it; a slope fitted past it partly fits rounding
-    residue.
+    window. ``passed`` asserts decay at least as fast as the nominal rate:
+    a slope of at most -1/alpha + ``_CERT_SLOPE_TOL``. ``floor_time`` is
+    the first window time at the rounding floor (see :func:`loglog_fit`),
+    inf when the values stay above it; a slope fitted past it partly fits
+    rounding residue.
     """
 
     m: float
     slope: float
-    target_slope: float
-    slope_tol: float
     passed: bool
     floor_time: float
 
@@ -184,12 +182,9 @@ def certify_decay(t_grid, values, alpha: float, window) -> DecayCertificate:
         raise ValueError(
             f"window [{lo}, {hi}] provides {fit.n_points} envelope points; need >= 10"
         )
-    target = -1.0 / alpha
     return DecayCertificate(
         m=float(np.max((v * t ** (1.0 / alpha))[fit.inside])),
         slope=fit.slope,
-        target_slope=target,
-        slope_tol=_CERT_SLOPE_TOL,
-        passed=fit.slope <= target + _CERT_SLOPE_TOL,
+        passed=fit.slope <= -1.0 / alpha + _CERT_SLOPE_TOL,
         floor_time=fit.floor_time,
     )

@@ -28,15 +28,11 @@ from .errors import ModeMismatchError
 SUMMABLE_BELOW = -1.05
 DIVERGENT_ABOVE = -0.95
 
-# A tail trend needs this many positive terms to fit.
+# A tail trend, or the spectrum's fitted order, needs this many points.
 _TAIL_MIN_POINTS = 5
 
 # A decay-rate fit needs this many grid points in its window.
 _FIT_MIN_POINTS = 10
-
-# The geometric condition admits equality cases that differ only by this
-# relative rounding in the two ways of evaluating the bound.
-_GEOMETRIC_REL_SLACK = 1e-12
 
 # An envelope is flagged superpolynomial when its late-window exponent
 # exceeds the early-window one by more than this.
@@ -199,15 +195,6 @@ class TailReport:
 
 
 @dataclass
-class GeometricConditionReport:
-    """Outcome of the spectral wedge test Re mu <= -c/|Im mu|**alpha."""
-
-    passed: bool
-    tightest_c: float
-    n_checked: int
-
-
-@dataclass
 class EnvelopeResult:
     """Decay envelope sup_n exp(Re mu_n t)|mu_n|**(-beta) on a time grid."""
 
@@ -235,25 +222,19 @@ def fractional_norm(gen: DiagonalGenerator, beta: float, v: SpectralVector) -> f
     return float(np.linalg.norm(w * v.coeffs))
 
 
-def check_geometric_condition(gen: DiagonalGenerator, alpha: float, c: float,
-                              d: float) -> GeometricConditionReport:
-    """Test Re mu_n <= -c/|Im mu_n|**alpha on every mode with |Im mu_n| >= d,
-    up to ``_GEOMETRIC_REL_SLACK``. Also reports the tightest admissible
-    ``c`` for this ``alpha`` and ``d``.
+def check_geometric_condition(gen: DiagonalGenerator) -> LogLogFit:
+    """The spectrum's fitted order: alpha_hat = -slope of log(-Re mu_n)
+    against log |Im mu_n| over the modes with Im mu_n != 0 and |Im mu_n|
+    in the outer half [max/2, max]. A spectrum with -Re mu ~ |Im mu|**-alpha
+    fits alpha. Fewer than ``_TAIL_MIN_POINTS`` such modes fit no line,
+    and neither do modes all at one |Im mu|, which count as none.
     """
-    if alpha <= 0 or c <= 0 or d <= 0:
-        raise ValueError("alpha, c, d must all be positive")
     mu = gen.eigenvalues
     im = np.abs(mu.imag)
-    checked = im >= d
-    n_checked = int(checked.sum())
-    if n_checked == 0:
-        return GeometricConditionReport(True, math.inf, 0)
-    re = mu.real[checked]
-    bound = -c / im[checked] ** alpha
-    ok = re <= bound * (1.0 - _GEOMETRIC_REL_SLACK)
-    tightest = float(np.min((-re) * im[checked] ** alpha))
-    return GeometricConditionReport(bool(ok.all()), tightest, n_checked)
+    top = im.max()
+    spread = im[im >= top / 2.0].min() < top
+    return loglog_fit(im, -mu.real, (top / 2.0, top), keep=(im > 0) & spread,
+                      min_points=_TAIL_MIN_POINTS)
 
 
 def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResult:

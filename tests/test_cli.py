@@ -212,7 +212,37 @@ gamma = 2.0
         assert code == 0
         report = (out / "check_report.txt").read_text()
         assert "Conformity" in report and "conform-trend" in report
-        assert "Geometric condition" in report and "overall: PASS" in report
+        assert ("Spectral order (-Re mu against |Im mu|, outer half): "
+                "alpha_hat = ") in report
+        fitted = re.search(r"alpha_hat = (\S+) over 202 modes; "
+                           r"nominal alpha = 2\n", report)
+        assert float(fitted.group(1)) == pytest.approx(2.0, abs=1e-12)
+        assert "Geometric condition" not in report
+        assert "overall: PASS" in report
+
+    def test_spectral_order_beside_configured_alpha(self, tmp_path, capsys):
+        text = ("[scenario]\nkind = wave\nn_plant = 100\nn_exo = 100\n"
+                "alpha = 1.5\n")
+        out = tmp_path / "out"
+        assert main(["check", "--config", write(tmp_path, text),
+                     "--out", str(out)]) == 0
+        report = (out / "check_report.txt").read_text()
+        fitted = re.search(r"alpha_hat = (\S+) over 102 modes; "
+                           r"nominal alpha = 1.5\n", report)
+        assert float(fitted.group(1)) == pytest.approx(2.0, abs=1e-12)
+        # the conformity order reads the same nominal alpha
+        assert "Conformity (smoothing order 1.75)" in report
+
+    def test_spectral_order_not_evaluated_on_few_modes(self, tmp_path,
+                                                       capsys):
+        text = ("[scenario]\nkind = custom\neigenvalues = -1+1j, -2, -1-2j\n"
+                "b = 1, 1, 1\nc = 1, 0.5, 1\nn_exo = 2\n")
+        out = tmp_path / "out"
+        main(["check", "--config", write(tmp_path, text), "--out", str(out)])
+        report = (out / "check_report.txt").read_text()
+        assert ("Spectral order (-Re mu against |Im mu|, outer half): "
+                "not evaluated (2 modes; need >= 5); nominal alpha = 1\n"
+                ) in report
 
     def test_divergent_gain_sequence_fails_named(self, tmp_path, capsys):
         code = main(["check", "--config", write(tmp_path, DIAG_DIVERGENT),
@@ -549,6 +579,23 @@ window_hi = 40
         assert "superpolynomial" in report
         assert report.endswith("overall: PASS (nominal rate not evaluated)\n")
 
+    def test_unreliable_exponent_not_matched(self, tmp_path, capsys):
+        """At wave N = 50 the envelope's argmax reaches the last retained
+        mode inside the window: the exponent is not compared with 1/alpha,
+        and the run still exits 0."""
+        text = ("[scenario]\nkind = wave\nn_plant = 50\nn_exo = 50\n"
+                "gamma = 1.0\nw0_preset = square11\nz0_preset = inv_mu_sq\n")
+        out = tmp_path / "out"
+        assert main(["decay", "--config", write(tmp_path, text),
+                     "--out", str(out)]) == 0
+        report = (out / "decay_report.txt").read_text()
+        assert ("  WARN: envelope argmax touched the truncation boundary "
+                "inside the window; exponent unreliable\n"
+                "  nominal match skipped (exponent unreliable)\n") in report
+        assert "nominal 1/alpha" not in report
+        assert "superpolynomial" not in report
+        assert report.endswith("overall: PASS (nominal rate not evaluated)\n")
+
     def test_readme_example_config(self, tmp_path, capsys):
         """The README's example config, verbatim: its diagonal error run
         falls to the rounding floor, which the report names instead of
@@ -735,8 +782,7 @@ class TestKeyTable:
                   coupling.c.coeffs, space.modes.indices, space.weights,
                   resolve_w0(sc, space).coeffs, resolve_z0(sc, gen).coeffs)
         return ([a.tobytes() for a in arrays], dict(coupling.p_entries),
-                space.period, sc.nominal_alpha,
-                nominal_geometric_params(sc, gen))
+                space.period, nominal_geometric_params(sc))
 
     @pytest.mark.parametrize("key", SCENARIO_KEYS)
     @pytest.mark.parametrize("kind", VALID_KINDS)

@@ -94,11 +94,10 @@ class TestWaveScenario:
         _, coupling, _ = wave
         assert not any(coupling.p_entries.values())
 
-    @pytest.mark.parametrize("d", [math.pi, 2.0 * math.pi, 10.0])
-    def test_spectral_wedge_with_exact_constant(self, wave, d):
+    def test_spectral_order_is_nominal(self, wave):
         gen, _, _ = wave
-        report = check_geometric_condition(gen, alpha=2.0, c=math.pi**3, d=d)
-        assert report.passed
+        assert -check_geometric_condition(gen).slope == pytest.approx(
+            nominal_geometric_params(ScenarioConfig(kind="wave")), abs=1e-12)
 
     def test_input_membership_boundary(self, wave):
         gen, coupling, _ = wave
@@ -252,25 +251,18 @@ class TestPresets:
                                       n_plant=20, n_exo=10), space)
 
 
-class TestNominalGeometry:
-    def test_wave_constants(self):
-        cfg = ScenarioConfig(kind="wave", nu=0.5, n_plant=50, n_exo=10)
-        gen, _, _ = build_scenario(cfg)
-        alpha, c, d = nominal_geometric_params(cfg, gen)
-        assert (alpha, d) == (2.0, math.pi)
-        assert c == pytest.approx(0.5 * math.pi**3)
-        assert check_geometric_condition(gen, alpha, c, d).passed
+class TestNominalAlpha:
+    CUSTOM = {"eigenvalues": [-1 + 1j], "b": [1.0], "c": [1.0]}
 
-    def test_diagonal_constants(self):
-        cfg = ScenarioConfig(kind="diagonal", n_plant=50, n_exo=10, period=4.0)
-        gen, _, _ = build_scenario(cfg)
-        alpha, c, d = nominal_geometric_params(cfg, gen)
-        assert alpha == 1.0
-        assert c == pytest.approx(math.pi / 4.0)
-        assert check_geometric_condition(gen, alpha, c, d).passed
+    def config(self, kind, **settings):
+        return ScenarioConfig(kind=kind, **(self.CUSTOM if kind == "custom"
+                                            else {}), **settings)
 
-    def test_derived_constants_for_random(self):
-        cfg = ScenarioConfig(kind="random", seed=3, n_plant=5, n_exo=5)
-        gen, _, _ = build_scenario(cfg)
-        alpha, c, d = nominal_geometric_params(cfg, gen)
-        assert check_geometric_condition(gen, alpha, c, d).passed
+    @pytest.mark.parametrize("kind,alpha", [
+        ("wave", 2.0), ("diagonal", 1.0), ("random", 1.0), ("custom", 1.0)])
+    def test_default_by_kind(self, kind, alpha):
+        assert nominal_geometric_params(self.config(kind)) == alpha
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_configured_alpha_honoured(self, kind):
+        assert nominal_geometric_params(self.config(kind, alpha=1.5)) == 1.5

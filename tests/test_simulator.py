@@ -316,7 +316,7 @@ class TestDecayCertificate:
         assert cert.m == pytest.approx(1.0)
         assert cert.slope == pytest.approx(-1.0, abs=1e-9)
         assert cert.passed
-        assert abs(cert.slope - cert.target_slope) <= cert.slope_tol
+        assert abs(cert.slope - (-1.0 / 1.0)) <= simulator._CERT_SLOPE_TOL
 
     def test_oscillating_error_uses_peaks(self, diagonal):
         cfg, gen, coupling, space, gain, sol = diagonal

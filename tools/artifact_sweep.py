@@ -14,15 +14,17 @@ into different directories can be compared with ``diff -r``: run one on
 the parent's source and one on the change's, and any difference is a
 change in stdout, stderr, an exit code or an artifact. The set is:
 
-* seven closed-form configs, each with check, solve, simulate, decay and
+* eight closed-form configs, each with check, solve, simulate, decay and
   ``solve --force``: wave N = 300 (square11, inv_mu_sq; its solves at
   ``--modes 100``), diagonal N = 60 at gamma = 1.25, diagonal 60 x 30
   (smooth, pi_w0), a 5-mode custom plant, wave N = 50 at gamma = 1.0,
-  and two that set ``[tolerances]`` and ``[simulate]`` keys: diagonal
+  two that set ``[tolerances]`` and ``[simulate]`` keys: diagonal
   60 x 30 with ``assumption1_floor = 0.5`` (Assumption 1 fails, so only
   ``solve --force`` runs past the gate) and wave N = 50 (square11,
   inv_mu_sq) with ``slope_tol = 0.2`` on a linear grid of 777 points
-  with the decay window [5, 500];
+  with the decay window [5, 500], and wave 100 x 100 (square11,
+  inv_mu_sq) with a configured ``alpha = 1.5`` that its spectrum does
+  not have;
 * random seeds 0-199, each with the four commands.
 """
 
@@ -105,6 +107,15 @@ spacing = linear
 n_points = 777
 window_lo = 5
 window_hi = 500
+""",
+    "wave100alpha": """\
+[scenario]
+kind = wave
+n_plant = 100
+n_exo = 100
+alpha = 1.5
+w0_preset = square11
+z0_preset = inv_mu_sq
 """,
     "random": """\
 [scenario]
