@@ -4,14 +4,24 @@ Each column of the steady-state operator is the improper integral
 ``integral_0^inf exp(-i omega_k t) T(t) d_k dt`` of the forcing column
 ``d_k`` against the plant semigroup. Per mode the integrand is a pure
 exponential, so the truncated integral has the closed form
-``d_n (1 - exp((mu_n - i omega_k) T)) / (i omega_k - mu_n)`` at horizon T
-and tends to the resolvent column. This closed form is the one
-evaluation of the horizon increments: :func:`quadrature_pi_column` applies
-it to one column, :func:`conformity_diagnostic` to all columns, one block
-of harmonics at a time. The horizon schedule exposes how fast the
-remainder dies, which is the only honest truncation-level stand-in for
-the operator-level convergence question; verdicts are therefore trends,
-with "inconclusive" a first-class outcome. The input column's
+``d_n (1 - exp(s_nk T)) / (i omega_k - mu_n)``, s_nk = mu_n - i omega_k,
+at horizon T and tends to the resolvent column. The increment from
+horizon t_h-1 to t_h (t_-1 = 0) has squared norm
+``sum_n V_nk |exp(s_nk t_h-1) - exp(s_nk t_h)|**2``, with weights
+``V_nk = |d_nk|**2 / |i omega_k - mu_n|**2``.
+:func:`quadrature_pi_column` evaluates it for one column.
+:func:`conformity_diagnostic` expands the square: the omega_k part of the
+cross term is the scalar ``exp(i omega_k (t_h - t_h-1))``, so the
+increments of all columns come from one real contraction of V with
+``exp(2 Re mu_n t_j)`` and ``exp(mu_n t_h-1) conj(exp(mu_n t_h))``
+(relative to the slowest mode, so no square underflows), a block of
+harmonics at a time; the entries of P change only weights. Where the
+expanded sum cancels (a lightly damped mode near some omega_k) enough to
+move a horizon's largest tail, that column is evaluated directly.
+The horizon schedule exposes how fast the remainder dies, which is the
+only honest truncation-level stand-in for the operator-level
+convergence question; verdicts are therefore trends, with
+"inconclusive" a first-class outcome. The input column's
 fractional-domain trend, :func:`check_b_regularity`, gives conformity
 its bound and trend for every column that P does not touch.
 """
@@ -45,6 +55,11 @@ _DECAYING_SLOPE = -0.05
 # bounds |ell_k| |b|_beta / f_k round a tie (k and -k) the other way.
 _SUP_RTOL = 1e-12
 
+# A column's horizon tails are recomputed one column at a time where
+# their rounding bound exceeds this fraction of them and could move a
+# horizon's largest f-scaled tail.
+_TAIL_RTOL = 1e-12
+
 
 @dataclass
 class SufficientConditionEvidence:
@@ -66,43 +81,57 @@ class ConformityReport:
     sufficient_condition: Optional[SufficientConditionEvidence] = None
 
 
-def _analytic_tails(gen: DiagonalGenerator, forcing: np.ndarray, omegas,
-                    horizons) -> np.ndarray:
-    """Increment norms of :func:`quadrature_pi_column` for every column of
-    ``forcing`` (one block of harmonics, see ``spectral._blocks``) at
-    once, as a (horizons x harmonics) array.
-
-    The exponentials factor as exp((mu_n - i omega_k) t) =
-    exp(mu_n t) exp(-i omega_k t), so a block of harmonics costs products,
-    not exponentials. Plant modes where every column vanishes add nothing
-    and are skipped.
-    """
-    rows = np.flatnonzero(np.any(forcing != 0, axis=1))
-    tails = np.zeros((len(horizons), len(omegas)))
+def _gram_tails(gen: DiagonalGenerator, coupling: ModalCoupling,
+                gain: FeedforwardGain, t: np.ndarray):
+    """Increment norms of every forcing column, (horizons x harmonics),
+    from their Gram form (module docstring), and the widths of their
+    rounding bounds."""
+    space = gain.space
+    tails, slack = np.zeros((2, t.size, len(space.modes)))
+    b2 = np.abs(coupling.b.coeffs) ** 2
+    p_rows, p_cols, p_vals = coupling.disturbance_in(space.modes)
+    rows = np.flatnonzero(b2 + np.bincount(p_rows, minlength=b2.size))
     if rows.size == 0:
-        return tails
+        return tails, slack
     mu = gen.eigenvalues[rows]
-    t = np.asarray(horizons, dtype=float)
-    plant_phases = np.exp(np.multiply.outer(t, mu))
-    exo_phases = np.exp(-1j * np.multiply.outer(t, omegas))
-    # The increment and the phase products of two horizons, in buffers
-    # that every horizon reuses.
-    diff, *phase_bufs = np.empty((3, rows.size, len(omegas)),
-                                 dtype=np.complex128)
-    inv = forcing[rows]  # a copy, divided in place
-    inv /= np.subtract(1j * omegas[None, :], mu[:, None], out=diff)
-    prev = 1.0
-    for h in range(t.size):
-        cur, spare = phase_bufs[h % 2], phase_bufs[1 - h % 2]
-        np.multiply.outer(plant_phases[h], exo_phases[h], out=cur)
-        np.subtract(prev, cur, out=diff)
-        diff *= inv
-        # np.linalg.norm(diff, axis=0), step by step, into the buffer
-        # prev no longer needs
-        np.multiply(np.conjugate(diff, out=spare), diff, out=spare)
-        np.sqrt(np.add.reduce(spare.real, axis=0, out=tails[h]), out=tails[h])
-        prev = cur
-    return tails
+    p_at = np.searchsorted(rows, p_rows)
+    p_d2 = np.abs(coupling.b.coeffs[p_rows] * gain.ell[p_cols] + p_vals) ** 2
+    tj = np.concatenate(([0.0], t))
+    dt, rate = (t - tj[:-1])[:, None], mu.real.max()
+    e = np.exp(np.multiply.outer(tj, mu - rate))  # relative to the slowest
+    cross = e[:-1] * e[1:].conj()
+    m = np.concatenate([np.abs(e) ** 2, cross.real, cross.imag])
+    h, decay = t.size, np.exp(rate * dt)
+    # rounding: sums of N terms and the phases of cross and exp(i omega dt)
+    terms = rows.size + 4.0
+    phase = np.abs(mu.imag).max() * dt + terms
+    for blk in _blocks(len(space.modes), len(gen.modes)):
+        v = np.multiply.outer(np.abs(gain.ell[blk]) ** 2, b2[rows])
+        on = (p_cols >= blk.start) & (p_cols < blk.stop)
+        v[p_cols[on] - blk.start, p_at[on]] = p_d2[on]
+        v /= (space.omegas[blk, None] - mu.imag) ** 2 + mu.real ** 2
+        g = np.einsum("jn,kn->jk", m, v, optimize=False)
+        theta = dt * space.omegas[blk]
+        early, late = g[:h], g[1:h + 1] * decay ** 2
+        sq = early + late - 2.0 * decay * (g[h + 1:2 * h + 1] * np.cos(theta)
+                                           - g[2 * h + 1:] * np.sin(theta))
+        err = np.finfo(float).eps * (terms * (early + late) + 2.0 * (
+            phase + np.abs(theta)) * np.sqrt(early * late))
+        tails[:, blk] = np.sqrt(np.maximum(sq, 0.0))
+        slack[:, blk] = (np.sqrt(np.maximum(sq, 0.0) + err)
+                         - np.sqrt(np.maximum(sq - err, 0.0)))
+    scale = np.exp(rate * tj[:-1])[:, None]
+    return tails * scale, slack * scale
+
+
+def _horizon_schedule(horizons) -> np.ndarray:
+    """The horizons as an array, if finite, positive and increasing."""
+    t = [float(h) for h in horizons]
+    if not (t and math.isfinite(t[-1])
+            and all(a < b for a, b in zip([0.0] + t, t))):
+        raise ValueError(f"horizons {horizons!r} are not finite, positive "
+                         "and strictly increasing")
+    return np.array(t)
 
 
 def _tail_trend_verdict(horizons, tails: np.ndarray) -> str:
@@ -125,7 +154,7 @@ def _tail_trend_verdict(horizons, tails: np.ndarray) -> str:
 def quadrature_pi_column(gen: DiagonalGenerator, delta_column: SpectralVector,
                          omega_k: float, horizons=HORIZONS):
     """Steady-state column via the truncated integral at each horizon
-    (positive and increasing).
+    (finite, positive and increasing, else a ValueError).
 
     Returns the column at the final horizon together with a report whose
     ``tail_norms`` record, per horizon, the norm gained by extending the
@@ -135,12 +164,15 @@ def quadrature_pi_column(gen: DiagonalGenerator, delta_column: SpectralVector,
     _require_same_modes(gen.modes, delta_column.modes)
     s = gen.eigenvalues - 1j * omega_k
     inv = delta_column.coeffs / (1j * omega_k - gen.eigenvalues)
-    t = np.concatenate(([0.0], horizons))
+    t = np.concatenate(([0.0], _horizon_schedule(horizons)))
     exps = np.exp(np.multiply.outer(t, s))
     # increments from the antiderivative differences directly, not by
-    # differencing near-saturated columns, so they stay meaningful down to
-    # the underflow floor
-    tail_vals = np.linalg.norm((exps[:-1] - exps[1:]) * inv[None, :], axis=1)
+    # differencing near-saturated columns, and normed at a power-of-two
+    # scale (exact), so their squares do not underflow
+    incr = (exps[:-1] - exps[1:]) * inv[None, :]
+    scale = np.ldexp(1.0, np.frexp(abs(incr).max(axis=1, keepdims=True))[1])
+    tail_vals = np.linalg.norm(np.divide(incr, scale, out=incr),
+                               axis=1) * scale[:, 0]
     final = (1.0 - exps[-1]) * inv
     report = ConformityReport(
         tail_norms={float(h): float(v) for h, v in zip(horizons, tail_vals)},
@@ -174,12 +206,17 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
     not grow; a divergent column trend makes it non-conform-trend;
     everything else is inconclusive.
 
-    The horizon tails take the forcing columns one block of harmonics at
-    a time; the whole matrix is never held. The reported largest bound is
-    re-evaluated with :func:`fractional_norm` on its own column.
+    The horizon tails of all columns come from one real Gram contraction
+    per block of harmonics (module docstring); the forcing matrix is never
+    held. A column is recomputed with :func:`quadrature_pi_column` where
+    its rounding bound exceeds 1e-12 of its tail and could move a
+    horizon's largest f-scaled tail. The reported largest bound is
+    re-evaluated with :func:`fractional_norm` on its own column. A horizon
+    schedule that is not finite, positive and increasing is a ValueError.
     """
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
+    t = _horizon_schedule(horizons)
     _require_same_modes(gen.modes, coupling.modes)
     space = gain.space
     beta = alpha + eps
@@ -202,11 +239,16 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
         nonzero[j] = bool(np.any(d != 0))
         fits[j] = classify_tail(gen.modes.indices, terms)
 
-    tails = np.empty((len(horizons), n_exo))
-    for blk in _blocks(n_exo, len(gen.modes)):
-        forcing = _forcing_columns(coupling, gain, np.arange(n_exo)[blk])
-        tails[:, blk] = _analytic_tails(gen, forcing, space.omegas[blk],
-                                        horizons)
+    tails, slack = _gram_tails(gen, coupling, gain, t)
+    # the columns whose rounding could move a horizon's largest tail
+    rerun = slack > _TAIL_RTOL * tails
+    if rerun.any():
+        rerun &= (tails + slack) / f >= ((tails - slack) / f).max(
+            axis=1, keepdims=True)
+    for j in np.flatnonzero(rerun.any(axis=0)):
+        _, exact = quadrature_pi_column(gen, SpectralVector(
+            gen.modes, column(j)), space.omegas[j], horizons)
+        tails[:, j] = list(exact.tail_norms.values())
     agg = (tails / f).max(axis=1)
 
     near_sup = np.flatnonzero(bounds >= bounds.max() * (1.0 - _SUP_RTOL))

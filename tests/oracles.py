@@ -168,9 +168,9 @@ def trapezoid_column(mu, d, omega_k, horizons, step):
 
 def analytic_tails_whole(gen, forcing, omegas, horizons):
     """Horizon increment norms of every column of ``forcing`` from whole
-    (plant modes x harmonics) temporaries: the arithmetic the batched,
-    buffered tails do block by block, so equal to them bit for bit
-    wherever their blocks hold two columns or more."""
+    (plant modes x harmonics) temporaries of the increments themselves,
+    not their Gram form. Squares below the underflow floor flush, so it
+    is an oracle only for increments above about 1e-150."""
     rows = np.flatnonzero(np.any(forcing != 0, axis=1))
     mu = gen.eigenvalues[rows]
     t = np.asarray(horizons, dtype=float)

@@ -1,6 +1,7 @@
 """Integral representation of the steady-state map and its diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,21 +239,67 @@ class TestBatchedConformity:
         assert report.verdict == expected
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
-    def test_buffered_tails_match_whole_arrays(self, scenario, monkeypatch):
+    def test_blocked_tails_match_one_block(self, scenario, monkeypatch):
         gen, coupling, space = scenario()
         gain = build_feedforward(frequency_grid(gen, coupling, space))
-        forcing = forcing_matrix(coupling, gain)
+        t = np.array(HORIZONS)
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 10**9)
+        assert len(spectral._blocks(len(space.modes), len(gen.modes))) == 1
+        want = sylvester._gram_tails(gen, coupling, gain, t)
         # the blocks of 7 harmonics that conformity_diagnostic walks
         monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 7 * len(gen.modes))
-        blocks = spectral._blocks(len(space.modes), len(gen.modes))
-        assert len(blocks) > 1
-        got = np.concatenate(
-            [sylvester._analytic_tails(gen, forcing[:, blk], space.omegas[blk],
-                                       HORIZONS) for blk in blocks],
-            axis=1)
-        want = analytic_tails_whole(gen, forcing, space.omegas,
-                                    HORIZONS)
-        assert got.tobytes() == want.tobytes()
+        assert len(spectral._blocks(len(space.modes), len(gen.modes))) > 1
+        got = sylvester._gram_tails(gen, coupling, gain, t)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        # within their rounding bounds of the exact increments, wherever
+        # those are above the underflow floor
+        tails, slack = got
+        exact = analytic_tails_whole(gen, forcing_matrix(coupling, gain),
+                                     space.omegas, t)
+        above = exact > 1e-150
+        assert np.all(np.abs(tails - exact)[above]
+                      <= slack[above] + 1e-15 * exact[above])
+
+    def test_near_resonant_column_recomputed(self, monkeypatch):
+        # a lightly damped mode 1e-6 off omega_1: the Gram sums of that
+        # column lose about 1e-10 relative to cancellation, and it holds
+        # every horizon's largest tail, so the guard recomputes it, and
+        # only it
+        space = ExoSpace.power_weights(2.0 * math.pi, ModeRange.symmetric(3),
+                                       1.0)
+        gen = DiagonalGenerator(ModeRange(0, 2), np.array(
+            [-1e-4 + 1j * (1.0 + 1e-6), -0.5 + 0.3j, -1.0 - 2j]))
+        coupling, gain = forcing_operator(
+            SpectralVector(gen.modes, np.ones(3, dtype=complex)), space)
+        agg, _, _ = conformity_per_column(gen, forcing_matrix(coupling, gain),
+                                          space, 1.25, HORIZONS)
+        reruns = []
+        exact = sylvester.quadrature_pi_column
+        monkeypatch.setattr(sylvester, "quadrature_pi_column",
+                            lambda *a: reruns.append(a[2]) or exact(*a))
+        report = conformity_diagnostic(gen, coupling, gain, 1.0, 0.25)
+        got = np.array([report.tail_norms[h] for h in HORIZONS])
+        np.testing.assert_allclose(got, agg, rtol=1e-12, atol=0.0)
+        assert reruns == [1.0]
+
+    @pytest.mark.parametrize("scenario, want", [
+        (lambda: build_random_scenario(57), 1.8756694903336605e-162),
+        (lambda: build_scenario(ScenarioConfig(kind="diagonal", n_plant=60,
+                                               n_exo=60, gamma=1.25)),
+         1.1259823474166023e-278),
+    ], ids=["random57", "diagonal60"])
+    def test_last_horizon_below_the_square_underflow(self, scenario, want):
+        # increments far below 1e-154, whose squares underflow; `want` is
+        # a 40-digit (mpmath) evaluation of the largest f-scaled increment
+        # at horizon 1280, the last row `check` writes to its tails CSV
+        gen, coupling, space = scenario()
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        report = conformity_diagnostic(gen, coupling, gain, 1.0, 0.25)
+        assert report.tail_norms[HORIZONS[-1]] == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+        agg, _, _ = conformity_per_column(gen, forcing_matrix(coupling, gain),
+                                          space, 1.25, HORIZONS)
+        assert agg[-1] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_zeroed_columns_have_zero_bounds(self):
         gen, coupling, space = _random_with_disturbance()
@@ -300,8 +347,8 @@ class TestBatchedConformity:
         # largest |mu_n - i omega_k|**2, 1.3e-8 here; the per-column tails
         # are checked too, since the f-scaled maximum is the k = 0 column's
         np.testing.assert_allclose(
-            sylvester._analytic_tails(gen, forcing, space.omegas,
-                                      horizons), want, rtol=1e-7, atol=0.0)
+            sylvester._gram_tails(gen, coupling, gain, np.array(horizons))[0],
+            want, rtol=1e-7, atol=0.0)
         got = np.array([report.tail_norms[h] for h in horizons])
         np.testing.assert_allclose(got, (want / space.weights).max(axis=1),
                                    rtol=1e-7, atol=0.0)
@@ -385,3 +432,29 @@ class TestBRegularity:
 class TestHorizons:
     def test_default_schedule_is_octaves_from_ten(self):
         assert HORIZONS == tuple(10.0 * 2**j for j in range(8))
+
+    @pytest.mark.parametrize("horizons", [
+        (40.0, 20.0, 10.0), (10.0, 10.0, 20.0), (-5.0, 10.0, 20.0),
+        (0.0, 10.0), (10.0, math.inf), (math.nan, 10.0), (),
+    ], ids=["decreasing", "repeated", "negative", "zero", "infinite", "nan",
+            "empty"])
+    def test_bad_schedule_rejected(self, horizons):
+        cfg = ScenarioConfig(kind="diagonal", n_plant=20, n_exo=10)
+        gen, coupling, space = build_scenario(cfg)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        named = re.escape(repr(horizons))
+        with pytest.raises(ValueError, match=named):
+            quadrature_pi_column(gen, unit_vector(gen.modes, 0), 1.0,
+                                 horizons=horizons)
+        with pytest.raises(ValueError, match=named):
+            conformity_diagnostic(gen, coupling, gain, 1.0, 0.25,
+                                  horizons=horizons)
+
+    def test_increment_below_the_square_underflow(self):
+        # exp(-400) - exp(-800): its square, about 1e-348, is below the
+        # smallest double
+        gen = single_mode_gen(-1.0 + 0j)
+        _, report = quadrature_pi_column(gen, unit_vector(gen.modes, 0), 0.0,
+                                         horizons=(400.0, 800.0))
+        assert report.tail_norms[800.0] == pytest.approx(
+            math.exp(-400.0), rel=1e-12, abs=0.0)

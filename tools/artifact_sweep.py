@@ -14,7 +14,7 @@ into different directories can be compared with ``diff -r``: run one on
 the parent's source and one on the change's, and any difference is a
 change in stdout, stderr, an exit code or an artifact. The set is:
 
-* eight closed-form configs, each with check, solve, simulate, decay and
+* nine closed-form configs, each with check, solve, simulate, decay and
   ``solve --force``: wave N = 300 (square11, inv_mu_sq; its solves at
   ``--modes 100``), diagonal N = 60 at gamma = 1.25, diagonal 60 x 30
   (smooth, pi_w0), a 5-mode custom plant, wave N = 50 at gamma = 1.0,
@@ -24,7 +24,9 @@ change in stdout, stderr, an exit code or an artifact. The set is:
   inv_mu_sq) with ``slope_tol = 0.2`` on a linear grid of 777 points
   with the decay window [5, 500], and wave 100 x 100 (square11,
   inv_mu_sq) with a configured ``alpha = 1.5`` that its spectrum does
-  not have;
+  not have, and a 3-mode custom plant with a lightly damped mode 1e-6
+  off omega_1, outside the output row, whose conformity recomputes that
+  column's horizon tails exactly;
 * random seeds 0-199, each with the four commands.
 """
 
@@ -115,6 +117,17 @@ n_plant = 100
 n_exo = 100
 alpha = 1.5
 w0_preset = square11
+z0_preset = inv_mu_sq
+""",
+    "custom3resonant": """\
+[scenario]
+kind = custom
+eigenvalues = -1e-4+1.000001j, -0.5+0.3j, -1-2j
+b = 1, 1, 1
+c = 0, 1, 1
+n_exo = 3
+gamma = 1.0
+w0_preset = unit
 z0_preset = inv_mu_sq
 """,
     "random": """\
