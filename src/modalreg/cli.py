@@ -48,6 +48,10 @@ _RESIDUAL_BOUND = 1e-10
 # Conformity asks the forcing operator to smooth into D((-A)**(alpha + eps))
 # for some eps > 0; check reports it at this one eps.
 _CONFORMITY_EPS = 0.25
+# Assumption 1 holds when every |H(i omega_k)| is at least this floor.
+_ASSUMPTION1_FLOOR = 1e-8
+# decay's semigroup exponent matches the nominal 1/alpha within this.
+_EXPONENT_TOL = 0.05
 
 
 def _fmt(x) -> str:
@@ -76,11 +80,22 @@ def _scenario_header(cfg: RunConfig, gen, space) -> list:
 
 
 def _gate(cfg: RunConfig):
-    """The scenario as built, its frequency grid and Assumption 1."""
-    gen, coupling, space = build_scenario(cfg.scenario)
+    """The scenario as built, its state w0, its frequency grid and
+    Assumption 1. All four commands check the state settings here: one
+    that does not fit the built scenario is a config error naming it."""
+    sc = cfg.scenario
+    gen, coupling, space = build_scenario(sc)
+    key = "w0_preset" if isinstance(sc.w0_preset, str) else "w0_list"
+    try:
+        w0 = resolve_w0(sc, space)
+        if not isinstance(sc.z0_preset, str):  # every z0 preset fits
+            key = "z0_list"
+            resolve_z0(sc, gen)
+    except ValueError as exc:
+        raise ConfigError(f"[scenario] {key}: {exc}") from None
     grid = frequency_grid(gen, coupling, space)
-    a1 = check_assumption1(grid, floor=cfg.tolerances.assumption1_floor)
-    return gen, coupling, space, grid, a1
+    a1 = check_assumption1(grid, floor=_ASSUMPTION1_FLOOR)
+    return gen, coupling, space, w0, grid, a1
 
 
 def _overall(lines: list, failures: list, passed: str = "PASS") -> tuple:
@@ -90,8 +105,7 @@ def _overall(lines: list, failures: list, passed: str = "PASS") -> tuple:
 
 
 def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
-    gen, coupling, space, grid, a1 = _gate(cfg)
-    tol = cfg.tolerances
+    gen, coupling, space, _, grid, a1 = _gate(cfg)
     alpha = nominal_geometric_params(cfg.scenario)
     lines = _scenario_header(cfg, gen, space)
     failures = []
@@ -99,7 +113,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     lines.append(f"Assumption 1 (nonvanishing frequency response): "
                  f"{'PASS' if a1.passed else 'FAIL'}")
     lines.append(f"  min |H(i omega_k)| = {_fmt(a1.min_magnitude)} at "
-                 f"k = {a1.argmin_mode} (floor {_fmt(tol.assumption1_floor)})")
+                 f"k = {a1.argmin_mode} (floor {_fmt(_ASSUMPTION1_FLOOR)})")
     gap_pos = int(np.argmin(grid.gaps))
     lines.append(f"  smallest resolvent gap = {_fmt(grid.gaps[gap_pos])} at "
                  f"k = {int(space.modes.indices[gap_pos])}")
@@ -160,19 +174,18 @@ def _gain_pipeline(cfg: RunConfig, force: bool):
     """The gate and the gain for solve, simulate and decay, with the report
     header: a failed Assumption 1 stops the run unless ``force``, and then
     the header carries one WARN line."""
-    gen, coupling, space, grid, a1 = _gate(cfg)
+    gen, coupling, space, w0, grid, a1 = _gate(cfg)
     header = _scenario_header(cfg, gen, space)
-    floor = cfg.tolerances.assumption1_floor
     if not a1.passed:
         if not force:
             raise AssumptionFailure(
                 f"Assumption 1 failed: min |H| = {a1.min_magnitude:.3e} at "
-                f"k = {a1.argmin_mode} is below floor {floor:.3e} "
-                "(rerun with --force to proceed anyway)")
+                f"k = {a1.argmin_mode} is below floor "
+                f"{_ASSUMPTION1_FLOOR:.3e} (rerun with --force to proceed anyway)")
         header += [f"WARN: Assumption 1 failed (min |H| = "
                    f"{_fmt(a1.min_magnitude)} at k = {a1.argmin_mode}, floor "
-                   f"{_fmt(floor)}); run anyway under --force", ""]
-    return gen, coupling, space, header, build_feedforward(grid)
+                   f"{_fmt(_ASSUMPTION1_FLOOR)}); run anyway under --force", ""]
+    return gen, coupling, w0, header, build_feedforward(grid)
 
 
 def _simulate(cfg: RunConfig, gen, coupling, gain, w0, t_grid):
@@ -184,7 +197,7 @@ def _simulate(cfg: RunConfig, gen, coupling, gain, w0, t_grid):
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
-    gen, coupling, space, lines, gain = _gain_pipeline(cfg, force)
+    gen, coupling, _, lines, gain = _gain_pipeline(cfg, force)
     solution = solve_regulator(gen, coupling, gain)
     res1 = residual_first_equation(solution, gen, coupling, gain)
     res2 = residual_second_equation(solution, coupling)
@@ -198,7 +211,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     lines.append(f"operator norm estimate of the steady-state map = "
                  f"{_fmt(solution.operator_norm_estimate)}")
 
-    exo_idx = space.modes.indices
+    exo_idx = gain.space.modes.indices
     _write_csv(out_dir / "L.csv", ["k", "re", "im"],
                (exo_idx, gain.ell.real, gain.ell.imag))
     # views, written in C order: row (n, k) of Pi.csv is entry [i, j] of pi
@@ -210,8 +223,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
-    gen, coupling, space, lines, gain = _gain_pipeline(cfg, force)
-    w0 = resolve_w0(cfg.scenario, space)
+    gen, coupling, w0, lines, gain = _gain_pipeline(cfg, force)
     t_grid = cfg.sim.grid()
     result = _simulate(cfg, gen, coupling, gain, w0, t_grid)
     dev = result.state_deviation
@@ -237,19 +249,17 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
 
 
 def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
-    gen, coupling, space, lines, gain = _gain_pipeline(cfg, force)
+    gen, coupling, w0, lines, gain = _gain_pipeline(cfg, force)
     t_grid = cfg.sim.grid()
     window = cfg.sim.window
     alpha = nominal_geometric_params(cfg.scenario)
-    tol = cfg.tolerances
 
     env = decay_envelope(gen, beta=1.0, t_grid=t_grid)
     # a degenerate window raises here, before anything is written
     exponent = -fit_decay_rate(env.values, t_grid, window).slope
     superpoly = check_superpolynomial(env.values, t_grid, window)
 
-    result = _simulate(cfg, gen, coupling, gain,
-                       resolve_w0(cfg.scenario, space), t_grid)
+    result = _simulate(cfg, gen, coupling, gain, w0, t_grid)
     abs_e = np.abs(result.e)
     dev = result.state_deviation
 
@@ -276,9 +286,9 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     elif unreliable:
         lines.append("  nominal match skipped (exponent unreliable)")
     else:
-        ok = abs(exponent - target) <= tol.slope_tol
+        ok = abs(exponent - target) <= _EXPONENT_TOL
         lines.append(f"  nominal 1/alpha = {_fmt(target)}: "
-                     f"{'PASS' if ok else 'FAIL'} (+/- {_fmt(tol.slope_tol)})")
+                     f"{'PASS' if ok else 'FAIL'} (+/- {_fmt(_EXPONENT_TOL)})")
         if not ok:
             failures.append("semigroup envelope exponent")
 

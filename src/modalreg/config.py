@@ -1,34 +1,23 @@
 """INI-style run configuration for the command-line tools.
 
-Flat ``key = value`` entries in three sections: ``[scenario]``,
-``[tolerances]``, ``[simulate]``; ``;`` or ``#`` after whitespace starts
-a comment. Unknown sections or keys, and keys the scenario kind does not
-read, are errors, not warnings; reproducibility beats leniency. The
-method settings (residual bounds, conformity margin, horizon schedule)
-are constants beside the code that uses them, not keys.
+Flat ``key = value`` entries in two sections: ``[scenario]`` and
+``[simulate]``; ``;`` or ``#`` after whitespace starts a comment. Unknown
+sections or keys, and keys the scenario kind does not read, are errors,
+not warnings; reproducibility beats leniency. The config holds the
+problem only: method settings and verdict thresholds, such as the
+Assumption 1 floor, are constants beside the checks that use them.
 """
 
 from __future__ import annotations
 
 import cmath
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .scenarios import VALID_KINDS, ScenarioConfig, kind_reads
-
-
-@dataclass
-class Tolerances:
-    assumption1_floor: float = 1e-8
-    slope_tol: float = 0.05
-
-    def __post_init__(self):
-        for name in CONFIG_KEYS["tolerances"]:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerance {name} must be positive")
 
 
 @dataclass
@@ -63,8 +52,7 @@ class SimGrid:
 @dataclass
 class RunConfig:
     scenario: ScenarioConfig
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    sim: SimGrid = field(default_factory=SimGrid)
+    sim: SimGrid
 
 
 def _complex_list(raw: str):
@@ -82,7 +70,6 @@ CONFIG_KEYS = {
         "z0_list": _complex_list, "w0_list": _complex_list,
         "eigenvalues": _complex_list, "b": _complex_list, "c": _complex_list,
     },
-    "tolerances": dict.fromkeys(("assumption1_floor", "slope_tol"), float),
     "simulate": {"t_min": float, "t_max": float, "n_points": int,
                  "spacing": str.strip, "window_lo": float,
                  "window_hi": float},
@@ -148,8 +135,5 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"[scenario] kind = {kind} does not read "
                               f"{', '.join(unread)}")
 
-    return RunConfig(
-        scenario=_read_section(parser, "scenario", ScenarioConfig),
-        tolerances=_read_section(parser, "tolerances", Tolerances),
-        sim=_read_section(parser, "simulate", SimGrid),
-    )
+    return RunConfig(_read_section(parser, "scenario", ScenarioConfig),
+                     _read_section(parser, "simulate", SimGrid))

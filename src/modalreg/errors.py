@@ -2,7 +2,7 @@
 
 
 class ModeMismatchError(ValueError):
-    """Two objects were combined whose retained mode ranges differ."""
+    """Two objects were combined whose mode ranges or periods differ."""
 
 
 class SingularResolventError(ValueError):

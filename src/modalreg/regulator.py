@@ -26,7 +26,8 @@ import numpy as np
 from .errors import AssumptionFailure, SingularResolventError
 from .exosystem import ExoSpace, ExoState, synthesize_signal
 from .spectral import (DiagonalGenerator, ModeRange, SpectralVector,
-                       TailReport, _blocks, _require_same_modes, classify_tail)
+                       TailReport, _blocks, _require_same_modes,
+                       _require_same_space, classify_tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +192,7 @@ def _disturbance_response(gen: DiagonalGenerator, coupling: ModalCoupling,
     return hd
 
 
-def check_assumption1(grid: FrequencyGrid,
-                      floor: float = 1e-8) -> Assumption1Report:
+def check_assumption1(grid: FrequencyGrid, floor: float) -> Assumption1Report:
     """Nonvanishing frequency response: pass iff min_k |H(i omega_k)| >= floor.
 
     The per-harmonic resolvent gaps stay on the grid (``grid.gaps``), so
@@ -311,16 +311,15 @@ def steady_state_image(gen: DiagonalGenerator, coupling: ModalCoupling,
     """Pi w0 and c Pi from the columns pi_k of the spectral solve, built
     one block of harmonics at a time and never held whole. Only the
     harmonics with w0_k != 0 are visited: the others add exact zeros."""
-    space = w0.space
     _require_same_modes(gen.modes, coupling.modes)
-    _require_same_modes(space.modes, gain.space.modes)
+    _require_same_space(w0.space, gain.space)
     pi_w0 = np.zeros(len(gen.modes), dtype=np.complex128)
-    mismatch = np.zeros(len(space.modes), dtype=np.complex128)
+    mismatch = np.zeros(len(gain.space.modes), dtype=np.complex128)
     support = np.flatnonzero(w0.coeffs)
     for blk in _blocks(support.size, len(gen.modes)):
         pos = support[blk]
         pi = _forcing_columns(coupling, gain, pos)
-        pi /= _denominators(gen, space.omegas[pos])
+        pi /= _denominators(gen, gain.space.omegas[pos])
         pi_w0 += pi @ w0.coeffs[pos]
         mismatch[pos] = (coupling.c.coeffs @ pi - 1.0) * w0.coeffs[pos]
     return SteadyStateImage(w0=w0, pi_w0=pi_w0, mismatch=mismatch)
@@ -357,5 +356,5 @@ def residual_second_equation(solution: SylvesterSolution,
 def control_signal(gain: FeedforwardGain, w0: ExoState, t):
     """Feedforward input sum_k ell_k w0_k exp(i omega_k t); equals the gain
     applied to the shifted exosystem state."""
-    _require_same_modes(gain.space.modes, w0.space.modes)
+    _require_same_space(gain.space, w0.space)
     return synthesize_signal(ExoState(w0.space, gain.ell * w0.coeffs), t)

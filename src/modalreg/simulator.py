@@ -30,7 +30,7 @@ from .regulator import (FeedforwardGain, ModalCoupling, SteadyStateImage,
                         SylvesterSolution, control_signal, forcing_matrix,
                         frequency_denominators)
 from .spectral import (DiagonalGenerator, SpectralVector, _blocks,
-                       _require_same_modes, loglog_fit)
+                       _require_same_modes, _require_same_space, loglog_fit)
 
 
 @dataclass(eq=False)
@@ -52,7 +52,7 @@ def simulate_closed_loop(gen: DiagonalGenerator, coupling: ModalCoupling,
                          w0: ExoState, t_grid) -> SimulationResult:
     """Closed-loop run from (z0, w0) over the grid, exact per mode."""
     _require_same_modes(z0.modes, gen.modes)
-    _require_same_modes(w0.space.modes, gain.space.modes)
+    _require_same_space(w0.space, gain.space)
     t = np.asarray(t_grid, dtype=float)
     space = w0.space
     m = forcing_matrix(coupling, gain)
@@ -101,7 +101,7 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
     """
     _require_same_modes(z0.modes, gen.modes)
     w0 = image.w0
-    _require_same_modes(w0.space.modes, gain.space.modes)
+    _require_same_space(w0.space, gain.space)
     t = np.asarray(t_grid, dtype=float)
     x = z0.coeffs - image.pi_w0
     ell_w0 = gain.ell * w0.coeffs
@@ -124,7 +124,7 @@ def state_deviation_norms(result: SimulationResult,
     """||z(t) - Pi T_S(t) w0|| per grid point: distance to the periodic
     steady-state orbit."""
     space = result.w0.space
-    _require_same_modes(solution.space.modes, space.modes)
+    _require_same_space(solution.space, space)
     _require_same_modes(solution.plant_modes, result.plant_modes)
     exo_phases = np.exp(1j * np.multiply.outer(result.t_grid, space.omegas))
     exo_phases *= result.w0.coeffs  # scale the T x K phases, not Pi (N x K)

@@ -116,6 +116,12 @@ def _require_same_modes(a: ModeRange, b: ModeRange) -> None:
         raise ModeMismatchError(f"mode ranges differ: {a} vs {b}")
 
 
+def _require_same_space(a, b) -> None:  # two exosystem spaces
+    _require_same_modes(a.modes, b.modes)
+    if a.period != b.period:
+        raise ModeMismatchError(f"periods differ: {a.period} vs {b.period}")
+
+
 @dataclass(eq=False)
 class SpectralVector:
     """Coefficient sequence over a mode range (coordinates in the plant basis)."""

@@ -15,8 +15,7 @@ from oracles import traced_cli_peak
 
 from modalreg import cli
 from modalreg.cli import main
-from modalreg.config import (_FIELD, CONFIG_KEYS, SimGrid, Tolerances,
-                             load_config)
+from modalreg.config import _FIELD, CONFIG_KEYS, SimGrid, load_config
 from modalreg.errors import ConfigError
 from modalreg.scenarios import (KIND_READS, VALID_KINDS, ScenarioConfig,
                                 build_scenario, nominal_geometric_params,
@@ -49,6 +48,17 @@ c = 0, 0, 0
 n_exo = 5
 """
 
+# a response far below the Assumption 1 floor but nonzero:
+# min |H| = 7.26e-11 at k = -3
+CUSTOM_TINY = """
+[scenario]
+kind = custom
+eigenvalues = -1+1j, -2-1j, -0.5+3j
+b = 1, 1, 1
+c = 1e-10, 1e-10, 1e-10
+n_exo = 3
+"""
+
 
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -66,7 +76,6 @@ class TestConfigParsing:
     def test_minimal_config_defaults(self, tmp_path):
         cfg = load_config(write(tmp_path, DIAG_OK))
         assert cfg.scenario.kind == "diagonal"
-        assert cfg.tolerances.assumption1_floor == 1e-8
         assert cfg.sim.n_points == 512
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -90,10 +99,6 @@ class TestConfigParsing:
 
     def test_overrides_parsed(self, tmp_path):
         text = DIAG_OK + """
-[tolerances]
-assumption1_floor = 1e-6
-slope_tol = 0.1
-
 [simulate]
 t_min = 0.1
 t_max = 100
@@ -103,7 +108,6 @@ window_lo = 1
 window_hi = 50
 """
         cfg = load_config(write(tmp_path, text))
-        assert cfg.tolerances.assumption1_floor == 1e-6
         assert cfg.sim.spacing == "linear"
         assert len(cfg.sim.grid()) == 64
 
@@ -114,22 +118,23 @@ window_hi = 50
         cfg = load_config(write(tmp_path, text))
         assert cfg.scenario.w0_preset == (1.0, 0.0, 0.5j)
 
-    # the method settings are constants: the horizon schedule, the
-    # residual bounds and the conformity margin
-    @pytest.mark.parametrize("section, line, message", [
-        ("quadrature", "horizons = 10, 20, 40", "unknown section [quadrature]"),
-        ("quadrature", "method = analytic", "unknown section [quadrature]"),
-        ("quadrature", "step = 0.01", "unknown section [quadrature]"),
-        ("tolerances", "first_residual = 1e-10",
-         "unknown key(s) in [tolerances]: first_residual"),
-        ("tolerances", "second_residual = 1e-10",
-         "unknown key(s) in [tolerances]: second_residual"),
-        ("tolerances", "conformity_eps = 0.25",
-         "unknown key(s) in [tolerances]: conformity_eps"),
+    # the method settings and verdict thresholds are constants: the
+    # horizon schedule, the residual bounds, the conformity margin, the
+    # Assumption 1 floor and the exponent tolerance
+    @pytest.mark.parametrize("section, line", [
+        ("quadrature", "horizons = 10, 20, 40"),
+        ("quadrature", "method = analytic"),
+        ("quadrature", "step = 0.01"),
+        ("tolerances", "first_residual = 1e-10"),
+        ("tolerances", "second_residual = 1e-10"),
+        ("tolerances", "conformity_eps = 0.25"),
+        ("tolerances", "assumption1_floor = 1e-8"),
+        ("tolerances", "slope_tol = 0.05"),
     ], ids=["horizons", "method", "step", "first_residual", "second_residual",
-            "conformity_eps"])
-    def test_removed_quadrature_keys_rejected(self, section, line, message,
-                                              tmp_path, capsys):
+            "conformity_eps", "assumption1_floor", "slope_tol"])
+    def test_removed_quadrature_keys_rejected(self, section, line, tmp_path,
+                                              capsys):
+        message = f"unknown section [{section}]"
         path = write(tmp_path, DIAG_OK + f"\n[{section}]\n{line}\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
@@ -174,6 +179,29 @@ window_hi = 50
         self.rejected_by_every_command(
             path, tmp_path / "out",
             f"[{section}] {key} = {raw!r}: numbers must be finite", capsys)
+
+    # state settings that do not fit the built diagonal 10 x 3 scenario
+    # (21 plant modes, 7 harmonics): every command rejects them alike,
+    # naming the key, before it writes anything
+    @pytest.mark.parametrize("command", ["check", "solve", "simulate",
+                                         "decay"])
+    @pytest.mark.parametrize("line, message", [
+        ("w0_preset = square11", "w0_preset: square11 preset needs "
+         "exosystem modes through |k| = 5"),
+        ("w0_list = 1, 2",
+         "w0_list: explicit w0 list has length 2, expected 7"),
+        ("z0_list = 1, 2, 3",
+         "z0_list: explicit z0 list has length 3, expected 21"),
+    ], ids=["w0_preset", "w0_list", "z0_list"])
+    def test_state_setting_misfit_rejected(self, command, line, message,
+                                           tmp_path, capsys):
+        text = "[scenario]\nkind = diagonal\nn_plant = 10\nn_exo = 3\n"
+        path = write(tmp_path, f"{text}{line}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"config error: [scenario] "
+                                           f"{message}\n")
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("alpha", ["-1", "0"])
     def test_nonpositive_alpha_rejected(self, alpha, tmp_path, capsys):
@@ -329,18 +357,7 @@ gamma = 2.0
 
     def test_force_past_floor(self, tmp_path, capsys):
         # tiny but nonzero response: floor gate fails, --force proceeds
-        text = """
-[scenario]
-kind = custom
-eigenvalues = -1+1j, -2-1j
-b = 1, 1
-c = 1e-7, 1e-7
-n_exo = 3
-
-[tolerances]
-assumption1_floor = 1e-4
-"""
-        cfg = write(tmp_path, text)
+        cfg = write(tmp_path, CUSTOM_TINY)
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "a")]) == 1
         code = main(["solve", "--config", cfg, "--force",
@@ -352,9 +369,7 @@ assumption1_floor = 1e-4
     def test_forced_report_warns(self, command, tmp_path, capsys):
         """Past a failed Assumption 1, every report made under --force
         carries the same WARN line under the scenario line."""
-        text = ("[scenario]\nkind = diagonal\nn_plant = 30\nn_exo = 20\n\n"
-                "[tolerances]\nassumption1_floor = 0.5\n")
-        cfg = write(tmp_path, text)
+        cfg = write(tmp_path, CUSTOM_TINY)
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "a")]) == 1
         assert not list((tmp_path / "a").iterdir())
@@ -365,7 +380,7 @@ assumption1_floor = 1e-4
         lines = report.splitlines()
         assert [ln for ln in lines if "Assumption 1" in ln] == [lines[2]]
         assert re.fullmatch(r"WARN: Assumption 1 failed \(min \|H\| = \S+ at "
-                            r"k = -?\d+, floor 0\.5\); run anyway under --force",
+                            r"k = -?\d+, floor 1e-08\); run anyway under --force",
                             lines[2])
         assert lines[3] == ""
 
@@ -810,8 +825,7 @@ class TestKeyTable:
         assert self.built(replace(base, **{key: value})) == self.built(base)
 
     @pytest.mark.parametrize(("section", "cls"), [
-        ("scenario", ScenarioConfig), ("tolerances", Tolerances),
-        ("simulate", SimGrid)])
+        ("scenario", ScenarioConfig), ("simulate", SimGrid)])
     def test_every_field_has_a_key(self, section, cls):
         # and every key names a field
         settable = {f.name for f in fields(cls)}

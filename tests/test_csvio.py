@@ -20,7 +20,6 @@ from modalreg.csvio import (BLOCK_VALUES, KERNEL_BLOCK_VALUES,
                             KERNEL_MIN_VALUES, write_csv)
 from modalreg.exosystem import ExoSpace, ExoState
 from modalreg.regulator import solve_regulator
-from modalreg.scenarios import resolve_w0
 from modalreg.spectral import ModeRange, decay_envelope
 
 SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -318,16 +317,16 @@ def test_solve_artifacts_match_reference_writer(tmp_path, capsys):
     cfg_path.write_text(DIAG)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
-    gen, coupling, space, _, gain = _gain_pipeline(load_config(str(cfg_path)),
-                                                   force=False)
+    gen, coupling, _, _, gain = _gain_pipeline(load_config(str(cfg_path)),
+                                               force=False)
     solution = solve_regulator(gen, coupling, gain)
     write_csv_rows(tmp_path / "L.csv", ["k", "re", "im"],
                    ((int(k), gain.ell[j].real, gain.ell[j].imag)
-                    for j, k in enumerate(space.modes.indices)))
+                    for j, k in enumerate(gain.space.modes.indices)))
     write_csv_rows(tmp_path / "Pi.csv", ["n", "k", "re", "im"],
                    ((int(n), int(k), solution.pi[i, j].real, solution.pi[i, j].imag)
                     for i, n in enumerate(gen.modes.indices)
-                    for j, k in enumerate(space.modes.indices)))
+                    for j, k in enumerate(gain.space.modes.indices)))
     for name in ("L.csv", "Pi.csv"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -359,10 +358,10 @@ def test_trajectory_and_envelope_match_reference_writer(tmp_path, capsys,
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)
     cfg = load_config(str(cfg_path))
-    gen, coupling, space, _, gain = _gain_pipeline(cfg, force=False)
+    gen, coupling, w0, _, gain = _gain_pipeline(cfg, force=False)
     assert any(coupling.p_entries.values()) == (text == RANDOM_SEED_4)
     t = cfg.sim.grid()
-    run = _simulate(cfg, gen, coupling, gain, resolve_w0(cfg.scenario, space), t)
+    run = _simulate(cfg, gen, coupling, gain, w0, t)
     abs_e = np.abs(run.e)
     dev = run.state_deviation
     write_csv_rows(tmp_path / "trajectory.csv", TRAJECTORY_HEADER,

@@ -190,7 +190,8 @@ class TestBlockedGrid:
 class TestAssumption1:
     def test_diagonal_magnitudes(self, diagonal):
         gen, coupling, space = diagonal
-        report = check_assumption1(frequency_grid(gen, coupling, space))
+        report = check_assumption1(frequency_grid(gen, coupling, space),
+                                   floor=1e-8)
         assert report.passed
         omega_max = 2.0 * math.pi * 40 / space.period
         assert report.min_magnitude == pytest.approx(
@@ -208,7 +209,7 @@ class TestAssumption1:
     def test_resonant_gaps_annotated(self, wave_resonant):
         gen, coupling, space = wave_resonant
         grid = frequency_grid(gen, coupling, space)
-        report = check_assumption1(grid)
+        report = check_assumption1(grid, floor=1e-8)
         # at period 2 the harmonic k sits pi nu / k**2 away from mode k
         pos = space.modes.position(9)
         assert grid.gaps[pos] == pytest.approx(math.pi / 81.0, rel=1e-12)
@@ -250,7 +251,7 @@ class TestFeedforward:
     def test_one_grid_serves_assumption_gain_and_solve(self, wave_resonant):
         gen, coupling, space = wave_resonant
         grid = frequency_grid(gen, coupling, space)
-        assert check_assumption1(grid).passed
+        assert check_assumption1(grid, floor=1e-8).passed
         gain = build_feedforward(grid)
         fresh = build_feedforward(frequency_grid(gen, coupling, space))
         np.testing.assert_array_equal(gain.ell, fresh.ell)
@@ -511,26 +512,51 @@ _MISMATCHED = {
 }
 
 
+def _operands(cfg: ScenarioConfig) -> SimpleNamespace:
+    """Every operand the checks above take, from one scenario."""
+    gen, coupling, space = build_scenario(cfg)
+    gain = build_feedforward(frequency_grid(gen, coupling, space))
+    w0 = ExoState.unit(space, 1)
+    return SimpleNamespace(
+        gen=gen, coupling=coupling, space=space, gain=gain, w0=w0,
+        z0=unit_vector(gen.modes, gen.modes.hi),
+        image=steady_state_image(gen, coupling, gain, w0),
+        t=np.linspace(0.0, 5.0, 6))
+
+
 class TestModeRangeRule:
     """Every operand pair on different mode ranges raises
     ModeMismatchError, the one mode-range rule."""
 
     @pytest.fixture(scope="class")
     def runs(self):
-        def run(n_plant, n_exo):
-            cfg = ScenarioConfig(kind="diagonal", n_plant=n_plant,
-                                 n_exo=n_exo)
-            gen, coupling, space = build_scenario(cfg)
-            gain = build_feedforward(frequency_grid(gen, coupling, space))
-            w0 = ExoState.unit(space, 1)
-            return SimpleNamespace(
-                gen=gen, coupling=coupling, space=space, gain=gain, w0=w0,
-                z0=unit_vector(gen.modes, 0),
-                image=steady_state_image(gen, coupling, gain, w0),
-                t=np.linspace(0.0, 5.0, 6))
-        return run(8, 5), run(9, 6)
+        return tuple(_operands(ScenarioConfig(kind="diagonal", n_plant=n,
+                                              n_exo=k))
+                     for n, k in ((8, 5), (9, 6)))
 
     @pytest.mark.parametrize("check", list(_MISMATCHED))
     def test_other_range_raises_mode_mismatch(self, runs, check):
         with pytest.raises(ModeMismatchError):
+            _MISMATCHED[check](*runs)
+
+
+class TestPeriodRule:
+    """An exosystem state or solution on the gain's harmonics but at
+    another period raises ModeMismatchError: each harmonic has another
+    frequency there. Unchecked, a period-3 state on a period-2 wave gain
+    gave steady_state_image a mismatch of 0.206, and simulate_outputs an
+    error of that size, on a problem the gain solves exactly."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return tuple(_operands(ScenarioConfig(kind="wave", n_plant=20,
+                                              n_exo=10, period=period))
+                     for period in (2.0, 3.0))
+
+    @pytest.mark.parametrize("check", [
+        "image-w0", "control-w0", "outputs-gain", "closed-loop-w0",
+        "deviation-solution"])
+    def test_other_period_raises_mode_mismatch(self, runs, check):
+        assert runs[0].space.modes == runs[1].space.modes
+        with pytest.raises(ModeMismatchError, match="periods differ"):
             _MISMATCHED[check](*runs)

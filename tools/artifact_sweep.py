@@ -14,19 +14,20 @@ into different directories can be compared with ``diff -r``: run one on
 the parent's source and one on the change's, and any difference is a
 change in stdout, stderr, an exit code or an artifact. The set is:
 
-* nine closed-form configs, each with check, solve, simulate, decay and
+* ten closed-form configs, each with check, solve, simulate, decay and
   ``solve --force``: wave N = 300 (square11, inv_mu_sq; its solves at
   ``--modes 100``), diagonal N = 60 at gamma = 1.25, diagonal 60 x 30
   (smooth, pi_w0), a 5-mode custom plant, wave N = 50 at gamma = 1.0,
-  two that set ``[tolerances]`` and ``[simulate]`` keys: diagonal
-  60 x 30 with ``assumption1_floor = 0.5`` (Assumption 1 fails, so only
-  ``solve --force`` runs past the gate) and wave N = 50 (square11,
-  inv_mu_sq) with ``slope_tol = 0.2`` on a linear grid of 777 points
-  with the decay window [5, 500], and wave 100 x 100 (square11,
-  inv_mu_sq) with a configured ``alpha = 1.5`` that its spectrum does
-  not have, and a 3-mode custom plant with a lightly damped mode 1e-6
-  off omega_1, outside the output row, whose conformity recomputes that
-  column's horizon tails exactly;
+  a 3-mode custom plant with c = 1e-10, whose response lies below the
+  Assumption 1 floor (so only ``solve --force`` runs past the gate),
+  wave N = 50 (square11, inv_mu_sq) with ``[simulate]`` keys (a linear
+  grid of 777 points, the decay window [5, 500]), wave 100 x 100
+  (square11, inv_mu_sq) with a configured ``alpha = 1.5`` that its
+  spectrum does not have, a 3-mode custom plant with a lightly damped
+  mode 1e-6 off omega_1, outside the output row, whose conformity
+  recomputes that column's horizon tails exactly, and diagonal 10 x 3
+  with ``w0_preset = square11``, which needs harmonics through
+  |k| = 5 (a config error for every command);
 * random seeds 0-199, each with the four commands.
 """
 
@@ -84,14 +85,13 @@ gamma = 1.0
 w0_preset = square11
 z0_preset = inv_mu_sq
 """,
-    "diag60x30floor": """\
+    "custom3tiny": """\
 [scenario]
-kind = diagonal
-n_plant = 60
-n_exo = 30
-
-[tolerances]
-assumption1_floor = 0.5
+kind = custom
+eigenvalues = -1+1j, -2-1j, -0.5+3j
+b = 1, 1, 1
+c = 1e-10, 1e-10, 1e-10
+n_exo = 3
 """,
     "wave50linear": """\
 [scenario]
@@ -100,9 +100,6 @@ n_plant = 50
 n_exo = 50
 w0_preset = square11
 z0_preset = inv_mu_sq
-
-[tolerances]
-slope_tol = 0.2
 
 [simulate]
 spacing = linear
@@ -129,6 +126,13 @@ n_exo = 3
 gamma = 1.0
 w0_preset = unit
 z0_preset = inv_mu_sq
+""",
+    "diag10x3square11": """\
+[scenario]
+kind = diagonal
+n_plant = 10
+n_exo = 3
+w0_preset = square11
 """,
     "random": """\
 [scenario]
