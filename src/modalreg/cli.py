@@ -157,6 +157,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     lines.append(f"Spectral order (-Re mu against |Im mu|, outer half): "
                  f"{fitted}; nominal alpha = {_fmt(alpha)}")
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "assumption2_partial_sums.csv", ["K", "partial_sum"],
                () if a2 is None else
                (np.arange(a2.partial_sums.size), a2.partial_sums))
@@ -212,6 +213,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
                  f"{_fmt(solution.operator_norm_estimate)}")
 
     exo_idx = gain.space.modes.indices
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "L.csv", ["k", "re", "im"],
                (exo_idx, gain.ell.real, gain.ell.imag))
     # views, written in C order: row (n, k) of Pi.csv is entry [i, j] of pi
@@ -229,6 +231,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     dev = result.state_deviation
 
     abs_e = np.abs(result.e)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "trajectory.csv",
                ["t", "y_re", "y_im", "yr_re", "yr_im", "u_re", "u_im",
                 "e_re", "e_im", "abs_e", "state_dev_norm"],
@@ -263,6 +266,7 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
     abs_e = np.abs(result.e)
     dev = result.state_deviation
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "envelope.csv",
                ["t", "semigroup_envelope", "error_envelope",
                 "state_dev_envelope"],
@@ -323,8 +327,10 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, force: bool = False) -> tuple:
                     if superpoly.is_superpolynomial or unreliable else "PASS")
 
 
-# command -> (function, report file); each function writes its CSV
-# artifacts and returns its report lines and exit code
+# command -> (function, report file); each function makes the output
+# directory once nothing can stop it, writes its CSV artifacts there and
+# returns its report lines and exit code, so a stopped run leaves no
+# directory behind
 _COMMANDS = {
     "check": (cmd_check, "check_report.txt"),
     "solve": (cmd_solve, "residuals.txt"),
@@ -385,7 +391,6 @@ def main(argv=None) -> int:
             cfg = _override(cfg, "--modes", n_plant=args.modes,
                             n_exo=args.modes)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         command, report = _COMMANDS[args.command]
         lines, code = command(cfg, out_dir, force=args.force)
         _write_text(out_dir / report, lines)

@@ -22,12 +22,14 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AssumptionFailure, SingularResolventError
 from .exosystem import ExoSpace, ExoState, synthesize_signal
 from .spectral import (DiagonalGenerator, ModeRange, SpectralVector,
-                       TailReport, _blocks, _require_same_modes,
-                       _require_same_space, classify_tail)
+                       TailReport, _block_width, _blocks,
+                       _require_same_modes, _require_same_space,
+                       classify_tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,33 +152,72 @@ def frequency_denominators(gen: DiagonalGenerator, space: ExoSpace) -> np.ndarra
 def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
                    space: ExoSpace) -> FrequencyGrid:
     """H(i omega_k), H_d(k) and the resolvent gaps of every retained
-    harmonic, from the denominators built one block of harmonics at a
-    time.
+    harmonic.
 
-    A zero gap is an exact eigenvalue hit, which makes the regulator
-    equations unsolvable at that harmonic: it raises
-    :class:`SingularResolventError` naming the mode, before anything in
-    its block is divided. This is the library's only exact-hit check. A
-    generator built in the open left half-plane cannot hit
-    (Re D = -Re mu > 0); one changed after construction can.
+    The gaps come first, from :func:`_resolvent_gaps`. A zero gap is an
+    exact eigenvalue hit, which makes the regulator equations unsolvable
+    at that harmonic: it raises :class:`SingularResolventError` naming the
+    mode, before anything is divided. This is the library's only
+    exact-hit check. A generator built in the open left half-plane cannot
+    hit (Re D = -Re mu > 0); one changed after construction can. H is
+    then summed one block of harmonics at a time over the modes with
+    c_n b_n != 0 only: the others add exact zeros.
     """
     _require_same_modes(gen.modes, coupling.modes)
+    mu = gen.eigenvalues
+    gaps = _resolvent_gaps(mu, space.omegas)
+    if not gaps.all():  # the first harmonic with a zero gap
+        n_pos = np.flatnonzero(mu == 1j * space.omegas[np.argmin(gaps)])[0]
+        raise SingularResolventError(int(gen.modes.indices[n_pos]),
+                                     complex(mu[n_pos]))
     cb = coupling.c.coeffs * coupling.b.coeffs
-    support = np.flatnonzero(cb)  # modes outside it add exact zeros to H
-    n_exo = len(space.modes)
-    h = np.empty(n_exo, dtype=np.complex128)
-    gaps = np.empty(n_exo)
-    for blk in _blocks(n_exo, len(gen.modes)):
-        denom = _denominators(gen, space.omegas[blk])
-        gaps[blk] = np.abs(denom).min(axis=0)
-        if not gaps[blk].all():
-            n_pos = np.argwhere(denom == 0.0)[0, 0]
-            raise SingularResolventError(int(gen.modes.indices[n_pos]),
-                                         complex(gen.eigenvalues[n_pos]))
-        h[blk] = (cb[support, None] / denom[support]).sum(axis=0)
+    support = np.flatnonzero(cb)
+    cb, mu = cb[support, None], mu[support, None]
+    h = np.empty(len(space.modes), dtype=np.complex128)
+    for blk in _blocks(h.size, len(gen.modes)):
+        h[blk] = (cb / (1j * space.omegas[None, blk] - mu)).sum(axis=0)
     return FrequencyGrid(space=space, h=h,
                          hd=_disturbance_response(gen, coupling, space),
                          gaps=gaps)
+
+
+def _resolvent_gaps(mu: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """min_n |i omega_k - mu_n| for every omega_k, exactly.
+
+    When one block of about ``_BLOCK_ENTRIES`` entries covers every
+    (mode, harmonic) pair, that block is the search. Otherwise each
+    harmonic starts at its place in the spectrum sorted by Im mu, with a
+    window of about ``_BLOCK_ENTRIES // K`` modes around it. Every mode
+    outside the window is at least as far in Im mu as the window's next
+    neighbour on its side, and a gap is at least its Im part, so the
+    window is doubled only for the harmonics whose next neighbour lies
+    nearer in Im mu than their smallest gap so far. Each candidate is
+    the same ``abs(1j * omega - mu)`` as in the dense block, so the gaps
+    keep their bits.
+    """
+    n = mu.size
+    width = _block_width(omegas.size)
+    if width >= n:
+        return np.abs(1j * omegas[None, :] - mu[:, None]).min(axis=0)
+    mu = mu[np.argsort(mu.imag, kind="stable")]
+    im = mu.imag
+    centre = np.searchsorted(im, omegas)
+    gaps = np.empty(omegas.size)
+    todo = np.arange(omegas.size)
+    while todo.size:
+        width = min(width, n)
+        lo = np.clip(centre[todo] - width // 2, 0, n - width)
+        windows = sliding_window_view(mu, width)  # row j: mu[j:j + width]
+        for blk in _blocks(todo.size, width):
+            ks = todo[blk]
+            gaps[ks] = np.abs(1j * omegas[ks, None]
+                              - windows[lo[blk]]).min(axis=1)
+        hi = lo + width
+        om, best = omegas[todo], gaps[todo]
+        wider = (((lo > 0) & (om - im[lo - 1] < best))
+                 | ((hi < n) & (im[np.minimum(hi, n - 1)] - om < best)))
+        todo, width = todo[wider], 2 * width
+    return gaps
 
 
 def _disturbance_response(gen: DiagonalGenerator, coupling: ModalCoupling,

@@ -97,7 +97,10 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
     factor and one (time x harmonics) phase matrix, shared by y_r, u and
     the orbit term, each of about 1 MB. Every output row depends on its
     own time point only, so the blocks change no bits, and memory is O(T)
-    plus one block.
+    plus one block. Phases are exponentiated only where w0_k != 0 and
+    are 0 elsewhere, where w0_k, ell_k w0_k and the mismatch all vanish;
+    the products keep their full length, so their sums round as with
+    every phase taken.
     """
     _require_same_modes(z0.modes, gen.modes)
     w0 = image.w0
@@ -107,11 +110,18 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
     ell_w0 = gain.ell * w0.coeffs
     y_r, u, e = (np.empty(t.size, dtype=np.complex128) for _ in range(3))
     deviation = np.empty(t.size)
-    for blk in _blocks(t.size, max(x.size, ell_w0.size)):
+    blocks = _blocks(t.size, max(x.size, ell_w0.size))
+    # one buffer for every block: exp writes only where w0_k != 0, so the
+    # other entries stay 0
+    support = w0.coeffs != 0
+    buffer = np.zeros((max(b.stop - b.start for b in blocks), support.size),
+                      dtype=np.complex128)
+    for blk in blocks:
         free = np.exp(np.multiply.outer(t[blk], gen.eigenvalues))
         free *= x  # row j is T(t_j) x
         deviation[blk] = np.linalg.norm(free, axis=1)
-        phases = np.exp(1j * np.multiply.outer(t[blk], w0.space.omegas))
+        phases = np.exp(1j * np.multiply.outer(t[blk], w0.space.omegas),
+                        out=buffer[:free.shape[0]], where=support)
         y_r[blk] = phases @ w0.coeffs
         u[blk] = phases @ ell_w0
         e[blk] = free @ coupling.c.coeffs + phases @ image.mismatch

@@ -44,6 +44,12 @@ _SUPERPOLY_MARGIN = 0.5
 _BLOCK_ENTRIES = 2**16
 
 
+def _block_width(n_rows: int) -> int:
+    """Columns of an n_rows-row block of about ``_BLOCK_ENTRIES`` entries,
+    at least two."""
+    return max(2, _BLOCK_ENTRIES // max(n_rows, 1))
+
+
 def _blocks(n_cols: int, n_rows: int) -> list:
     """Slices of range(n_cols) in order, each spanning about
     ``_BLOCK_ENTRIES`` entries of an n_rows-row matrix.
@@ -53,7 +59,7 @@ def _blocks(n_cols: int, n_rows: int) -> list:
     sums wider blocks, so a lone last column would change the last bits
     of the column sums.
     """
-    width = max(2, _BLOCK_ENTRIES // max(n_rows, 1))
+    width = _block_width(n_rows)
     starts = list(range(0, n_cols, width))
     if len(starts) > 1 and n_cols - starts[-1] < 2:
         starts.pop()

@@ -8,10 +8,11 @@ line the shared fitter must reproduce bit for bit, and the one-shot
 denominator-matrix computations the blocked frequency grid and residual
 must reproduce bit for bit, and a composite trapezoid for the
 steady-state integral the closed-form horizon increments must reproduce
-to quadrature accuracy. ``unit_vector`` is the unit plant state the
-tests start from. ``traced_peak`` is the one memory measurement the
-memory tests share; ``traced_cli_peak`` takes it for one command-line call
-in a fresh interpreter.
+to quadrature accuracy, and the output path with its phases at every
+harmonic. ``unit_vector`` is the unit plant state the tests start from.
+``traced_peak`` is the one memory measurement the memory tests share;
+``traced_cli_peak`` takes it for one command-line call in a fresh
+interpreter.
 """
 
 import csv
@@ -31,6 +32,22 @@ def unit_vector(modes, mode: int) -> SpectralVector:
     v = np.zeros(len(modes), dtype=np.complex128)
     v[modes.position(mode)] = 1.0
     return SpectralVector(modes, v)
+
+
+def outputs_all_phases(gen, coupling, gain, z0, image, t):
+    """(y, y_r, u, e, state deviation) of the output path with the phases
+    exp(i omega_k t) taken at every harmonic, w0_k = 0 or not, for all
+    time points at once: the formulation ``simulate_outputs`` must match
+    byte for byte. ``simulator.simulate_closed_loop`` is the full-state
+    reference it is held to within rounding."""
+    w0 = image.w0
+    free = (np.exp(np.multiply.outer(t, gen.eigenvalues))
+            * (z0.coeffs - image.pi_w0))
+    phases = np.exp(1j * np.multiply.outer(t, w0.space.omegas))
+    y_r = phases @ w0.coeffs
+    u = phases @ (gain.ell * w0.coeffs)
+    e = free @ coupling.c.coeffs + phases @ image.mismatch
+    return y_r + e, y_r, u, e, np.linalg.norm(free, axis=1)
 
 
 def rk4_closed_loop(mu, g_matrices, w0s, omegas, z0, t_end, step,

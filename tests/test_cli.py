@@ -201,7 +201,7 @@ window_hi = 50
         assert main([command, "--config", path, "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"config error: [scenario] "
                                            f"{message}\n")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["-1", "0"])
     def test_nonpositive_alpha_rejected(self, alpha, tmp_path, capsys):
@@ -372,7 +372,7 @@ gamma = 2.0
         cfg = write(tmp_path, CUSTOM_TINY)
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "a")]) == 1
-        assert not list((tmp_path / "a").iterdir())
+        assert not (tmp_path / "a").exists()
         capsys.readouterr()
         main([command, "--config", cfg, "--force", "--out", str(tmp_path / "b")])
         report = next((tmp_path / "b").glob("*.txt")).read_text()
@@ -547,7 +547,7 @@ window_hi = 10.1
         code = main(["decay", "--config", write(tmp_path, text),
                      "--out", str(out)])
         assert code == 2
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         assert "window [10.0, 10.1]" in capsys.readouterr().err
 
     def test_window_halves_too_sparse_named(self, tmp_path, capsys):
@@ -566,7 +566,7 @@ n_points = 30
         code = main(["decay", "--config", write(tmp_path, text),
                      "--out", str(out)])
         assert code == 2
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         assert capsys.readouterr().err == (
             "error: window [10.0, 1000.0] splits at its geometric midpoint "
             "100.0 into halves of 6 and 6 grid points; need >= 10 in each\n")

@@ -15,7 +15,7 @@ import modalreg.regulator as regulator
 import modalreg.spectral as spectral
 from modalreg.errors import (AssumptionFailure, ModeMismatchError,
                              SingularResolventError)
-from modalreg.exosystem import ExoState
+from modalreg.exosystem import ExoSpace, ExoState
 from modalreg.regulator import (ModalCoupling, build_feedforward,
                                 check_assumption1, check_assumption2,
                                 control_signal, forcing_matrix, frequency_grid,
@@ -26,7 +26,7 @@ from modalreg.scenarios import (ScenarioConfig, build_random_scenario,
                                 build_scenario)
 from modalreg.simulator import (simulate_closed_loop, simulate_outputs,
                                 state_deviation_norms)
-from modalreg.spectral import SpectralVector
+from modalreg.spectral import DiagonalGenerator, ModeRange, SpectralVector
 from modalreg.sylvester import (check_b_regularity, conformity_diagnostic,
                                 quadrature_pi_column)
 
@@ -185,6 +185,95 @@ class TestBlockedGrid:
         with pytest.raises(SingularResolventError) as err:
             frequency_grid(gen, coupling, space)
         assert err.value.mode == 5
+
+
+class TestGapSearch:
+    """Past one dense block, the gaps come from the spectrum sorted by
+    Im mu, each harmonic's window doubling while a mode outside it could
+    still be nearer. However far the windows widen, the gaps equal the
+    whole-matrix minimum of ``oracles.frequency_grid_one_shot`` byte for
+    byte."""
+
+    # omega_k = k on k = -20..20; four modes per window once the block
+    # holds 4 * 41 entries
+    SPACE = ExoSpace.power_weights(2.0 * math.pi, ModeRange.symmetric(20),
+                                   2.0)
+    WINDOW = 4
+
+    @staticmethod
+    def plant(mu):
+        gen = DiagonalGenerator(ModeRange(0, len(mu) - 1), mu)
+        ones = SpectralVector(gen.modes, np.ones(len(mu)))
+        return gen, ModalCoupling(b=ones, c=ones)
+
+    @staticmethod
+    def record_widths(monkeypatch):
+        """The window width of every round of the sorted search."""
+        seen = []
+        inner = regulator.sliding_window_view
+
+        def recording(values, width):
+            seen.append(width)
+            return inner(values, width)
+
+        monkeypatch.setattr(regulator, "sliding_window_view", recording)
+        return seen
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """:meth:`record_widths` with blocks of ``WINDOW`` modes per
+        harmonic."""
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES",
+                            self.WINDOW * len(self.SPACE.modes))
+        return self.record_widths(monkeypatch)
+
+    @staticmethod
+    def assert_exact(gen, coupling, space):
+        grid = frequency_grid(gen, coupling, space)
+        for got, want in zip((grid.h, grid.hd, grid.gaps),
+                             frequency_grid_one_shot(gen, coupling, space)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_equal_imaginary_parts_widen_to_the_whole_spectrum(self, widths):
+        gen, coupling = self.plant(-(1.0 + np.arange(64)) + 0.5j)
+        self.assert_exact(gen, coupling, self.SPACE)
+        assert widths == [4, 8, 16, 32, 64]
+
+    def test_tied_imaginary_parts(self, widths):
+        rng = np.random.default_rng(3)
+        # Im mu on the integers, so most modes share theirs with others
+        # and with a harmonic
+        mu = (-rng.uniform(0.01, 3.0, 200)
+              + 1j * rng.integers(-25, 26, 200).astype(float))
+        self.assert_exact(*self.plant(mu), self.SPACE)
+        assert widths[0] == self.WINDOW and len(widths) > 1
+
+    def test_harmonics_outside_the_imaginary_range(self, widths):
+        rng = np.random.default_rng(4)
+        mu = -rng.uniform(0.1, 1.0, 50) + 1j * rng.uniform(-1.5, 1.5, 50)
+        self.assert_exact(*self.plant(mu), self.SPACE)
+        assert widths[0] == self.WINDOW
+
+    def test_wave_takes_the_sorted_path(self, monkeypatch):
+        seen = self.record_widths(monkeypatch)
+        gen, coupling, space = build_scenario(
+            ScenarioConfig(kind="wave", n_plant=300, n_exo=300))
+        self.assert_exact(gen, coupling, space)
+        assert seen == [spectral._block_width(len(space.modes))]
+        assert seen[0] < len(gen.modes)
+
+    def test_exact_hit_found_in_a_later_round(self, widths):
+        # a mode at every harmonic, then twelve more at omega = 3 after
+        # them; the last of those is set on the axis after construction
+        mu = np.concatenate([-1.0 + 1j * np.arange(-20.0, 21.0),
+                             -(1.0 + np.arange(12)) + 3j])
+        gen, coupling = self.plant(mu)
+        gen.eigenvalues[-1] = 3j
+        with pytest.raises(SingularResolventError) as err:
+            frequency_grid(gen, coupling, self.SPACE)
+        assert err.value.mode == len(mu) - 1
+        assert err.value.eigenvalue == 3j
+        assert widths == [4, 8, 16, 32]
 
 
 class TestAssumption1:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import rk4_closed_loop
+from oracles import outputs_all_phases, rk4_closed_loop
 
 import modalreg.regulator as regulator
 import modalreg.simulator as simulator
@@ -224,6 +224,31 @@ class TestOutputPath:
         assert blocks[-1] == [slice(0, t.size)]
         for name in ("y", "y_r", "u", "e", "state_deviation"):
             assert getattr(out, name).tobytes() == getattr(whole, name).tobytes()
+
+    @pytest.mark.parametrize("preset", ["square11", "unit", "zero",
+                                        "smooth"])
+    @pytest.mark.parametrize("case", ["wave", "random4", "random7"])
+    def test_phases_only_on_the_support_of_w0(self, case, preset):
+        """Phases are exponentiated only where w0_k != 0; the outputs
+        equal the all-harmonics formulation byte for byte. Random seed 4
+        carries a disturbance matrix P, seed 7 does not."""
+        if case == "wave":
+            cfg = ScenarioConfig(kind="wave", n_plant=300, n_exo=300,
+                                 w0_preset=preset, z0_preset="inv_mu_sq")
+            gen, coupling, space = build_scenario(cfg)
+        else:
+            cfg = ScenarioConfig(kind="random", seed=int(case[6:]),
+                                 w0_preset=preset, z0_preset="inv_mu_sq")
+            gen, coupling, space = build_random_scenario(cfg.seed)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        w0, z0 = resolve_w0(cfg, space), resolve_z0(cfg, gen)
+        image = steady_state_image(gen, coupling, gain, w0)
+        t = np.geomspace(1e-2, 1e3, 512)
+        out = simulate_outputs(gen, coupling, gain, z0, image, t)
+        want = outputs_all_phases(gen, coupling, gain, z0, image, t)
+        for name, ref in zip(("y", "y_r", "u", "e", "state_deviation"),
+                             want):
+            assert getattr(out, name).tobytes() == ref.tobytes(), name
 
     @pytest.mark.parametrize("case", CASES)
     def test_envelope_blocks_change_no_bits(self, case, monkeypatch):

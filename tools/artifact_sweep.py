@@ -14,20 +14,21 @@ into different directories can be compared with ``diff -r``: run one on
 the parent's source and one on the change's, and any difference is a
 change in stdout, stderr, an exit code or an artifact. The set is:
 
-* ten closed-form configs, each with check, solve, simulate, decay and
-  ``solve --force``: wave N = 300 (square11, inv_mu_sq; its solves at
-  ``--modes 100``), diagonal N = 60 at gamma = 1.25, diagonal 60 x 30
-  (smooth, pi_w0), a 5-mode custom plant, wave N = 50 at gamma = 1.0,
-  a 3-mode custom plant with c = 1e-10, whose response lies below the
-  Assumption 1 floor (so only ``solve --force`` runs past the gate),
-  wave N = 50 (square11, inv_mu_sq) with ``[simulate]`` keys (a linear
-  grid of 777 points, the decay window [5, 500]), wave 100 x 100
-  (square11, inv_mu_sq) with a configured ``alpha = 1.5`` that its
-  spectrum does not have, a 3-mode custom plant with a lightly damped
-  mode 1e-6 off omega_1, outside the output row, whose conformity
-  recomputes that column's horizon tails exactly, and diagonal 10 x 3
-  with ``w0_preset = square11``, which needs harmonics through
-  |k| = 5 (a config error for every command);
+* eleven closed-form configs, each with check, solve, simulate, decay
+  and ``solve --force``: wave N = 300 (square11, inv_mu_sq), wave
+  N = 300 with the full-support ``smooth`` w0 (both on the sorted
+  resolvent-gap search; their solves at ``--modes 100``), diagonal N = 60
+  at gamma = 1.25, diagonal 60 x 30 (smooth, pi_w0), a 5-mode custom
+  plant, wave N = 50 at gamma = 1.0, a 3-mode custom plant with
+  c = 1e-10, whose response lies below the Assumption 1 floor (so only
+  ``solve --force`` runs past the gate), wave N = 50 (square11,
+  inv_mu_sq) with ``[simulate]`` keys (a linear grid of 777 points, the
+  decay window [5, 500]), wave 100 x 100 (square11, inv_mu_sq) with a
+  configured ``alpha = 1.5`` that its spectrum does not have, a 3-mode
+  custom plant with a lightly damped mode 1e-6 off omega_1, outside the
+  output row, whose conformity recomputes that column's horizon tails
+  exactly, and diagonal 10 x 3 with ``w0_preset = square11``, which
+  needs harmonics through |k| = 5 (a config error for every command);
 * random seeds 0-199, each with the four commands.
 """
 
@@ -48,6 +49,14 @@ kind = wave
 n_plant = 300
 n_exo = 300
 w0_preset = square11
+z0_preset = inv_mu_sq
+""",
+    "wave300smooth": """\
+[scenario]
+kind = wave
+n_plant = 300
+n_exo = 300
+w0_preset = smooth
 z0_preset = inv_mu_sq
 """,
     "diag60": """\
@@ -156,7 +165,7 @@ def invocations():
                [cmd, "--seed", str(seed)])
               for seed in SEEDS for cmd in COMMANDS]
     for key, name, args in calls:
-        if name == "wave300" and args[0] == "solve":
+        if name.startswith("wave300") and args[0] == "solve":
             args += ["--modes", "100"]
         yield key, args + ["--config", f"configs/{name}.ini",
                            "--out", f"runs/{key}"]
