@@ -12,7 +12,13 @@ along the leading axis. A file takes one of two paths with the same bytes:
 * the kernel: numpy fills one ``uint8`` buffer per block of
   ``KERNEL_BLOCK_VALUES`` values with a fixed-width slot per field, NUL
   where the field is shorter, and the NULs are deleted. Trajectories,
-  envelopes and ``Pi.csv`` go this way.
+  envelopes and ``Pi.csv`` go this way. The kernel formats only what
+  varies. An integer column whose [min, max] spans fewer integers than
+  half its values is formatted once per integer of that range, into a
+  table that every block of the file then indexes. In a float block
+  where at least one value in ``_ZERO_SHARE`` is zero, the zeros are
+  written as ``0`` or ``-0`` directly and only the others go through the
+  digits below.
 
 Why the kernel's ``%.17g`` digits are exact. For finite
 1e-279 <= |x| < 1e280 let E = floor(log10 |x|) and q = 16 - E. The product
@@ -29,10 +35,12 @@ product and split clear of overflow and underflow. Everything else goes
 to the template one value at a time: ``nan``, ``inf``, |x| outside the
 range, near and exact ties (3 * 2**-24 = 1.78813934326171875e-07 is
 exactly halfway at the 17th digit) and values whose E from ``log10`` is
-off by one. Zeros and -0 stay in the kernel. The layout then follows
+off by one. Zeros and -0 stay in the kernel: where they are not written
+directly, their digits are 0 and the layout gives ``0``. The layout follows
 ``%g``: fixed notation for -4 <= E < 17, otherwise ``e`` and a signed
 exponent of at least two digits; trailing zeros and a bare point are
-dropped.
+dropped. The digits before the point and those after it are masked out
+of the same 17 and written one byte apart, the point between them.
 """
 
 from __future__ import annotations
@@ -48,27 +56,39 @@ import numpy as np
 # per value.
 BLOCK_VALUES = 1024
 # Files of fewer values keep the template path. The kernel costs about
-# 70 us per block plus 0.17 us per value, the template 0.55 us per value:
-# formatting 3, 4 or 11 float columns in memory, the template is faster at
-# 128 values and the kernel at 256.
+# 60 us per block plus 0.2 us per value, the template 0.6 us per value:
+# formatting 3, 4 or 11 float columns in memory (2-vCPU VM), the template
+# is faster at 128 values and the kernel at 256.
 KERNEL_MIN_VALUES = 256
-# Values per kernel block. The working set is about 125 B per value
-# (0.7 MB traced for a 512 x 11 trajectory in one block), against the
+# Values per kernel block. The working set is about 120 B per value
+# (0.69 MB traced for a 512 x 11 trajectory in one block), against the
 # template's 80 kB for its 1024-value blocks.
 KERNEL_BLOCK_VALUES = 8192
+# A float block with at least one zero in _ZERO_SHARE values lays out its
+# other values apart and writes the zeros directly. On 512 x 11 and
+# 2048 x 2 blocks that breaks even between 1/32 and 1/16 zeros. Random
+# scenarios' trajectory.csv and envelope.csv hold at most 1 % zeros and
+# keep one pass; wave Pi.csv holds 50 % (every even n) and diagonal 99.6 %.
+_ZERO_SHARE = 8
 
 _E_MAX = 279  # the kernel's range 1e-279 <= |x| < 1e280 is |E| <= _E_MAX
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 _TIE_GUARD = 1e-9
-# sign, "0.000", 17 digits with a point slot after each of the first 16,
-# "e", exponent sign and three exponent digits
-_FLOAT_SLOT = 44
+# sign, "0.000", 17 digits and a point, "e", exponent sign and three
+# exponent digits
+_FLOAT_SLOT = 29
 
 
 def _padded(texts) -> np.ndarray:
     """One uint64 per text of at most 8 bytes, NUL-padded: gathered and
     viewed as uint8 it gives the texts back byte for byte."""
     return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), np.uint64)
+
+
+def _words(mask: np.ndarray, byte: int) -> np.ndarray:
+    """``byte`` where ``mask`` is set, rows of 24 bytes as three 64-bit
+    words."""
+    return np.where(mask, np.uint8(byte), np.uint8(0)).view(np.uint64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,12 +114,18 @@ def _tables() -> dict:
     # position after the last nonzero digit of each 4-digit group, 0 for 0000
     last = 4 - np.logical_and.accumulate(g_digits[:, ::-1] == 0, axis=1).sum(
         axis=1, dtype=np.uint8)
+    # for 18 * (digits before the point) + (digits kept): masks of the
+    # digit bytes 3..19 of _digit_fields' three words
+    before, kept = np.divmod(np.arange(18 * 18)[:, None], 18)
+    b = np.arange(24)
+    point = before < kept
     return {
         # hi, head(hi), tail(hi), lo of 10**(16 - E)
         "pow10": np.array(pow10).T.copy(),
-        # '.' after this digit; 16 means none, as 17 digits never leave one
-        "point": np.array([e if 0 <= e <= 16 else 16 if -4 <= e < 0 else 0
-                           for e in es], np.uint8),
+        # 18 times the digits before the point; 17 means none, as 17
+        # digits never leave one
+        "before": 18 * np.array([e + 1 if 0 <= e <= 16 else 17 if -4 <= e < 0
+                                 else 1 for e in es], np.intp),
         "int_digits": np.array([e + 1 if 0 <= e <= 16 else 0 for e in es],
                                np.uint8),
         "prefix": _padded([b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b""
@@ -110,6 +136,11 @@ def _tables() -> dict:
         # the four after the lead digit; 0 for a group 0000
         "sig": (last + np.arange(1, 17, 4, dtype=np.uint8)[:, None])
         * (last > 0),
+        # the digits up to the point, or all kept ones (head); those after
+        # it (tail); the point, in the byte before them (dot)
+        "head": _words((3 <= b) & (b < 3 + np.where(point, before, kept)), 1),
+        "tail": _words(point & (3 + before <= b) & (b < 3 + kept), 1),
+        "dot": _words(point & (b == 2 + before), 46),
     }
 
 
@@ -123,7 +154,8 @@ def _decimal(x: np.ndarray) -> tuple:
     in_range = (a >= 1e-279) & (a < 1e280)  # False for nan and inf
     a[~in_range] = 1.0  # log10 and the split never see 0, inf or nan
     k = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(k, -_E_MAX, _E_MAX, out=k)  # log10 may round up to 280
+    np.maximum(k, -_E_MAX, out=k)  # log10 may round past either end
+    np.minimum(k, _E_MAX, out=k)
     k += _E_MAX
     p = a * hi[k]
     a_head = a * _SPLIT
@@ -149,33 +181,73 @@ def _decimal(x: np.ndarray) -> tuple:
     return d, k, ~(exact | zero)
 
 
+def _slots(a: np.ndarray) -> np.ndarray:
+    """``a`` of shape ``s + (width,)`` as one ``void`` field per slot, of
+    shape ``s``: gathers and scatters then move whole slots at a time."""
+    return a.view(np.dtype((np.void, a.shape[-1])))[..., 0]
+
+
 def _float_fields(x: np.ndarray, out: np.ndarray) -> None:
     """Write the NUL-padded ``'%.17g' % x`` fields of the float64 array
-    ``x`` into the zeroed uint8 ``out`` of shape ``x.shape + (_FLOAT_SLOT,)``."""
+    ``x`` into the zeroed uint8 ``out`` of shape ``x.shape + (_FLOAT_SLOT,)``.
+    From a share of 1 / _ZERO_SHARE zeros on, the zeros are written as
+    ``0`` or ``-0`` directly and only the other values are laid out."""
+    zero = x == 0.0
+    n_zero = np.count_nonzero(zero)
+    if n_zero * _ZERO_SHARE < x.size:
+        _digit_fields(x, out)
+        return
+    out[..., 0] = np.signbit(x).view(np.uint8) * np.uint8(45)
+    out[..., 6] = zero.view(np.uint8) * np.uint8(48)
+    nonzero = ~zero
+    fields = np.zeros((x.size - n_zero, _FLOAT_SLOT), np.uint8)
+    _digit_fields(x[nonzero], fields)
+    _slots(out)[nonzero] = _slots(fields)
+
+
+def _digit_fields(x: np.ndarray, out: np.ndarray) -> None:
+    """:func:`_float_fields` for every value of ``x``, zeros included."""
     t = _tables()
     d, k, uncertified = _decimal(x)
-    high, low = np.divmod(d, 10**8)
-    del d
-    lead, high = np.divmod(high, 10**8)
-    digits = np.empty(x.shape + (5,), np.uint32)  # "000" + lead, 4 groups of 4
-    digits[..., 0] = t["digits4"][lead]
-    del lead
-    n_dig = t["int_digits"][k]
-    # a generator, so that two of the four 4-digit groups live at a time
-    groups = (g for half in (high, low) for g in np.divmod(half, 10**4))
-    for i, group in enumerate(groups):
-        digits[..., i + 1] = t["digits4"][group]
-        np.maximum(n_dig, t["sig"][i][group], out=n_dig)
-    del high, low, group
-    np.maximum(n_dig, 1, out=n_dig)
-    chars = digits.view(np.uint8)[..., 3:]
-    np.multiply(chars, np.arange(17) < n_dig[..., None], out=out[..., 6:40:2])
-    point = t["point"][k]
-    at = np.nonzero(n_dig > point + 1)
-    out[at + (7 + 2 * point[at],)] = 46
     out[..., 0] = np.signbit(x).view(np.uint8) * np.uint8(45)
     out[..., 1:6] = t["prefix"][k].view(np.uint8).reshape(x.shape + (8,))[..., :5]
-    out[..., 39:] = t["suffix"][k].view(np.uint8).reshape(x.shape + (8,))[..., :5]
+    out[..., 24:] = t["suffix"][k].view(np.uint8).reshape(x.shape + (8,))[..., :5]
+    n_dig = t["int_digits"][k]
+    at = t["before"][k]
+    del k
+    # quotients by a constant, and remainders from them: numpy divides by
+    # a scalar several times faster than its divmod does
+    high = d // 10**8
+    low = d - high * 10**8
+    del d
+    lead = high // 10**8
+    high -= lead * 10**8
+    # "000" + lead, 4 groups of 4 and 4 spare bytes: three 64-bit words
+    digits = np.empty(x.shape + (6,), np.uint32)
+    digits[..., 0] = t["digits4"][lead]
+    del lead
+    for i, half in enumerate((high, low)):
+        upper = half // 10**4
+        for j, group in enumerate((upper, half - upper * 10**4), 2 * i):
+            digits[..., j + 1] = t["digits4"][group]
+            np.maximum(n_dig, t["sig"][j][group], out=n_dig)
+    del high, low, half, upper, group
+    np.maximum(n_dig, 1, out=n_dig)
+    at += n_dig
+    del n_dig
+    # head: the digits up to the point, or all of them; then the digits
+    # after the point and the point itself, written one byte further on.
+    # The masks are 0/1 bytes gathered as 64-bit words; multiplying and
+    # adding bytes keeps to numpy loops the kernel maps anyway, where a
+    # bitwise and would map 64 kB more of numpy's code into every process.
+    chars = digits.view(np.uint8)
+    part = np.take(t["head"], at, axis=0)
+    keep = part.view(np.uint8)
+    keep *= chars
+    out[..., 6:23] = keep[..., 3:20]
+    chars *= np.take(t["tail"], at, axis=0, out=part).view(np.uint8)
+    chars += np.take(t["dot"], at, axis=0, out=part).view(np.uint8)
+    out[..., 7:24] += chars[..., 3:20]  # no byte is in both
 
     slow = np.nonzero(uncertified)
     if slow[0].size:
@@ -184,22 +256,50 @@ def _float_fields(x: np.ndarray, out: np.ndarray) -> None:
             -1, _FLOAT_SLOT)
 
 
-def _int_width(v: np.ndarray) -> int:
-    """Field width for ``'%d' % v``: a sign and 4-digit groups."""
-    biggest = max(-int(v.min()), int(v.max()))
-    return 1 + 4 * -(-len(str(biggest)) // 4)
+def _int_width(lo: int, hi: int) -> int:
+    """Field width for ``'%d'`` of integers in [lo, hi]: a sign and
+    4-digit groups."""
+    return 1 + 4 * -(-len(str(max(-lo, hi))) // 4)
 
 
-def _int_fields(v: np.ndarray, out: np.ndarray) -> None:
+def _int_column(c: np.ndarray) -> tuple:
+    """(base, width, table) of the integer or bool column ``c`` of one
+    file: its minimum, in the 64-bit dtype its blocks are formatted in;
+    the field width of its [min, max]; and the fields of every integer in
+    that range, when they are fewer than half the values of ``c`` and than
+    ``KERNEL_BLOCK_VALUES``, else None. The table is built once per file
+    and every block gathers from it: ``Pi.csv``'s ``n`` and ``k`` columns
+    hold N and K integers in N x K rows. Building it costs about as much as
+    formatting the column from half its values on."""
+    dtype = c.dtype if c.dtype.itemsize == 8 else np.dtype(np.int64)
+    lo, hi = int(c.min()), int(c.max())
+    base, width = dtype.type(lo), _int_width(lo, hi)
+    if 2 * (hi - lo) >= c.size or hi - lo >= KERNEL_BLOCK_VALUES:
+        return base, width, None
+    table = np.zeros((hi - lo + 1, width), np.uint8)
+    _int_digits(base + np.arange(hi - lo + 1, dtype=dtype), table)
+    return base, width, table
+
+
+def _int_fields(v: np.ndarray, base, table, out: np.ndarray) -> None:
     """Write the NUL-padded ``'%d' % v`` fields of the integer or bool
-    array ``v`` into the zeroed uint8 ``out`` of width ``_int_width(v)``."""
+    array ``v`` into the zeroed uint8 ``out``, from ``table`` at
+    ``v - base`` where :func:`_int_column` built one."""
+    v = v.astype(base.dtype, copy=False)  # bool and narrow ints: no wrap
+    if table is None:
+        _int_digits(v, out)
+    else:
+        _slots(out)[...] = _slots(table)[v - base]
+
+
+def _int_digits(v: np.ndarray, out: np.ndarray) -> None:
+    """The NUL-padded ``'%d' % v`` fields of the int64 or uint64 ``v``,
+    written into the zeroed uint8 ``out``."""
     digits4 = _tables()["digits4"]
+    mag = v
     if v.dtype.kind == "i":
-        v = v.astype(np.int64, copy=False)
         out[..., 0] = (v < 0).view(np.uint8) * np.uint8(45)
         mag = np.abs(v).view(np.uint64)  # |INT64_MIN| wraps to the bits of 2**63
-    else:
-        mag = v.astype(np.uint64)
     chars = out[..., 1:]
     n_groups = chars.shape[-1] // 4
     for g in range(n_groups):
@@ -211,17 +311,18 @@ def _int_fields(v: np.ndarray, out: np.ndarray) -> None:
     chars *= keep
 
 
-def _kernel_block(cols: list) -> bytes:
-    """The CSV rows of the equal-length 1-D ``cols``. Each field gets a
-    fixed-width NUL-padded slot in one uint8 buffer; deleting the NULs
-    leaves the text."""
-    widths = [_FLOAT_SLOT if c.dtype.kind == "f" else _int_width(c) for c in cols]
+def _kernel_block(cols: list, ints: list) -> bytes:
+    """The CSV rows of the equal-length 1-D ``cols``; ``ints`` holds the
+    :func:`_int_column` of each integer column and None for each float
+    one. Each field gets a fixed-width NUL-padded slot in one uint8
+    buffer; deleting the NULs leaves the text."""
+    widths = [_FLOAT_SLOT if i is None else i[1] for i in ints]
     rows = len(cols[0])
     buf = np.zeros((rows, sum(widths) + len(cols)), np.uint8)
     pos = 0
     # a run of adjacent float columns is formatted in one call
-    for is_float, run in itertools.groupby(zip(cols, widths),
-                                           key=lambda cw: cw[0].dtype.kind == "f"):
+    for is_float, run in itertools.groupby(zip(cols, ints),
+                                           key=lambda ci: ci[1] is None):
         run = list(run)
         if is_float:
             end = pos + len(run) * (_FLOAT_SLOT + 1)
@@ -232,8 +333,8 @@ def _kernel_block(cols: list) -> bytes:
             del slots, x  # no view may keep buf alive past its del below
             pos = end
         else:
-            for c, width in run:
-                _int_fields(c, buf[:, pos:pos + width])
+            for c, (base, width, table) in run:
+                _int_fields(c, base, table, buf[:, pos:pos + width])
                 buf[:, pos + width] = 44
                 pos += width + 1
     buf[:, -1] = 10
@@ -262,11 +363,14 @@ def write_csv(path, header, columns, float_format: str = "%.17g") -> None:
                       for c in cols))
     step = max(1, (KERNEL_BLOCK_VALUES if kernel else BLOCK_VALUES)
                // max(1, row_values))  # leading entries per block
+    if kernel:
+        ints = [None if c.dtype.kind == "f" else _int_column(c) for c in cols]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for lo in range(0, shape[0], step):
             if kernel:
-                fh.write(_kernel_block([c[lo:lo + step].reshape(-1) for c in cols]))
+                fh.write(_kernel_block([c[lo:lo + step].reshape(-1) for c in cols],
+                                       ints))
             else:
                 block = [c[lo:lo + step].reshape(-1).tolist() for c in cols]
                 fh.write("".join(map(template.__mod__, zip(*block))).encode())

@@ -328,11 +328,14 @@ def solve_regulator(gen: DiagonalGenerator, coupling: ModalCoupling,
     Every column is exactly the resolvent at i omega_k applied to the
     forcing column, so the first regulator equation holds to rounding by
     construction, and the gain choice makes the output of every column
-    equal one (the second equation).
+    equal one (the second equation). The forcing matrix is divided in
+    place, one block of harmonics at a time, so D is never held whole.
     """
     _require_same_modes(gen.modes, coupling.modes)
     pi = forcing_matrix(coupling, gain)
-    pi /= frequency_denominators(gen, gain.space)  # the one full build of D
+    omegas = gain.space.omegas
+    for blk in _blocks(omegas.size, len(gen.modes)):
+        pi[:, blk] /= _denominators(gen, omegas[blk])
     return SylvesterSolution(plant_modes=gen.modes, space=gain.space, pi=pi)
 
 

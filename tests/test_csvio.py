@@ -1,5 +1,6 @@
 """The columnar CSV writer against the row-by-row reference writer."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -111,9 +112,9 @@ def kernel_calls(monkeypatch):
     calls = []
     inner = csvio._kernel_block
 
-    def counting(cols):
+    def counting(cols, ints):
         calls.append(len(cols[0]))
-        return inner(cols)
+        return inner(cols, ints)
 
     monkeypatch.setattr(csvio, "_kernel_block", counting)
     return calls
@@ -233,6 +234,229 @@ class TestKernel:
             assert_same_bytes(Path(tmp), ["x", "i", "u", "flag"], columns)
 
 
+@pytest.fixture
+def laid_out(monkeypatch):
+    """The number of values that went through the digit layout."""
+    sizes = []
+    inner = csvio._digit_fields
+
+    def counting(x, out):
+        sizes.append(x.size)
+        return inner(x, out)
+
+    monkeypatch.setattr(csvio, "_digit_fields", counting)
+    return sizes
+
+
+@pytest.fixture
+def int_formatted(monkeypatch):
+    """The lengths of the integer arrays formatted digit by digit."""
+    sizes = []
+    inner = csvio._int_digits
+
+    def counting(v, out):
+        sizes.append(v.size)
+        return inner(v, out)
+
+    monkeypatch.setattr(csvio, "_int_digits", counting)
+    return sizes
+
+
+def signed_zeros(n, seed):
+    """``n`` zeros, each 0.0 or -0.0."""
+    return np.where(np.random.default_rng(seed).random(n) < 0.5, -0.0, 0.0)
+
+
+class TestZeroFields:
+    """Zeros are written as ``0`` and ``-0`` directly once a block holds
+    at least one in _ZERO_SHARE; only the other values are laid out."""
+
+    def test_runs_of_signed_zeros(self, tmp_path, kernel_calls, laid_out):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(KERNEL_BLOCK_VALUES // 2)
+        at = 0
+        for length in itertools.cycle([1, 2, 3, 7, 30, 1, 64]):
+            if at + length > x.size:
+                break
+            x[at:at + length] = signed_zeros(length, at)
+            at += 2 * length
+        nonzero = np.count_nonzero(x)
+        assert 0 < nonzero < x.size
+        assert_same_bytes(tmp_path, ["x", "neg"], [x, -x])
+        assert kernel_calls == [x.size]
+        assert laid_out == [2 * nonzero]
+
+    def test_block_of_only_zeros(self, tmp_path, kernel_calls, laid_out):
+        """The middle of three blocks is all zeros: nothing in it is laid
+        out, and the blocks on either side keep their values."""
+        rows = KERNEL_BLOCK_VALUES // 2  # two columns
+        x = np.random.default_rng(12).standard_normal(3 * rows)
+        x[rows:2 * rows] = signed_zeros(rows, 12)
+        assert_same_bytes(tmp_path, ["re", "im"], [x, x[::-1].copy()])
+        assert kernel_calls == [rows] * 3
+        assert laid_out == [2 * rows, 0, 2 * rows]
+
+    def test_file_of_only_zeros(self, tmp_path, kernel_calls, laid_out):
+        x = signed_zeros(KERNEL_BLOCK_VALUES + 5, 13)
+        assert_same_bytes(tmp_path, ["n", "re", "im"],
+                          [np.arange(x.size), x, -x])
+        step = KERNEL_BLOCK_VALUES // 3
+        assert kernel_calls == [min(step, x.size - lo)
+                                for lo in range(0, x.size, step)]
+        assert laid_out == [0] * len(kernel_calls)
+        text = (tmp_path / "new.csv").read_text()
+        assert text.count(",-0") == x.size  # one -0 per row, of x or -x
+
+    def test_zeros_across_a_block_boundary(self, tmp_path, kernel_calls):
+        rows = KERNEL_BLOCK_VALUES // 4
+        rng = np.random.default_rng(14)
+        re, im = rng.standard_normal((2, 3 * rows))
+        for at in (rows, 2 * rows):
+            re[at - 40:at + 40] = signed_zeros(80, at)
+            im[at - 3:at + 1] = -0.0
+        assert_same_bytes(tmp_path, ["n", "k", "re", "im"],
+                          [np.arange(3 * rows) // 9, np.arange(3 * rows) % 9,
+                           re, im])
+        assert kernel_calls == [rows] * 3
+
+    @pytest.mark.parametrize("n, k", [(40, 21), (400, 401)])
+    def test_wave_shaped_pi(self, tmp_path, laid_out, n, k):
+        """Every other row of Pi signed zeros, as b_n = 0 at even n makes
+        the wave's: half of each block is laid out."""
+        views, flat = pi_columns(n, k, zero_rows=True)
+        write_csv(tmp_path / "views.csv", ["n", "k", "re", "im"], views)
+        assert sum(laid_out) == np.count_nonzero(views[2:])
+        assert_same_bytes(tmp_path, ["n", "k", "re", "im"], flat)
+        assert (tmp_path / "views.csv").read_bytes() == \
+            (tmp_path / "new.csv").read_bytes()
+
+    def test_few_zeros_keep_one_pass(self, tmp_path, laid_out):
+        """Below one zero in _ZERO_SHARE values every value is laid out,
+        the zeros too."""
+        x = np.random.default_rng(15).standard_normal(KERNEL_BLOCK_VALUES // 2)
+        x[::csvio._ZERO_SHARE + 1] = -0.0
+        assert_same_bytes(tmp_path, ["x", "y"], [x, x[::-1].copy()])
+        assert laid_out == [x.size * 2]
+
+
+INT64 = np.iinfo(np.int64)
+
+
+class TestIntegerTables:
+    """An integer column spanning fewer integers than half its values is
+    formatted once per integer of the file and gathered in every block."""
+
+    def test_table_across_blocks(self, tmp_path, kernel_calls,
+                                 int_formatted):
+        n = 3 * (KERNEL_BLOCK_VALUES // 2) - 7  # two columns, three blocks
+        v = np.arange(n) % 1001 - 500
+        assert_same_bytes(tmp_path, ["i", "x"], [v, np.ones(n)])
+        assert len(kernel_calls) == 3
+        assert int_formatted == [1001]
+
+    def test_wide_span_is_formatted_in_place(self, tmp_path, kernel_calls,
+                                             int_formatted):
+        """A span of KERNEL_BLOCK_VALUES integers or more gets no table,
+        however many rows repeat it."""
+        n = 4 * KERNEL_BLOCK_VALUES
+        v = np.arange(n) % (KERNEL_BLOCK_VALUES + 1)
+        assert_same_bytes(tmp_path, ["i"], [v])
+        assert int_formatted == kernel_calls == [KERNEL_BLOCK_VALUES] * 4
+
+    def test_broadcast_pi_indices(self, tmp_path, int_formatted):
+        views, flat = pi_columns(400, 401)
+        write_csv(tmp_path / "views.csv", ["n", "k", "re", "im"], views)
+        assert_same_bytes(tmp_path, ["n", "k", "re", "im"], flat)
+        assert (tmp_path / "views.csv").read_bytes() == \
+            (tmp_path / "new.csv").read_bytes()
+        # one table of the 400 n and one of the 401 k per file, for 79
+        # blocks
+        assert int_formatted == [400, 401] * 2
+
+    @pytest.mark.parametrize("values", [
+        [7], [-3, 5], [0, 1, 9999, 10000, -9999, -10000],
+        list(range(-200, 201)),
+        [INT64.min, INT64.min + 1, INT64.min + 4],
+        [INT64.max, INT64.max - 1, INT64.max - 4],
+        [INT64.min, 0, INT64.max]],
+        ids=["one", "two", "group-edges", "pi-k", "int64-min", "int64-max",
+             "int64-span"])
+    def test_few_distinct_values(self, tmp_path, kernel_calls, int_formatted,
+                                 values):
+        v = spread(np.array(values, dtype=np.int64), KERNEL_BLOCK_VALUES // 2)
+        assert_same_bytes(tmp_path, ["i", "x"],
+                          [v, np.linspace(-1.0, 1.0, v.size)])
+        assert kernel_calls == [v.size]
+        span = int(v.max()) - int(v.min())
+        assert int_formatted == [span + 1 if 2 * span < v.size else v.size]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+    def test_all_distinct(self, tmp_path, int_formatted, dtype):
+        n = KERNEL_BLOCK_VALUES // 2
+        v = np.random.default_rng(16).permutation(n).astype(dtype)
+        if dtype != np.uint64:
+            v -= n // 2
+        assert_same_bytes(tmp_path, ["i", "x"], [v, np.ones(n)])
+        assert int_formatted == [n]
+
+    @pytest.mark.parametrize("end", ["min", "max"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16,
+                                       np.uint16, np.int32, np.uint32])
+    def test_narrow_dtypes(self, tmp_path, int_formatted, dtype, end):
+        """201 integers at either end of a narrow dtype's range: ``v - lo``
+        reaches 200, past what int8 holds."""
+        n = KERNEL_BLOCK_VALUES // 2
+        offsets = np.resize([0, 200, 150, 17], n)
+        info = np.iinfo(dtype)
+        v = (info.min + offsets if end == "min" else info.max - offsets)
+        v = v.astype(dtype)
+        assert_same_bytes(tmp_path, ["i", "x"], [v, np.ones(n)])
+        assert int_formatted == [201]
+
+    def test_negative_values(self, tmp_path, int_formatted):
+        n = KERNEL_BLOCK_VALUES // 2
+        v = -(np.arange(n) % 37) - 10**6
+        assert_same_bytes(tmp_path, ["i", "x"], [v, np.zeros(n)])
+        assert int_formatted == [37]
+
+    def test_uint64_near_the_top(self, tmp_path, int_formatted):
+        n = KERNEL_BLOCK_VALUES // 2
+        v = np.uint64(2**64 - 1) - (np.arange(n) % 5).astype(np.uint64)
+        assert_same_bytes(tmp_path, ["u", "x"], [v, np.ones(n)])
+        assert int_formatted == [5]
+
+    def test_bool(self, tmp_path, int_formatted):
+        n = KERNEL_BLOCK_VALUES // 3
+        flags = np.arange(n) % 3 == 0
+        assert_same_bytes(tmp_path, ["flag", "all", "x"],
+                          [flags, np.ones(n, dtype=bool), np.ones(n)])
+        assert int_formatted == [2, 1]
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.one_of(SPECIAL_FLOATS, st.floats()),
+                          st.one_of(SPECIAL_FLOATS, st.floats()),
+                          st.integers(-3, 3),
+                          st.integers(-2**63, 2**63 - 1),
+                          st.booleans()),
+                min_size=8, max_size=200))
+def test_mixed_columns_with_injected_specials(rows):
+    """Any mix of zeros, nan, inf and finite floats beside narrow and wide
+    integer columns, cut into blocks of 8 rows: the bytes of the
+    row-by-row writer."""
+    re, im, small, wide, flags = zip(*rows)
+    columns = [np.array(small), np.array(re), np.array(im), np.array(wide),
+               np.array(flags)]
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csvio, "KERNEL_MIN_VALUES", 40)
+        patch.setattr(csvio, "KERNEL_BLOCK_VALUES", 40)
+        assert_same_bytes(Path(tmp), ["k", "re", "im", "i", "flag"], columns)
+
+
 TRAJECTORY_HEADER = ["t", "y_re", "y_im", "yr_re", "yr_im", "u_re", "u_im",
                      "e_re", "e_im", "abs_e", "state_dev_norm"]
 
@@ -244,19 +468,29 @@ def trajectory_columns(rows):
     return [t] + [rng.standard_normal(rows) * t**-1.5 for _ in range(10)]
 
 
+def pi_columns(n, k, zero_rows=False):
+    """The broadcast ``n``, ``k`` and Pi views that ``solve`` writes, and
+    the same columns flattened; with ``zero_rows``, every other row of Pi
+    is signed zeros."""
+    rng = np.random.default_rng(n)
+    pi = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    pi[0, :3] = [0.0, -0.0, 1e-300]
+    if zero_rows:
+        pi.real[1::2] = signed_zeros(k, n)
+        pi.imag[1::2] = -pi.real[1::2]
+    rows, cols = np.arange(n) - n // 2, np.arange(k) - k // 2
+    views = (np.broadcast_to(rows[:, None], pi.shape),
+             np.broadcast_to(cols, pi.shape), pi.real, pi.imag)
+    flat = (np.repeat(rows, k), np.tile(cols, n), pi.real.ravel(),
+            pi.imag.ravel())
+    return views, flat
+
+
 class TestPiLayout:
     """Equal-shape N-D columns are written in C order, as Pi.csv uses."""
 
     def pi_columns(self, n, k):
-        rng = np.random.default_rng(n)
-        pi = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        pi[0, :3] = [0.0, -0.0, 1e-300]
-        rows, cols = np.arange(n) - n // 2, np.arange(k) - k // 2
-        views = (np.broadcast_to(rows[:, None], pi.shape),
-                 np.broadcast_to(cols, pi.shape), pi.real, pi.imag)
-        flat = (np.repeat(rows, k), np.tile(cols, n), pi.real.ravel(),
-                pi.imag.ravel())
-        return views, flat
+        return pi_columns(n, k)
 
     @pytest.mark.parametrize("n, k", [(3, 5), (41, 51), (300, 7)])
     def test_views_match_flattened_columns(self, tmp_path, n, k):
@@ -274,6 +508,16 @@ class TestPiLayout:
         views, _ = self.pi_columns(n, 401)
         write_csv(tmp_path / "warm.csv", ["n", "k", "re", "im"],
                   [c[:8] for c in views])  # builds the lookup tables
+        _, peak = traced_peak(
+            lambda: write_csv(tmp_path / "pi.csv", ["n", "k", "re", "im"], views))
+        assert peak < 2_000_000
+
+    def test_zero_rows_working_set(self, tmp_path):
+        """A 400 x 401 Pi whose every other row is signed zeros, as the
+        wave's, stays under the same 2 MB."""
+        views, _ = pi_columns(400, 401, zero_rows=True)
+        write_csv(tmp_path / "warm.csv", ["n", "k", "re", "im"],
+                  [c[:8] for c in views])
         _, peak = traced_peak(
             lambda: write_csv(tmp_path / "pi.csv", ["n", "k", "re", "im"], views))
         assert peak < 2_000_000
@@ -297,10 +541,15 @@ def test_import_builds_no_tables():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import modalreg.cli\n"
             "from modalreg import csvio\n"
-            "print(csvio._tables.cache_info().currsize)")
+            "print(*(name for name, f in vars(csvio).items()\n"
+            "        if hasattr(f, 'cache_info')))\n"
+            "print(*(f.cache_info().currsize for f in vars(csvio).values()\n"
+            "        if hasattr(f, 'cache_info')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "0"
+    names, sizes = proc.stdout.splitlines()
+    assert "_tables" in names.split()
+    assert set(sizes.split()) == {"0"}
 
 
 DIAG = """
