@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
+from .csvio import overwrite
 from .csvio import write_csv as _write_csv  # perfbench/tracing.py wraps this name
 from .errors import AssumptionFailure, ConfigError
 from .regulator import (build_feedforward, check_assumption1,
@@ -61,7 +62,8 @@ def _fmt(x) -> str:
 
 
 def _write_text(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n")
+    with overwrite(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
 
 
 def _running_max_from_right(values: np.ndarray) -> np.ndarray:

@@ -325,6 +325,28 @@ class TestSolveCommand:
         assert header == ["n", "k", "re", "im"]
         assert len(rows) == 121 * 121
 
+    @pytest.mark.parametrize("first, second", [("60", "30"), ("30", "60")])
+    def test_rerun_into_the_same_directory(self, tmp_path, capsys,
+                                           first, second):
+        """A rerun into an existing --out, with longer or shorter files
+        than the run before, leaves the bytes of a run into a fresh
+        directory."""
+        cfg = write(tmp_path, DIAG_OK)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["solve", "--config", cfg, "--out", str(out),
+                     "--modes", first]) == 0
+        sizes = {p.name: p.stat().st_size for p in out.iterdir()}
+        assert main(["solve", "--config", cfg, "--out", str(out),
+                     "--modes", second]) == 0
+        assert main(["solve", "--config", cfg, "--out", str(fresh),
+                     "--modes", second]) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(sizes) == ["L.csv", "Pi.csv", "residuals.txt"]
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        grew = [(fresh / name).stat().st_size > sizes[name] for name in names]
+        assert grew == [int(second) > int(first)] * len(names)
+
     def test_wave_residuals_small(self, tmp_path, capsys):
         text = """
 [scenario]
@@ -509,6 +531,10 @@ class TestSimulateCommand:
         first = (tmp_path / "a" / "trajectory.csv").read_bytes()
         second = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert first == second
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")])
+        for name in ("trajectory.csv", "simulate_summary.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
 
 
 class TestDecayCommand:

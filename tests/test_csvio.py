@@ -535,6 +535,103 @@ class TestPiLayout:
         assert peak < 800_000
 
 
+class TestOverwrite:
+    """``csvio.overwrite``, through which every artifact is written, leaves
+    exactly the bytes written and otherwise behaves like ``open(p, "wb")``."""
+
+    @staticmethod
+    def rewrite(path, data):
+        with csvio.overwrite(path) as fh:
+            fh.write(data)
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077, 0o002], ids=oct)
+    def test_new_file_mode_is_that_of_open(self, tmp_path, mask):
+        old = os.umask(mask)
+        try:
+            self.rewrite(tmp_path / "new.csv", b"a\n")
+            with open(tmp_path / "open.csv", "wb") as fh:
+                fh.write(b"a\n")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.csv").read_bytes() == b"a\n"
+        assert (tmp_path / "new.csv").stat().st_mode == \
+            (tmp_path / "open.csv").stat().st_mode
+
+    @pytest.mark.parametrize("old_size", [0, 5, 6, 7, 200_000])
+    def test_existing_file_holds_exactly_the_new_bytes(self, tmp_path,
+                                                       old_size):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"9" * old_size)
+        inode = path.stat().st_ino
+        self.rewrite(path, b"k,v\n1\n")
+        assert path.read_bytes() == b"k,v\n1\n"
+        assert path.stat().st_ino == inode
+
+    def test_identical_rewrite_moves_mtime(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_csv(path, ["k"], [np.arange(3)])
+        before = path.read_bytes()
+        past = path.stat().st_mtime_ns - 3600 * 10**9
+        os.utime(path, ns=(past, past))
+        write_csv(path, ["k"], [np.arange(3)])
+        assert path.read_bytes() == before
+        assert path.stat().st_mtime_ns > past
+
+    def test_raising_body_leaves_no_old_tail(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"9" * 100_000)
+        with pytest.raises(RuntimeError):
+            with csvio.overwrite(path) as fh:
+                fh.write(b"new")
+                raise RuntimeError
+        assert path.read_bytes() == b"new"
+
+    def test_failed_write_csv_keeps_the_written_prefix(self, tmp_path):
+        """A value that fails to format in the second template block leaves
+        the header and the first block, as a truncating open would."""
+        values = np.array([0.5] * (BLOCK_VALUES + 10) + ["x"], dtype=object)
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"9" * 100_000)
+        with pytest.raises(TypeError):
+            write_csv(path, ["v"], [values])
+        write_csv(tmp_path / "prefix.csv", ["v"], [values[:BLOCK_VALUES]])
+        assert path.read_bytes() == (tmp_path / "prefix.csv").read_bytes()
+
+    def test_read_only_file_as_open(self, tmp_path):
+        """Without write permission both raise PermissionError; where the
+        permission bits do not bind (root), both write."""
+        path = tmp_path / "ro.csv"
+
+        def outcome(write):
+            path.write_bytes(b"old contents")
+            path.chmod(0o444)
+            try:
+                write(path, b"new")
+            except PermissionError:
+                return PermissionError
+            finally:
+                path.chmod(0o644)
+            return path.read_bytes()
+
+        def plain(p, data):
+            with open(p, "wb") as fh:
+                fh.write(data)
+
+        path.write_bytes(b"")
+        path.chmod(0o444)
+        expected = b"new" if os.access(path, os.W_OK) else PermissionError
+        assert outcome(self.rewrite) == outcome(plain) == expected
+
+    def test_directory_and_missing_parent_raise(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            self.rewrite(tmp_path, b"x")
+        with pytest.raises(IsADirectoryError):
+            write_csv(tmp_path, ["k"], [np.arange(3)])
+        with pytest.raises(FileNotFoundError):
+            self.rewrite(tmp_path / "missing" / "f.csv", b"x")
+        assert not (tmp_path / "missing").exists()
+
+
 def test_import_builds_no_tables():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
