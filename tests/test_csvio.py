@@ -617,9 +617,9 @@ class TestOverwrite:
             with open(p, "wb") as fh:
                 fh.write(data)
 
-        path.write_bytes(b"")
-        path.chmod(0o444)
+        path.touch(mode=0o444)
         expected = b"new" if os.access(path, os.W_OK) else PermissionError
+        path.chmod(0o644)
         assert outcome(self.rewrite) == outcome(plain) == expected
 
     def test_directory_and_missing_parent_raise(self, tmp_path):
