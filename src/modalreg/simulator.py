@@ -15,8 +15,11 @@ oracle for this claim.
 The command line needs only the outputs and the distance to the
 steady-state orbit. With x = z0 - Pi w0 the state is
 ``z(t) = T(t) x + Pi T_S(t) w0``, so :func:`simulate_outputs` evaluates
-them from Pi w0 and c Pi without the state; :func:`simulate_closed_loop`
-keeps the full state and is the reference it is tested against.
+them from Pi w0 and c Pi without the state, and takes the complex
+semigroup factor exp(mu_n t) only for the modes with c_n x_n != 0, which
+reach the output; the others enter the distance by their magnitude
+alone. :func:`simulate_closed_loop` keeps the full state and is the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -92,39 +95,58 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
 
     With x = z0 - Pi w0, the error is e(t) = c . T(t) x
     + sum_k (c pi_k - 1) w0_k exp(i omega_k t) and the state deviation is
-    ||T(t) x||. The time points are taken one block at a time (see
-    ``spectral._blocks``): per block, one (time x plant modes) semigroup
-    factor and one (time x harmonics) phase matrix, shared by y_r, u and
-    the orbit term, each of about 1 MB. Every output row depends on its
-    own time point only, so the blocks change no bits, and memory is O(T)
-    plus one block. Phases are exponentiated only where w0_k != 0 and
-    are 0 elsewhere, where w0_k, ell_k w0_k and the mismatch all vanish;
-    the products keep their full length, so their sums round as with
-    every phase taken.
+    ||T(t) x||. Only the modes with c_n x_n != 0 reach e: they take the
+    complex factor exp(mu_n t) x_n. The modes with c_n = 0 and x_n != 0
+    add to the deviation only, by |x_n| exp(Re mu_n t), and the modes with
+    x_n = 0 take neither; the deviation joins the two parts by ``hypot``,
+    which returns the complex part's norm unchanged when the real part is
+    empty. The time points are taken one block at a time (see
+    ``spectral._blocks``): per block, the two semigroup factors and one
+    (time x harmonics) phase matrix, shared by y_r, u and the orbit term,
+    all in buffers allocated once per call and filled in place. Every
+    output row depends on its own time point only, so the blocks change
+    no bits, and memory is O(T) plus one block. Phases are exponentiated
+    only where w0_k != 0 and are 0 elsewhere, where w0_k, ell_k w0_k and
+    the mismatch all vanish; the products keep their full length, so
+    their sums round as with every phase taken.
     """
     _require_same_modes(z0.modes, gen.modes)
     w0 = image.w0
     _require_same_space(w0.space, gain.space)
     t = np.asarray(t_grid, dtype=float)
     x = z0.coeffs - image.pi_w0
+    c = coupling.c.coeffs
+    reach = c * x != 0
+    unseen = (x != 0) & ~reach
+    mu, x_reach, c_reach = gen.eigenvalues[reach], x[reach], c[reach]
+    rate, size = gen.eigenvalues[unseen].real, np.abs(x[unseen])
+    support = np.flatnonzero(w0.coeffs)
+    omegas = w0.space.omegas[support]
     ell_w0 = gain.ell * w0.coeffs
     y_r, u, e = (np.empty(t.size, dtype=np.complex128) for _ in range(3))
     deviation = np.empty(t.size)
     blocks = _blocks(t.size, max(x.size, ell_w0.size))
-    # one buffer for every block: exp writes only where w0_k != 0, so the
-    # other entries stay 0
-    support = w0.coeffs != 0
-    buffer = np.zeros((max(b.stop - b.start for b in blocks), support.size),
-                      dtype=np.complex128)
+    rows = max(b.stop - b.start for b in blocks)
+    free = np.empty((rows, mu.size), dtype=np.complex128)
+    magnitude = np.empty((rows, rate.size))
+    # only the columns where w0_k != 0 are ever written, so the others
+    # stay 0
+    phases = np.zeros((rows, w0.coeffs.size), dtype=np.complex128)
+    arg = np.empty((rows, omegas.size), dtype=np.complex128)
     for blk in blocks:
-        free = np.exp(np.multiply.outer(t[blk], gen.eigenvalues))
-        free *= x  # row j is T(t_j) x
-        deviation[blk] = np.linalg.norm(free, axis=1)
-        phases = np.exp(1j * np.multiply.outer(t[blk], w0.space.omegas),
-                        out=buffer[:free.shape[0]], where=support)
-        y_r[blk] = phases @ w0.coeffs
-        u[blk] = phases @ ell_w0
-        e[blk] = free @ coupling.c.coeffs + phases @ image.mismatch
+        n = blk.stop - blk.start
+        f, m, p, a = free[:n], magnitude[:n], phases[:n], arg[:n]
+        np.exp(np.multiply.outer(t[blk], mu, out=f), out=f)
+        f *= x_reach  # row j is the reaching part of T(t_j) x
+        np.exp(np.multiply.outer(t[blk], rate, out=m), out=m)
+        m *= size
+        deviation[blk] = np.hypot(np.linalg.norm(f, axis=1),
+                                  np.linalg.norm(m, axis=1))
+        np.multiply.outer(t[blk], omegas, out=a)
+        p[:, support] = np.exp(np.multiply(1j, a, out=a), out=a)
+        y_r[blk] = p @ w0.coeffs
+        u[blk] = p @ ell_w0
+        e[blk] = f @ c_reach + p @ image.mismatch
     return OutputTrajectory(y=y_r + e, y_r=y_r, u=u, e=e,
                             state_deviation=deviation)
 

@@ -9,7 +9,8 @@ denominator-matrix computations the blocked frequency grid and residual
 must reproduce bit for bit, and a composite trapezoid for the
 steady-state integral the closed-form horizon increments must reproduce
 to quadrature accuracy, and the output path with its phases at every
-harmonic. ``unit_vector`` is the unit plant state the tests start from.
+harmonic, with its plant modes partitioned as ``simulate_outputs`` does
+or all taken alike. ``unit_vector`` is the unit plant state the tests start from.
 ``traced_peak`` is the one memory measurement the memory tests share;
 ``traced_cli_peak`` takes it for one command-line call in a fresh
 interpreter.
@@ -38,8 +39,33 @@ def outputs_all_phases(gen, coupling, gain, z0, image, t):
     """(y, y_r, u, e, state deviation) of the output path with the phases
     exp(i omega_k t) taken at every harmonic, w0_k = 0 or not, for all
     time points at once: the formulation ``simulate_outputs`` must match
-    byte for byte. ``simulator.simulate_closed_loop`` is the full-state
-    reference it is held to within rounding."""
+    byte for byte. With x = z0 - Pi w0, the modes with c_n x_n != 0 take
+    exp(mu_n t) x_n, the other modes |x_n| exp(Re mu_n t), and the
+    deviation joins the two norms by ``hypot``.
+    ``simulator.simulate_closed_loop`` is the full-state reference it is
+    held to within rounding."""
+    w0 = image.w0
+    x = z0.coeffs - image.pi_w0
+    c = coupling.c.coeffs
+    reach = c * x != 0
+    mu = gen.eigenvalues
+    free = np.exp(np.multiply.outer(t, mu[reach])) * x[reach]
+    size = np.exp(np.multiply.outer(t, mu[~reach].real)) * np.abs(x[~reach])
+    phases = np.exp(1j * np.multiply.outer(t, w0.space.omegas))
+    y_r = phases @ w0.coeffs
+    u = phases @ (gain.ell * w0.coeffs)
+    e = free @ c[reach] + phases @ image.mismatch
+    deviation = np.hypot(np.linalg.norm(free, axis=1),
+                         np.linalg.norm(size, axis=1))
+    return y_r + e, y_r, u, e, deviation
+
+
+def outputs_all_modes(gen, coupling, gain, z0, image, t):
+    """(y, y_r, u, e, state deviation) as :func:`outputs_all_phases`, but
+    with the complex factor exp(mu_n t) x_n of every plant mode, whether
+    it reaches e or not: one norm over all modes, one product with c. On
+    a scenario where every c_n x_n != 0 (every random seed)
+    ``simulate_outputs`` must match it byte for byte."""
     w0 = image.w0
     free = (np.exp(np.multiply.outer(t, gen.eigenvalues))
             * (z0.coeffs - image.pi_w0))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import outputs_all_phases, rk4_closed_loop
+from oracles import outputs_all_modes, outputs_all_phases, rk4_closed_loop
 
 import modalreg.regulator as regulator
 import modalreg.simulator as simulator
@@ -142,10 +142,17 @@ class TestOutputPath:
         b=(1.0, 0.5j, 0.25, -0.75), c=(0.5, 1.0, -0.5j, 0.25), n_exo=6,
         period=5.0, w0_preset="smooth", z0_preset="inv_mu_sq")
     CUSTOM_P = {(1, 2): 0.3 - 0.1j, (3, -1): 0.5j, (2, 6): 1.0}
+    # mode 1 has c_1 = 0, so it never reaches e; mode 4 has b_4 = 0, no
+    # row of P and z0_4 = 0, so x_4 = z0_4 - (Pi w0)_4 = 0
+    PARTITION = replace(
+        CUSTOM, eigenvalues=CUSTOM.eigenvalues + (-0.2 + 3j,),
+        b=CUSTOM.b + (0.0,), c=(0.5, 0.0, -0.5j, 0.25, 0.8),
+        z0_preset=(0.3, 0.2j, -0.1, 0.4, 0.0))
 
     def states(self, case):
         """(gen, coupling, space, w0, z0) of one case; random seeds 1, 4
-        and 10 carry a disturbance matrix P."""
+        and 10 carry a disturbance matrix P, and so do both custom
+        cases."""
         if case.startswith("random"):
             seed = int(case[len("random"):])
             gen, coupling, space = build_random_scenario(seed)
@@ -156,17 +163,26 @@ class TestOutputPath:
             z0 = SpectralVector(gen.modes,
                                 1.0 / (1.0 + np.abs(gen.eigenvalues)))
             return gen, coupling, space, w0, z0
-        cfg = self.CUSTOM if case == "custom" else ScenarioConfig(
+        custom = {"custom": self.CUSTOM, "partition": self.PARTITION}
+        cfg = custom.get(case) or ScenarioConfig(
             kind=case, n_plant=200, n_exo=200, w0_preset="square11",
             z0_preset="inv_mu_sq")
         gen, coupling, space = build_scenario(cfg)
-        if case == "custom":
+        if case in custom:
             coupling = ModalCoupling(b=coupling.b, c=coupling.c,
                                      p_entries=self.CUSTOM_P)
         return (gen, coupling, space, resolve_w0(cfg, space),
                 resolve_z0(cfg, gen))
 
     CASES = ["wave", "diagonal", "custom", "random1", "random4", "random10"]
+
+    def test_partition_case_has_both_kinds_of_mode(self):
+        gen, coupling, space, w0, z0 = self.states("partition")
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        x = z0.coeffs - steady_state_image(gen, coupling, gain, w0).pi_w0
+        assert x.tolist().count(0) == 1 and x[1] != 0
+        assert (coupling.c.coeffs * x != 0).tolist() == [True, False, True,
+                                                          True, False]
 
     @staticmethod
     def record_blocks(monkeypatch, module):
@@ -183,7 +199,7 @@ class TestOutputPath:
         return calls
 
     @pytest.mark.parametrize("width", [None, 2])
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", CASES + ["partition"])
     def test_matches_full_state_path(self, case, width, monkeypatch):
         gen, coupling, space, w0, z0 = self.states(case)
         if width is not None:  # several blocks of harmonics and of times
@@ -249,6 +265,52 @@ class TestOutputPath:
         for name, ref in zip(("y", "y_r", "u", "e", "state_deviation"),
                              want):
             assert getattr(out, name).tobytes() == ref.tobytes(), name
+
+    def test_every_random_seed_matches_the_all_modes_formula(self):
+        """Every mode of a random scenario reaches e (c_n x_n != 0), so
+        the partition takes every mode's complex factor and no real part:
+        the outputs keep the bits of the all-modes formulation."""
+        t = np.geomspace(1e-2, 1e3, 512)
+        for seed in range(200):
+            cfg = ScenarioConfig(kind="random", seed=seed, w0_preset="unit",
+                                 z0_preset="inv_mu_sq")
+            gen, coupling, space = build_random_scenario(seed)
+            gain = build_feedforward(frequency_grid(gen, coupling, space))
+            w0, z0 = resolve_w0(cfg, space), resolve_z0(cfg, gen)
+            image = steady_state_image(gen, coupling, gain, w0)
+            assert np.all(coupling.c.coeffs * (z0.coeffs - image.pi_w0) != 0)
+            out = simulate_outputs(gen, coupling, gain, z0, image, t)
+            want = outputs_all_modes(gen, coupling, gain, z0, image, t)
+            for name, ref in zip(("y", "y_r", "u", "e", "state_deviation"),
+                                 want):
+                assert getattr(out, name).tobytes() == ref.tobytes(), \
+                    (seed, name)
+
+    def test_complex_exponentials_only_where_they_reach_e(self, monkeypatch):
+        """Wave N = 300: the even modes (c_n = 0) take a real exponential
+        and only the odd modes and the six harmonics of square11 a
+        complex one, per time point."""
+        cfg = ScenarioConfig(kind="wave", n_plant=300, n_exo=300,
+                             w0_preset="square11", z0_preset="inv_mu_sq")
+        gen, coupling, space = build_scenario(cfg)
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        w0, z0 = resolve_w0(cfg, space), resolve_z0(cfg, gen)
+        image = steady_state_image(gen, coupling, gain, w0)
+        x = z0.coeffs - image.pi_w0
+        reach = int(np.count_nonzero(coupling.c.coeffs * x))
+        unseen = int(np.count_nonzero(x)) - reach
+        assert (reach, unseen) == (300, 300)
+        entries = {"c": 0, "f": 0}
+        inner = np.exp
+
+        def recording(a, *args, **kwargs):
+            entries[np.result_type(a).kind] += np.size(a)
+            return inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", recording)
+        t = np.geomspace(1e-2, 1e3, 512)
+        simulate_outputs(gen, coupling, gain, z0, image, t)
+        assert entries == {"c": t.size * (reach + 6), "f": t.size * unseen}
 
     @pytest.mark.parametrize("case", CASES)
     def test_envelope_blocks_change_no_bits(self, case, monkeypatch):
