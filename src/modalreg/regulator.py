@@ -29,7 +29,7 @@ from .exosystem import ExoSpace, ExoState, synthesize_signal
 from .spectral import (DiagonalGenerator, ModeRange, SpectralVector,
                        TailReport, _block_width, _blocks,
                        _require_same_modes, _require_same_space,
-                       classify_tail)
+                       classify_tail, conjugate_partners)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,20 +162,50 @@ def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
     hit (Re D = -Re mu > 0); one changed after construction can. H is
     then summed one block of harmonics at a time over the modes with
     c_n b_n != 0 only: the others add exact zeros.
+
+    A real plant pays once per conjugate pair. When every mode has a
+    partner (:func:`spectral.conjugate_partners`) and omega_-k = -omega_k,
+    the denominators at -k are the conjugates of those at k, mode for
+    partner: the gaps, minima of the same magnitudes, are searched for
+    omega_k >= 0 only and mirrored. When (c b)_partner = conj(c b) too,
+    only the terms at omega_k >= 0 are divided; H at -k is the conjugate
+    of those terms summed in partner order, the direct sum's order, and
+    division commutes with conjugation bit for bit. That needs two
+    harmonics on a side: a one-column block sums pairwise.
     """
     _require_same_modes(gen.modes, coupling.modes)
-    mu = gen.eigenvalues
-    gaps = _resolvent_gaps(mu, space.omegas)
+    mu, omegas = gen.eigenvalues, space.omegas
+    partner = conjugate_partners(mu)
+    # the harmonics below position ``half`` mirror those above it
+    half = 0
+    if partner.min() >= 0 and np.array_equal(omegas, -omegas[::-1]):
+        half = omegas.size // 2
+    gaps = _resolvent_gaps(mu, omegas[half:])
+    if half:
+        gaps = np.concatenate([gaps[::-1][:half], gaps])
     if not gaps.all():  # the first harmonic with a zero gap
-        n_pos = np.flatnonzero(mu == 1j * space.omegas[np.argmin(gaps)])[0]
+        n_pos = np.flatnonzero(mu == 1j * omegas[np.argmin(gaps)])[0]
         raise SingularResolventError(int(gen.modes.indices[n_pos]),
                                      complex(mu[n_pos]))
     cb = coupling.c.coeffs * coupling.b.coeffs
     support = np.flatnonzero(cb)
+    if (half and omegas.size - half >= 2
+            and np.array_equal(cb[partner], cb.conj())):
+        perm = np.searchsorted(support, partner[support])  # partner order
+    else:
+        half = 0
     cb, mu = cb[support, None], mu[support, None]
-    h = np.empty(len(space.modes), dtype=np.complex128)
-    for blk in _blocks(h.size, len(gen.modes)):
-        h[blk] = (cb / (1j * space.omegas[None, blk] - mu)).sum(axis=0)
+    h = np.empty(omegas.size, dtype=np.complex128)
+    for blk in _blocks(h.size - half, len(gen.modes)):
+        cols = slice(half + blk.start, half + blk.stop)
+        terms = cb / (1j * omegas[None, cols] - mu)
+        if half:  # column j's mirror is h.size - 1 - j; the zero
+            # harmonic, its own mirror, then takes its direct sum. Adding
+            # 0.0 makes the -0.0 that conj makes of an exact zero the
+            # +0.0 of a direct sum, and changes no other value.
+            h[::-1][cols] = np.take(terms, perm, axis=0,
+                                    mode="clip").sum(axis=0).conj() + 0.0
+        h[cols] = terms.sum(axis=0)
     return FrequencyGrid(space=space, h=h,
                          hd=_disturbance_response(gen, coupling, space),
                          gaps=gaps)

@@ -98,23 +98,20 @@ class ModeRange:
         full.flags.writeable = False
         return full
 
-    @cached_property
-    def _positions(self) -> dict:
-        return {int(m): i for i, m in enumerate(self.indices)}
-
     def position(self, mode: int) -> int:
-        try:
-            return self._positions[int(mode)]
-        except KeyError:
+        if mode not in self:
             without = " without 0" if self.exclude_zero else ""
             raise KeyError(f"mode {mode} not in range "
-                           f"[{self.lo}, {self.hi}]{without}") from None
+                           f"[{self.lo}, {self.hi}]{without}")
+        m = int(mode)
+        return m - self.lo - (self.exclude_zero and m > 0)
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __contains__(self, mode) -> bool:
-        return int(mode) in self._positions
+        m = int(mode)
+        return self.lo <= m <= self.hi and not (self.exclude_zero and m == 0)
 
 
 def _require_same_modes(a: ModeRange, b: ModeRange) -> None:
@@ -223,6 +220,27 @@ class SuperpolynomialCheck:
     is_superpolynomial: bool
 
 
+def conjugate_partners(mu: np.ndarray) -> np.ndarray:
+    """For each mode n the position m with mu_m == conj(mu_n), so n itself
+    where mu_n is real, and -1 where no mode has that value. A spectrum
+    with a repeated value pairs nothing, and neither does one with
+    unequally many eigenvalues above and below the real axis, told by
+    counting alone (every random scenario). A real plant's spectrum, the
+    wave's or the diagonal's, pairs every mode. Callers compute the
+    partners anew: a generator's eigenvalues may be changed in place.
+    """
+    none = np.full(mu.size, -1, dtype=np.intp)
+    if np.count_nonzero(mu.imag > 0) != np.count_nonzero(mu.imag < 0):
+        return none
+    order = np.argsort(mu)  # by real part, then imaginary part
+    ranked = mu[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        return none
+    conj = mu.conj()
+    at = np.minimum(np.searchsorted(ranked, conj), mu.size - 1)
+    return np.where(ranked[at] == conj, order[at], none)
+
+
 def fractional_norm(gen: DiagonalGenerator, beta: float, v: SpectralVector) -> float:
     """Weighted norm sqrt(sum |mu_n|**(2 beta) |v_n|**2); beta = 0 is the
     plain norm. For a diagonal generator this is the graph norm of the
@@ -253,9 +271,13 @@ def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResul
     """Envelope ``max_n exp(Re mu_n t) |mu_n|**(-beta)`` over the grid.
 
     Computed in log space so long times never overflow, one block of time
-    points (about 1 MB of logs) at a time. The boundary mask marks times
-    whose argmax mode sits at the edge of the retained range; past the
-    first such time the envelope says nothing about the full operator.
+    points (about 1 MB of logs over all modes) at a time. The boundary
+    mask marks times whose argmax mode sits at the edge of the retained
+    range; past the first such time the envelope says nothing about the
+    full operator. A conjugate pair (see :func:`conjugate_partners`) has
+    equal Re mu and |mu| bit for bit, so equal logs; the first argmax is
+    then never the upper mode of a pair, and only the lower one is
+    searched.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
@@ -264,15 +286,19 @@ def decay_envelope(gen: DiagonalGenerator, beta: float, t_grid) -> EnvelopeResul
         raise ValueError("empty time grid")
     if np.any(t < 0) or np.any(np.diff(t) <= 0):
         raise ValueError("time grid must be nonnegative and strictly increasing")
-    re = gen.eigenvalues.real
-    log_w = -beta * np.log(np.abs(gen.eigenvalues))
-    n = re.size
+    mu = gen.eigenvalues
+    n = mu.size
+    partner = conjugate_partners(mu)
+    # every mode but the upper one of each pair
+    lower = np.flatnonzero((partner < 0) | (partner >= np.arange(n)))
+    re = mu.real[lower]
+    log_w = -beta * np.log(np.abs(mu[lower]))
     log_env = np.empty(t.size)
     argpos = np.empty(t.size, dtype=np.intp)
     for blk in _blocks(t.size, n):
         logs = t[blk, None] * re[None, :] + log_w[None, :]
         am = np.argmax(logs, axis=1)
-        argpos[blk] = am
+        argpos[blk] = lower[am]
         log_env[blk] = logs[np.arange(am.size), am]
     boundary = (argpos == 0) | (argpos == n - 1)
     return EnvelopeResult(values=np.exp(log_env), boundary_mask=boundary)

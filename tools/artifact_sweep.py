@@ -14,7 +14,7 @@ into different directories can be compared with ``diff -r``: run one on
 the parent's source and one on the change's, and any difference is a
 change in stdout, stderr, an exit code or an artifact. The set is:
 
-* eleven closed-form configs, each with check, solve, simulate, decay
+* twelve closed-form configs, each with check, solve, simulate, decay
   and ``solve --force``: wave N = 300 (square11, inv_mu_sq), wave
   N = 300 with the full-support ``smooth`` w0 (both on the sorted
   resolvent-gap search; their solves at ``--modes 100``), diagonal N = 60
@@ -27,8 +27,11 @@ change in stdout, stderr, an exit code or an artifact. The set is:
   configured ``alpha = 1.5`` that its spectrum does not have, a 3-mode
   custom plant with a lightly damped mode 1e-6 off omega_1, outside the
   output row, whose conformity recomputes that column's horizon tails
-  exactly, and diagonal 10 x 3 with ``w0_preset = square11``, which
-  needs harmonics through |k| = 5 (a config error for every command);
+  exactly, diagonal 10 x 3 with ``w0_preset = square11``, which
+  needs harmonics through |k| = 5 (a config error for every command),
+  and a 5-mode custom plant closed under conjugation (one real mode and
+  two conjugate pairs, c b closed too, full-support ``smooth`` w0), whose
+  frequency grid and simulation take the conjugate-pair path;
 * random seeds 0-199, each with the four commands.
 """
 
@@ -142,6 +145,16 @@ kind = diagonal
 n_plant = 10
 n_exo = 3
 w0_preset = square11
+""",
+    "custom5closed": """\
+[scenario]
+kind = custom
+eigenvalues = -0.5, -0.2+1j, -0.2-1j, -0.1+2.5j, -0.1-2.5j
+b = 1, 0.5+0.5j, 0.5-0.5j, 0.3j, -0.3j
+c = 0.8, 1, 1, 0.4, 0.4
+n_exo = 6
+w0_preset = smooth
+z0_preset = inv_mu_sq
 """,
     "random": """\
 [scenario]
