@@ -164,36 +164,30 @@ def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
     c_n b_n != 0 only: the others add exact zeros.
 
     A real plant pays once per conjugate pair. When every mode has a
-    partner (:func:`spectral.conjugate_partners`) and omega_-k = -omega_k,
-    the denominators at -k are the conjugates of those at k, mode for
-    partner: the gaps, minima of the same magnitudes, are searched for
-    omega_k >= 0 only and mirrored. When (c b)_partner = conj(c b) too,
-    only the terms at omega_k >= 0 are divided; H at -k is the conjugate
-    of those terms summed in partner order, the direct sum's order, and
-    division commutes with conjugation bit for bit. That needs two
-    harmonics on a side: a one-column block sums pairwise.
+    partner (:func:`spectral.conjugate_partners`), (c b)_partner =
+    conj(c b), omega_-k = -omega_k and there are at least three
+    harmonics, only the terms at omega_k >= 0 are divided; H at -k is the
+    conjugate of those terms summed in partner order, the direct sum's
+    order, and division commutes with conjugation bit for bit. A side of
+    one harmonic would not do: a one-column block sums pairwise.
     """
     _require_same_modes(gen.modes, coupling.modes)
     mu, omegas = gen.eigenvalues, space.omegas
-    partner = conjugate_partners(mu)
-    # the harmonics below position ``half`` mirror those above it
-    half = 0
-    if partner.min() >= 0 and np.array_equal(omegas, -omegas[::-1]):
-        half = omegas.size // 2
-    gaps = _resolvent_gaps(mu, omegas[half:])
-    if half:
-        gaps = np.concatenate([gaps[::-1][:half], gaps])
+    gaps = _resolvent_gaps(mu, omegas)
     if not gaps.all():  # the first harmonic with a zero gap
         n_pos = np.flatnonzero(mu == 1j * omegas[np.argmin(gaps)])[0]
         raise SingularResolventError(int(gen.modes.indices[n_pos]),
                                      complex(mu[n_pos]))
     cb = coupling.c.coeffs * coupling.b.coeffs
     support = np.flatnonzero(cb)
-    if (half and omegas.size - half >= 2
+    partner = conjugate_partners(mu)
+    # the harmonics below position ``half`` mirror those above it
+    half = 0
+    if (partner.min() >= 0 and omegas.size >= 3
+            and np.array_equal(omegas, -omegas[::-1])
             and np.array_equal(cb[partner], cb.conj())):
+        half = omegas.size // 2
         perm = np.searchsorted(support, partner[support])  # partner order
-    else:
-        half = 0
     cb, mu = cb[support, None], mu[support, None]
     h = np.empty(omegas.size, dtype=np.complex128)
     for blk in _blocks(h.size - half, len(gen.modes)):

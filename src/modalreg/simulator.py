@@ -18,7 +18,8 @@ steady-state orbit. With x = z0 - Pi w0 the state is
 them from Pi w0 and c Pi without the state, and takes the complex
 semigroup factor exp(mu_n t) only for the modes with c_n x_n != 0, which
 reach the output; the others enter the distance by their magnitude
-alone. Of a conjugate pair of modes, only one takes either factor.
+alone. Of a conjugate pair of modes that reach the output, only one takes
+the complex factor.
 :func:`simulate_closed_loop` keeps the full state and is the reference
 it is tested against.
 """
@@ -102,19 +103,18 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
     add to the deviation only, by |x_n| exp(Re mu_n t), and the modes with
     x_n = 0 take neither; the deviation joins the two parts by ``hypot``,
     which returns the complex part's norm unchanged when the real part is
-    empty. Of a conjugate pair of modes that are both in one of these
-    parts, one takes the exponential and the other gets its conjugate or
-    a copy, which are the bits its own would have (see
-    :class:`_PairedExp`); f x_n, f @ c and the norms are then taken on
-    these bits as on any others. The time points are taken one block at
-    a time (see ``spectral._blocks``): per block, the two semigroup
-    factors and one (time x harmonics) phase matrix, shared by y_r, u and
-    the orbit term, all in buffers allocated once per call and filled in
-    place. Every output row depends on its own time point only, so the
-    blocks change no bits, and memory is O(T) plus one block. Phases are
-    exponentiated only where w0_k != 0 and are 0 elsewhere, where w0_k,
-    ell_k w0_k and the mismatch all vanish; the products keep their full
-    length, so their sums round as with every phase taken.
+    empty. Of a conjugate pair of modes that both reach e, one takes the
+    exponential and the other gets its conjugate, which has the bits its
+    own would have (see :class:`_PairedExp`); f x_n, f @ c and the norms
+    are then taken on these bits as on any others. The time points are
+    taken one block at a time (see ``spectral._blocks``): per block, the
+    two semigroup factors and one (time x harmonics) phase matrix, shared
+    by y_r, u and the orbit term, all in buffers allocated once per call
+    and filled in place. Every output row depends on its own time point
+    only, so the blocks change no bits, and memory is O(T) plus one block.
+    Phases are exponentiated only where w0_k != 0 and are 0 elsewhere,
+    where w0_k, ell_k w0_k and the mismatch all vanish; the products keep
+    their full length, so their sums round as with every phase taken.
     """
     _require_same_modes(z0.modes, gen.modes)
     w0 = image.w0
@@ -135,7 +135,7 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
     rows = max(b.stop - b.start for b in blocks)
     partner = conjugate_partners(gen.eigenvalues)
     free = _PairedExp(mu, partner, reach, rows)
-    magnitude = _PairedExp(rate, partner, unseen, rows)
+    magnitude = np.empty((rows, rate.size))
     # only the columns where w0_k != 0 are ever written, so the others
     # stay 0
     phases = np.zeros((rows, w0.coeffs.size), dtype=np.complex128)
@@ -145,7 +145,8 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
         p, a = phases[:n], arg[:n]
         f = free.fill(t[blk])
         f *= x_reach  # row j is the reaching part of T(t_j) x
-        m = magnitude.fill(t[blk])
+        m = magnitude[:n]
+        np.exp(np.multiply.outer(t[blk], rate, out=m), out=m)
         m *= size
         deviation[blk] = np.hypot(np.linalg.norm(f, axis=1),
                                   np.linalg.norm(m, axis=1))
@@ -159,14 +160,14 @@ def simulate_outputs(gen: DiagonalGenerator, coupling: ModalCoupling,
 
 
 class _PairedExp:
-    """exp(t (x) rates) of the modes where ``keep`` holds, in a buffer of
-    ``rows`` rows allocated once. Of a conjugate pair of kept modes only
-    the lower is exponentiated, into a second buffer beside its conjugate;
-    the upper one's column is that conjugate (complex rates: exp commutes
-    with conjugation bit for bit) or a copy (real rates, Re mu being
-    equal), and one ``take`` puts every column in place. Its
-    ``mode="clip"`` writes into ``out`` directly, where the default mode
-    fills a temporary first. Without a pair there is no second buffer.
+    """exp(t (x) rates), the complex factors of the modes where ``keep``
+    holds, in a buffer of ``rows`` rows allocated once. Of a conjugate
+    pair of kept modes only the lower is exponentiated, into a second
+    buffer beside its conjugate; the upper one's column is that conjugate
+    (exp commutes with conjugation bit for bit), and one ``take`` puts
+    every column in place. Its ``mode="clip"`` writes into ``out``
+    directly, where the default mode fills a temporary first. Without a
+    pair there is no second buffer.
     """
 
     def __init__(self, rates, partner, keep, rows):
@@ -177,14 +178,12 @@ class _PairedExp:
         upper = (mate >= 0) & (mate < pos) & keep[mate]
         if upper.any():
             self.rates = rates[~upper]
-            conj = np.iscomplexobj(rates)
             # a lower mode's rank among the lower modes; an upper mode's
             # column in the second buffer
             self.index = np.cumsum(~upper) - 1
             self.index[upper] = (self.index[np.searchsorted(pos, mate[upper])]
-                                 + conj * self.rates.size)
-            self.buf = np.empty((rows, (1 + conj) * self.rates.size),
-                                dtype=rates.dtype)
+                                 + self.rates.size)
+            self.buf = np.empty((rows, 2 * self.rates.size), dtype=rates.dtype)
 
     def fill(self, t):
         out = self.out[:t.size]
@@ -193,8 +192,7 @@ class _PairedExp:
         buf = self.buf[:t.size]
         head, tail = buf[:, :self.rates.size], buf[:, self.rates.size:]
         np.exp(np.multiply.outer(t, self.rates, out=head), out=head)
-        if np.iscomplexobj(buf):
-            np.conjugate(head, out=tail)
+        np.conjugate(head, out=tail)
         return np.take(buf, self.index, axis=1, out=out, mode="clip")
 
 

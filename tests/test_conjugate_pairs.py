@@ -155,7 +155,9 @@ class TestMirror:
         assert not np.signbit(paired.imag).any()
 
     def test_open_cb_sums_h_whole(self, monkeypatch):
-        """Only the gaps are mirrored: H takes every harmonic's terms."""
+        """c b is not closed under conjugation: H takes every harmonic's
+        terms, and only the closed plant divides the K/2 + 1 at
+        omega_k >= 0."""
         _, gen, coupling, space = build("cb-open")
         columns = []
         inner = regulator._blocks
@@ -173,8 +175,7 @@ class TestMirror:
 
     def test_exact_hit_names_the_unpaired_mode(self, monkeypatch):
         """A pair set on the axis after construction keeps the plant
-        closed; the mirrored gaps find the hit the unpaired search
-        finds."""
+        closed; the paired grid names the mode the unpaired one names."""
         gen, coupling, space = build_scenario(ScenarioConfig(
             kind="wave", n_plant=60, n_exo=100, period=2.0))
         monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 7 * len(gen.modes))

@@ -147,3 +147,29 @@ def test_every_parameter_is_read():
     # through cli._COMMANDS; check runs past no gate, so it ignores force.
     exempt = {"cli.cmd_check.force"}
     assert [p for p in unread_parameters() if p not in exempt] == []
+
+
+def import_only_names() -> list:
+    """``module.name`` for every name a module of src binds by ``import``
+    and never loads, unless the benchmark's tracer wraps it there. The
+    package's ``__init__`` re-exports its imports and is not searched."""
+    traced = {(m, a) for m, a, _ in load_tracing().SPANS}
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        loads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loads and (path.stem, name) not in traced:
+                        out.append(f"{path.stem}.{name}")
+    return sorted(out)
+
+
+def test_every_imported_name_is_loaded():
+    assert import_only_names() == []

@@ -255,13 +255,13 @@ class TestGapSearch:
         assert widths[0] == self.WINDOW
 
     def test_wave_takes_the_sorted_path(self, monkeypatch):
-        """The wave's spectrum and harmonics are closed under conjugation,
-        so only the K/2 + 1 harmonics with omega_k >= 0 are searched."""
+        """Every one of the wave's K harmonics is searched, in one window
+        narrower than the spectrum."""
         seen = self.record_widths(monkeypatch)
         gen, coupling, space = build_scenario(
             ScenarioConfig(kind="wave", n_plant=300, n_exo=300))
         self.assert_exact(gen, coupling, space)
-        assert seen == [spectral._block_width(len(space.modes) // 2 + 1)]
+        assert seen == [spectral._block_width(len(space.modes))]
         assert seen[0] < len(gen.modes)
 
     def test_exact_hit_found_in_a_later_round(self, widths):

@@ -289,8 +289,8 @@ class TestOutputPath:
     def test_complex_exponentials_only_where_they_reach_e(self, monkeypatch):
         """Wave N = 300: the even modes (c_n = 0) take a real exponential
         and only the odd modes and the six harmonics of square11 a
-        complex one, per time point; of each conjugate pair of modes only
-        one takes either."""
+        complex one, per time point; of each conjugate pair of odd modes
+        only one takes it."""
         cfg = ScenarioConfig(kind="wave", n_plant=300, n_exo=300,
                              w0_preset="square11", z0_preset="inv_mu_sq")
         gen, coupling, space = build_scenario(cfg)
@@ -312,7 +312,7 @@ class TestOutputPath:
         t = np.geomspace(1e-2, 1e3, 512)
         simulate_outputs(gen, coupling, gain, z0, image, t)
         assert entries == {"c": t.size * (reach // 2 + 6),
-                           "f": t.size * unseen // 2}
+                           "f": t.size * unseen}
 
     @pytest.mark.parametrize("case", CASES)
     def test_envelope_blocks_change_no_bits(self, case, monkeypatch):
