@@ -35,6 +35,9 @@ def test_the_last_line_is_the_result():
     # 9 of 10 won, medians 0.2 apart against a quartile spread of 0.045
     ([1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.04, 0.96],
      [0.8, 0.82, 0.78, 0.81, 0.79, 0.83, 0.77, 0.8, 0.84, 1.1], "better"),
+    # the same gain in 5 of 5 pairs: too few pairs to claim it
+    ([1.0, 1.02, 0.98, 1.01, 0.99], [0.8, 0.82, 0.78, 0.81, 0.79],
+     "no worse"),
     # every pair won, but by less than the parent's quartile spread
     ([1.0, 1.2, 0.8, 1.1, 0.9], [0.99, 1.19, 0.79, 1.09, 0.89], "no worse"),
     # 30 % worse against a 25 % bound
@@ -51,9 +54,17 @@ def test_verdicts(parent, change, word):
 
 def test_higher_is_better_mirrors_lower():
     pairs = load_pairs()
-    parent, change = [1.0, 1.0, 1.0], [1.5, 1.5, 1.5]
+    parent, change = [1.0] * 10, [1.5] * 10
     assert pairs.compare(parent, change, BOUND, False)[-1] == "better"
     assert pairs.compare(parent, change, BOUND, True)[-1] == "worse"
+
+
+@pytest.mark.parametrize("change, word", [(43.9, "no worse"),
+                                          (44.1, "worse")])
+def test_the_bound_is_a_share_of_the_median(change, word):
+    """peak_rss_mb's bound of 0.1 allows 4 MB at a median of 40 MB."""
+    assert load_pairs().compare([40.0] * 10, [change] * 10, 0.1,
+                                True)[-1] == word
 
 
 def test_ties_count_for_neither():
@@ -76,17 +87,21 @@ def test_runs_alternate_and_rows_follow_the_benchmark(tmp_path, monkeypatch,
     calls = []
 
     def fake_run(checkout, workload, seed, seconds):
-        calls.append(checkout.name)
+        calls.append((checkout.name, seed))
         value = 1.0 if checkout.name == "parent" else 0.5
         return json.loads(result_line(check_s=value, peak_rss_mb=40.0))
 
     monkeypatch.setattr(pairs, "run_side", fake_run)
     code = pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                       "--workload", "wave-resonant", "--pairs", "4",
+                       "--workload", "wave-resonant", "--pairs", "10",
                        "--seconds", "1"])
     assert code == 0
-    assert calls == ["parent", "change", "change", "parent"] * 2
+    assert [side for side, _ in calls] == [
+        "parent", "change", "change", "parent"] * 5
+    assert [seed for _, seed in calls] == [s for s in range(41, 51)
+                                           for _ in "pc"]
     out = capsys.readouterr().out.splitlines()
     assert out[2].split()[0] == "check_s" and out[2].endswith("better")
     assert out[3].split()[0] == "peak_rss_mb" and out[3].endswith("no worse")
-    assert out[4] == "parent: 0 of 4 runs incorrect, 0/16 failed"
+    assert out[0].endswith("seeds=41...50")
+    assert out[4] == "parent: 0 of 10 runs incorrect, 0/40 failed"

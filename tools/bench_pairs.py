@@ -4,20 +4,25 @@
 
 PARENT and CHANGE are checkouts of the repository, each with its own
 ``perfbench/run.py`` and ``BENCHMARK.json``. Pair i runs both, each as
-``python3 perfbench/run.py --workload W --seed SEED --seconds S --trace 0``
-in its own checkout; the parent goes first in even pairs and the change
-in odd ones, so a machine that drifts over minutes favours neither. The
-bounds and directions are read from the parent's ``BENCHMARK.json``.
+``python3 perfbench/run.py --workload W --seed 41+i --seconds S --trace 0``
+in its own checkout: both sides of a pair see the same workload seed, and
+the pairs of ``random-sweep`` draw different scenario samples. The parent
+goes first in even pairs and the change in odd ones, so a machine that
+drifts over minutes favours neither. The bounds and directions are read
+from the parent's ``BENCHMARK.json``; a bound is a share of the parent's
+median, as ``perfbench/README.md`` writes them, so ``peak_rss_mb``'s 0.1
+allows 4 MB at 40 MB.
 
 Per end-to-end metric it prints the parent's and the change's median,
 the change's median relative to the parent's, the parent's quartile
 spread (q3 - q1), the pairs the change won out of N (ties count for
 neither) and a verdict:
 
-* ``better``: the change won at least 9 in 10 pairs and its median is
-  better by more than the parent's quartile spread;
+* ``better``: at least 10 pairs were run, the change won at least 9 in
+  10 of them and its median is better by more than the parent's
+  quartile spread;
 * ``worse``: its median is worse than the parent's by more than the
-  bound, a share of the parent's median;
+  bound;
 * ``unresolved``: the parent's spread is wider than the bound and not
   every run of the change reads better than every run of the parent;
 * ``no worse``: otherwise.
@@ -34,6 +39,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+FIRST_SEED = 41
+MIN_PAIRS_FOR_GAIN = 10
 
 
 def parse_result(stdout: str) -> dict:
@@ -66,7 +74,8 @@ def compare(parent, change, bound: float, lower_is_better: bool) -> tuple:
     gain = sign * (p_med - c_med)
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     width = spread(parent)
-    if wins >= 0.9 * len(parent) and gain > width:
+    if (len(parent) >= MIN_PAIRS_FOR_GAIN and wins >= 0.9 * len(parent)
+            and gain > width):
         word = "better"
     elif -gain > bound * abs(p_med):
         word = "worse"
@@ -115,21 +124,21 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_side(getattr(args, side), args.workload, args.seed,
-                              args.seconds)
+            result = run_side(getattr(args, side), args.workload,
+                              FIRST_SEED + i, args.seconds)
             runs[side].append(result)
             values = " ".join(f"{k}={m['value']:.4g}"
                               for k, m in result["metrics"].items())
             print(f"pair {i} {side}: {values}", file=sys.stderr, flush=True)
     print(f"workload={args.workload} pairs={args.pairs} "
-          f"seconds={args.seconds:g} seed={args.seed}")
+          f"seconds={args.seconds:g} seeds={FIRST_SEED}..."
+          f"{FIRST_SEED + args.pairs - 1}")
     print("\n".join(format_rows(summarize(runs["parent"], runs["change"],
                                           bench["end_to_end"]))))
     for side, side_runs in runs.items():
