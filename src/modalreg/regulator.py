@@ -163,13 +163,11 @@ def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
     then summed one block of harmonics at a time over the modes with
     c_n b_n != 0 only: the others add exact zeros.
 
-    A real plant pays once per conjugate pair. When every mode has a
-    partner (:func:`spectral.conjugate_partners`), (c b)_partner =
-    conj(c b), omega_-k = -omega_k and there are at least three
-    harmonics, only the terms at omega_k >= 0 are divided; H at -k is the
-    conjugate of those terms summed in partner order, the direct sum's
-    order, and division commutes with conjugation bit for bit. A side of
-    one harmonic would not do: a one-column block sums pairwise.
+    A real plant pays once per conjugate pair. Where
+    :func:`_conjugate_half` finds the mirror, only the terms at
+    omega_k >= 0 are divided; H at -k is the conjugate of those terms
+    summed in partner order, the direct sum's order, and division
+    commutes with conjugation bit for bit.
     """
     _require_same_modes(gen.modes, coupling.modes)
     mu, omegas = gen.eigenvalues, space.omegas
@@ -180,13 +178,8 @@ def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
                                      complex(mu[n_pos]))
     cb = coupling.c.coeffs * coupling.b.coeffs
     support = np.flatnonzero(cb)
-    partner = conjugate_partners(mu)
-    # the harmonics below position ``half`` mirror those above it
-    half = 0
-    if (partner.min() >= 0 and omegas.size >= 3
-            and np.array_equal(omegas, -omegas[::-1])
-            and np.array_equal(cb[partner], cb.conj())):
-        half = omegas.size // 2
+    half, partner = _conjugate_half(mu, omegas, cb)
+    if half:
         perm = np.searchsorted(support, partner[support])  # partner order
     cb, mu = cb[support, None], mu[support, None]
     h = np.empty(omegas.size, dtype=np.complex128)
@@ -203,6 +196,23 @@ def frequency_grid(gen: DiagonalGenerator, coupling: ModalCoupling,
     return FrequencyGrid(space=space, h=h,
                          hd=_disturbance_response(gen, coupling, space),
                          gaps=gaps)
+
+
+def _conjugate_half(mu: np.ndarray, omegas: np.ndarray, cb: np.ndarray):
+    """(half, partner) of a plant and its harmonics. ``partner`` is
+    :func:`spectral.conjugate_partners` of mu. half is K // 2 when every
+    mode has a partner, (c b)_partner = conj(c b), omega_-k = -omega_k
+    and there are at least three harmonics, else 0; the harmonic
+    positions j < half then mirror K - 1 - j. A side of one harmonic
+    would not do: a one-column block sums pairwise. An unpaired spectrum
+    (every random scenario) fails the first test at once.
+    """
+    partner = conjugate_partners(mu)
+    if (partner.min() >= 0 and omegas.size >= 3
+            and np.array_equal(omegas, -omegas[::-1])
+            and np.array_equal(cb[partner], cb.conj())):
+        return omegas.size // 2, partner
+    return 0, partner
 
 
 def _resolvent_gaps(mu: np.ndarray, omegas: np.ndarray) -> np.ndarray:

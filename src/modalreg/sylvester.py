@@ -17,7 +17,10 @@ increments of all columns come from one real contraction of V with
 (relative to the slowest mode, so no square underflows), a block of
 harmonics at a time; the entries of P change only weights. Where the
 expanded sum cancels (a lightly damped mode near some omega_k) enough to
-move a horizon's largest tail, that column is evaluated directly.
+move a horizon's largest tail, that column is evaluated directly. A real
+plant without P pays once per conjugate pair: column -k's sums are
+column k's in real arithmetic, so only the harmonics omega_k >= 0 are
+contracted or evaluated directly, and column -k copies column k.
 The horizon schedule exposes how fast the remainder dies, which is the
 only honest truncation-level stand-in for the operator-level
 convergence question; verdicts are therefore trends, with
@@ -34,7 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .regulator import FeedforwardGain, ModalCoupling, _forcing_columns
+from .regulator import (FeedforwardGain, ModalCoupling, _conjugate_half,
+                        _forcing_columns)
 # not called here; perfbench/tracing.py wraps this name
 from .regulator import frequency_denominators
 from .spectral import (DiagonalGenerator, SpectralVector, TailReport, _blocks,
@@ -81,13 +85,37 @@ class ConformityReport:
     sufficient_condition: Optional[SufficientConditionEvidence] = None
 
 
+def _mirror_half(gen: DiagonalGenerator, coupling: ModalCoupling,
+                 gain: FeedforwardGain) -> int:
+    """K // 2 when the horizon tails of column K - 1 - j equal those of
+    column j in real arithmetic, else 0. That needs the frequency grid's
+    mirror (:func:`regulator._conjugate_half`), |b|**2 equal on partners
+    bit for bit and no entry of P on a retained harmonic: then
+    |ell_-k| = |ell_k| and V_{n',-k} = V_{n,k} for the partner n' of n.
+    The grid sums H at -k in another order than at k, so |ell| is
+    symmetric to rounding only (59 ulps on the wave at N = 1000); it is
+    checked to the guard's 1e-12, since a gain may also come from
+    elsewhere."""
+    b = coupling.b.coeffs
+    half, partner = _conjugate_half(gen.eigenvalues, gain.space.omegas,
+                                    coupling.c.coeffs * b)
+    b2, ell = np.abs(b) ** 2, np.abs(gain.ell)
+    if (half and np.array_equal(b2[partner], b2)
+            and coupling.disturbance_in(gain.space.modes)[0].size == 0
+            and np.allclose(ell, ell[::-1], rtol=_TAIL_RTOL, atol=0.0)):
+        return half
+    return 0
+
+
 def _gram_tails(gen: DiagonalGenerator, coupling: ModalCoupling,
-                gain: FeedforwardGain, t: np.ndarray):
+                gain: FeedforwardGain, t: np.ndarray, half: int = 0):
     """Increment norms of every forcing column, (horizons x harmonics),
     from their Gram form (module docstring), and the widths of their
-    rounding bounds."""
+    rounding bounds. Only the columns from ``half`` on are contracted;
+    column j < half copies column K - 1 - j (:func:`_mirror_half`)."""
     space = gain.space
-    tails, slack = np.zeros((2, t.size, len(space.modes)))
+    n_exo = len(space.modes)
+    tails, slack = np.zeros((2, t.size, n_exo))
     b2 = np.abs(coupling.b.coeffs) ** 2
     p_rows, p_cols, p_vals = coupling.disturbance_in(space.modes)
     rows = np.flatnonzero(b2 + np.bincount(p_rows, minlength=b2.size))
@@ -105,21 +133,24 @@ def _gram_tails(gen: DiagonalGenerator, coupling: ModalCoupling,
     # rounding: sums of N terms and the phases of cross and exp(i omega dt)
     terms = rows.size + 4.0
     phase = np.abs(mu.imag).max() * dt + terms
-    for blk in _blocks(len(space.modes), len(gen.modes)):
-        v = np.multiply.outer(np.abs(gain.ell[blk]) ** 2, b2[rows])
-        on = (p_cols >= blk.start) & (p_cols < blk.stop)
-        v[p_cols[on] - blk.start, p_at[on]] = p_d2[on]
-        v /= (space.omegas[blk, None] - mu.imag) ** 2 + mu.real ** 2
+    for blk in _blocks(n_exo - half, len(gen.modes)):
+        cols = slice(half + blk.start, half + blk.stop)
+        v = np.multiply.outer(np.abs(gain.ell[cols]) ** 2, b2[rows])
+        on = (p_cols >= cols.start) & (p_cols < cols.stop)
+        v[p_cols[on] - cols.start, p_at[on]] = p_d2[on]
+        v /= (space.omegas[cols, None] - mu.imag) ** 2 + mu.real ** 2
         g = np.einsum("jn,kn->jk", m, v, optimize=False)
-        theta = dt * space.omegas[blk]
+        theta = dt * space.omegas[cols]
         early, late = g[:h], g[1:h + 1] * decay ** 2
         sq = early + late - 2.0 * decay * (g[h + 1:2 * h + 1] * np.cos(theta)
                                            - g[2 * h + 1:] * np.sin(theta))
         err = np.finfo(float).eps * (terms * (early + late) + 2.0 * (
             phase + np.abs(theta)) * np.sqrt(early * late))
-        tails[:, blk] = np.sqrt(np.maximum(sq, 0.0))
-        slack[:, blk] = (np.sqrt(np.maximum(sq, 0.0) + err)
-                         - np.sqrt(np.maximum(sq - err, 0.0)))
+        tails[:, cols] = np.sqrt(np.maximum(sq, 0.0))
+        slack[:, cols] = (np.sqrt(np.maximum(sq, 0.0) + err)
+                          - np.sqrt(np.maximum(sq - err, 0.0)))
+    for a in (tails, slack):
+        a[:, :half] = a[:, ::-1][:, :half]
     scale = np.exp(rate * tj[:-1])[:, None]
     return tails * scale, slack * scale
 
@@ -210,9 +241,14 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
     per block of harmonics (module docstring); the forcing matrix is never
     held. A column is recomputed with :func:`quadrature_pi_column` where
     its rounding bound exceeds 1e-12 of its tail and could move a
-    horizon's largest f-scaled tail. The reported largest bound is
-    re-evaluated with :func:`fractional_norm` on its own column. A horizon
-    schedule that is not finite, positive and increasing is a ValueError.
+    horizon's largest f-scaled tail. Where :func:`_mirror_half` holds,
+    only the columns at omega_k >= 0 are contracted and recomputed, and
+    column -k copies column k's tails: a horizon's largest tail then has
+    the bits of column k, within a few ulps of column -k's own (the
+    gains of k and -k differ in their last bits). The reported largest
+    bound is re-evaluated with :func:`fractional_norm` on its own column.
+    A horizon schedule that is not finite, positive and increasing is a
+    ValueError.
     """
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
@@ -239,16 +275,21 @@ def conformity_diagnostic(gen: DiagonalGenerator, coupling: ModalCoupling,
         nonzero[j] = bool(np.any(d != 0))
         fits[j] = classify_tail(gen.modes.indices, terms)
 
-    tails, slack = _gram_tails(gen, coupling, gain, t)
+    half = _mirror_half(gen, coupling, gain)
+    tails, slack = _gram_tails(gen, coupling, gain, t, half)
     # the columns whose rounding could move a horizon's largest tail
     rerun = slack > _TAIL_RTOL * tails
     if rerun.any():
         rerun &= (tails + slack) / f >= ((tails - slack) / f).max(
             axis=1, keepdims=True)
-    for j in np.flatnonzero(rerun.any(axis=0)):
+    # mirror[j]: the column that copies column j, itself when unpaired;
+    # a pair is recomputed where either side would be (f may be uneven)
+    mirror = np.arange(n_exo)[::-1] if half else np.arange(n_exo)
+    rerun = rerun.any(axis=0)
+    for j in np.flatnonzero((rerun | rerun[mirror])[half:]) + half:
         _, exact = quadrature_pi_column(gen, SpectralVector(
             gen.modes, column(j)), space.omegas[j], horizons)
-        tails[:, j] = list(exact.tail_norms.values())
+        tails[:, j] = tails[:, mirror[j]] = list(exact.tail_norms.values())
     agg = (tails / f).max(axis=1)
 
     near_sup = np.flatnonzero(bounds >= bounds.max() * (1.0 - _SUP_RTOL))

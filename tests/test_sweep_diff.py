@@ -62,7 +62,8 @@ def test_every_kind_of_difference(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "s000-check",
         "  report.txt: 2 lines changed, 1 beyond their numbers",
-        "  table.csv b: 2 rows changed, max |d| / max |column| = 0.062",
+        "  table.csv b: 2 rows changed, max |d| / max |column| = 0.062, "
+        "max |d| / |a| = 0.062",
         "  table.csv label: 1 rows changed, max |d| / max |column| = n/a",
         "s000-solve",
         "  exit 0 -> 1",
@@ -81,5 +82,20 @@ def test_row_count_and_zero_column(tmp_path, capsys):
     assert load_diff().main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines()[1:3] == [
         "  x.csv: rows 2 -> 3",
-        "  x.csv v: 1 rows changed, max |d| / max |column| = 1e-300",
+        "  x.csv v: 1 rows changed, max |d| / max |column| = 1e-300, "
+        "max |d| / |a| = n/a",
     ]
+
+
+def test_relative_change_of_a_small_entry(tmp_path, capsys):
+    """A tail column spanning twelve decades: the last-bit change of its
+    smallest entry is 2.6e-28 of the column maximum, 1.3e-15 of itself;
+    the entry that was 0 counts only towards the first ratio."""
+    table = "h,tail\n10,7.75\n20,3e-5\n40,1.5e-12\n80,0\n"
+    a = make_sweep(tmp_path / "a", {"k": (0, {"x.csv": table})})
+    b = make_sweep(tmp_path / "b", {"k": (0, {"x.csv": table.replace(
+        "1.5e-12", "1.5000000000000021e-12").replace("80,0", "80,1e-40")})})
+    assert load_diff().main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "  x.csv tail: 2 rows changed, max |d| / max |column| = 2.6e-28, "
+        "max |d| / |a| = 1.3e-15")

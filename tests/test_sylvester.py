@@ -9,13 +9,15 @@ from oracles import (analytic_tails_whole, conformity_per_column,
                      trapezoid_column, unit_vector)
 from paper import lemma_identity_check
 
+import modalreg.regulator as regulator
 import modalreg.spectral as spectral
 import modalreg.sylvester as sylvester
 from modalreg.errors import ModeMismatchError
 from modalreg.exosystem import ExoSpace, ExoState
 from modalreg.regulator import (FeedforwardGain, ModalCoupling,
-                                build_feedforward, forcing_matrix,
-                                frequency_grid, solve_regulator)
+                                _conjugate_half, build_feedforward,
+                                forcing_matrix, frequency_grid,
+                                solve_regulator)
 from modalreg.scenarios import (ScenarioConfig, build_random_scenario,
                                 build_scenario)
 from modalreg.spectral import DiagonalGenerator, ModeRange, SpectralVector
@@ -352,6 +354,167 @@ class TestBatchedConformity:
         got = np.array([report.tail_norms[h] for h in horizons])
         np.testing.assert_allclose(got, (want / space.weights).max(axis=1),
                                    rtol=1e-7, atol=0.0)
+
+
+def _wave():
+    return build_scenario(ScenarioConfig(kind="wave", n_plant=200, n_exo=30,
+                                         period=2.0))
+
+
+def _with_grid_gain(gen, coupling, space):
+    return gen, coupling, build_feedforward(frequency_grid(gen, coupling,
+                                                           space))
+
+
+def _wave_with_one_p_entry():
+    """The wave's input column with one entry of P and a constant gain,
+    so P is the only condition of the mirror that fails."""
+    gen, coupling, space = _wave()
+    return gen, *forcing_operator(coupling.b, space, 0.5 - 0.25j,
+                                  p_entries={(3, 2): 0.3 + 0.1j})
+
+
+def _wave_with_one_unpaired_mode():
+    gen, coupling, space = _wave()
+    gen.eigenvalues[gen.modes.position(7)] += 1e-3
+    return _with_grid_gain(gen, coupling, space)
+
+
+def _closed_cb_open_b2():
+    """c b closed under conjugation, |b|**2 not: b = 2 and 1 on the pair
+    (1, 2), c = 0.5 and 1."""
+    return _with_grid_gain(*build_scenario(ScenarioConfig(
+        kind="custom", n_exo=5,
+        eigenvalues=(-0.5, -0.2 + 1j, -0.2 - 1j, -0.3 + 2.5j, -0.3 - 2.5j),
+        b=(1.0, 2.0, 1.0, 0.3j, -0.3j), c=(0.8, 0.5, 1.0, 1.0, 1.0))))
+
+
+def _wave_with_unmirrored_gain():
+    gen, coupling, gain = _with_grid_gain(*_wave())
+    gain.ell[0] *= 2.0
+    return gen, coupling, gain
+
+
+def _conformity_bytes(gen, coupling, gain):
+    """The horizon tails, their rounding bounds and the report of
+    conformity, as bytes."""
+    t = np.array(HORIZONS)
+    tails, slack = sylvester._gram_tails(
+        gen, coupling, gain, t, sylvester._mirror_half(gen, coupling, gain))
+    report = conformity_diagnostic(gen, coupling, gain, 1.0, 0.25)
+    ev = report.sufficient_condition
+    return (tails.tobytes(), slack.tobytes(),
+            np.array(list(report.tail_norms.values())).tobytes(),
+            report.verdict, np.float64(ev.sup_bound).tobytes(),
+            ev.argmax_mode, ev.worst_tail)
+
+
+class TestConjugateMirror:
+    """On a real plant without P, conformity contracts the harmonics
+    omega_k >= 0 only, and column -k copies column k."""
+
+    def test_mirrored_columns_are_copies(self, monkeypatch):
+        gen, coupling, gain = _with_grid_gain(*_wave())
+        n_exo, t = len(gain.space.modes), np.array(HORIZONS)
+        half = sylvester._mirror_half(gen, coupling, gain)
+        assert half == n_exo // 2
+        contracted = []
+        inner = sylvester._blocks
+        monkeypatch.setattr(sylvester, "_blocks", lambda n_cols, n_rows: (
+            contracted.append(n_cols) or inner(n_cols, n_rows)))
+        tails, slack = sylvester._gram_tails(gen, coupling, gain, t, half)
+        assert contracted == [n_exo - half]
+        for a in (tails, slack):
+            assert a[:, :half].tobytes() == a[:, ::-1][:, :half].tobytes()
+        # the contracted columns are those of the pass over every column
+        every = sylvester._gram_tails(gen, coupling, gain, t)
+        for a, b in zip((tails, slack), every):
+            assert a[:, half:].tobytes() == b[:, half:].tobytes()
+        # the mirrored tails stay within their rounding bounds of the
+        # exact increments of their own columns
+        exact = analytic_tails_whole(gen, forcing_matrix(coupling, gain),
+                                     gain.space.omegas, t)
+        above = exact > 1e-150
+        assert np.all(np.abs(tails - exact)[above]
+                      <= slack[above] + 1e-15 * exact[above])
+        # blocks of 7 harmonics give the bits of one block
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 7 * len(gen.modes))
+        assert len(spectral._blocks(n_exo - half, len(gen.modes))) > 1
+        blocked = sylvester._gram_tails(gen, coupling, gain, t, half)
+        for a, b in zip((tails, slack), blocked):
+            assert a.tobytes() == b.tobytes()
+
+    def test_resonant_pair_recomputed_once(self, monkeypatch):
+        # a lightly damped pair 1e-6 off +/- omega_1: both columns hold a
+        # horizon's largest tail, and the guard recomputes them once, at
+        # +omega_1, where the unpaired pass recomputes both
+        space = ExoSpace.power_weights(2.0 * math.pi, ModeRange.symmetric(3),
+                                       1.0)
+        mu = -1e-4 + 1j * (1.0 + 1e-6)
+        gen = DiagonalGenerator(ModeRange(0, 4), np.array(
+            [mu, mu.conjugate(), -0.5, -1.0 + 2j, -1.0 - 2j]))
+        coupling, gain = forcing_operator(
+            SpectralVector(gen.modes, np.ones(5, dtype=complex)), space)
+        agg, _, _ = conformity_per_column(gen, forcing_matrix(coupling, gain),
+                                          space, 1.25, HORIZONS)
+        reruns, held = [], []
+        exact, gram = sylvester.quadrature_pi_column, sylvester._gram_tails
+        monkeypatch.setattr(sylvester, "quadrature_pi_column",
+                            lambda *a: reruns.append(a[2]) or exact(*a))
+        monkeypatch.setattr(sylvester, "_gram_tails",
+                            lambda *a: held.append(gram(*a)) or held[-1])
+        report = conformity_diagnostic(gen, coupling, gain, 1.0, 0.25)
+        got = np.array([report.tail_norms[h] for h in HORIZONS])
+        np.testing.assert_allclose(got, agg, rtol=1e-12, atol=0.0)
+        assert reruns == [1.0]
+        # the recomputed tails went to both columns of the pair
+        tails = held[0][0]
+        assert tails.tobytes() == tails[:, ::-1].tobytes()
+        reruns.clear()
+        monkeypatch.setattr(regulator, "conjugate_partners",
+                            lambda mu: np.full(mu.size, -1, np.intp))
+        conformity_diagnostic(gen, coupling, gain, 1.0, 0.25)
+        assert reruns == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("scenario, grid_mirror", [
+        (lambda: _with_grid_gain(*_random_with_disturbance()), False),
+        (_wave_with_one_p_entry, True),
+        (_wave_with_one_unpaired_mode, False),
+        (_closed_cb_open_b2, True),
+        (_wave_with_unmirrored_gain, True),
+    ], ids=["random_with_p", "wave_one_p_entry", "one_unpaired_mode",
+            "b2_not_paired", "gain_not_mirrored"])
+    def test_failed_condition_is_the_unpaired_result(self, scenario,
+                                                     grid_mirror,
+                                                     monkeypatch):
+        gen, coupling, gain = scenario()
+        cb = coupling.c.coeffs * coupling.b.coeffs
+        assert bool(_conjugate_half(gen.eigenvalues, gain.space.omegas,
+                                    cb)[0]) == grid_mirror
+        assert sylvester._mirror_half(gen, coupling, gain) == 0
+        paired = _conformity_bytes(gen, coupling, gain)
+        monkeypatch.setattr(regulator, "conjugate_partners",
+                            lambda mu: np.full(mu.size, -1, np.intp))
+        assert paired == _conformity_bytes(gen, coupling, gain)
+
+    def test_wave50_tails_against_40_digit_values(self):
+        # `want`: per horizon, the largest f-scaled increment over the
+        # columns ell_k b of the sweep's wave50 config, evaluated with
+        # mpmath at 40 digits from the float64 mu, b, ell, omega and f.
+        # Each value lies within 2e-15 relative: the Gram sums round by
+        # a few ulps, and a mirrored column takes the tails of column k,
+        # whose |ell| differs from its own by up to 4 ulps at N = 50.
+        gen, coupling, space = build_scenario(ScenarioConfig(
+            kind="wave", n_plant=50, n_exo=50, gamma=1.0))
+        gain = build_feedforward(frequency_grid(gen, coupling, space))
+        assert sylvester._mirror_half(gen, coupling, gain) == 50
+        want = [7.752424716692587, 0.049183598618732574, 0.034899102914876,
+                0.025494122568728808, 0.018036648722872698,
+                0.012746309508019088, 0.009050852596770765,
+                0.006400010921087533]
+        report = conformity_diagnostic(gen, coupling, gain, 1.0, 0.25)
+        got = [report.tail_norms[h] for h in HORIZONS]
+        assert got == pytest.approx(want, rel=2e-15, abs=0.0)
 
 
 class TestLemmaIdentity:

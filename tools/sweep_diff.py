@@ -10,10 +10,14 @@ prints the key and then, indented:
 * ``exit OLD -> NEW`` when its exit code changed;
 * ``+ NAME`` or ``- NAME`` for each file only B or only A wrote;
 * per changed CSV, each changed column as ``FILE COLUMN: R rows changed,
-  max |d| / max |column| = X``, with the largest absolute change over
-  the largest absolute value of that column in A (``X`` is the absolute
-  change when the column is all zero, ``n/a`` when it is not numeric),
-  or the header or row count when those changed;
+  max |d| / max |column| = X, max |d| / |a| = Y``: X is the largest
+  absolute change over the largest absolute value of that column in A
+  (the absolute change when the column is all zero), and Y the largest
+  change of one entry relative to its value a in A, over the changed
+  entries with a != 0 (``n/a`` when there is none), so a change in the
+  last bits of a small entry of a column spanning many decades shows as
+  such. A column that is not numeric reads ``X = n/a`` alone. The
+  header or row count is printed instead when those changed;
 * per changed text file, ``FILE: L lines changed, V beyond their
   numbers``: V counts the changed lines that still differ with every
   number masked, so a changed verdict word shows as V > 0.
@@ -63,7 +67,10 @@ def csv_changes(a: Path, b: Path) -> list:
         else:
             delta = max(abs(x - y) for x, y in deltas)
             scale = max(abs(v) for v in map(_float, old))
-            ratio = f"{delta / scale if scale else delta:.2g}"
+            rel = max((abs(x - y) / abs(x) for x, y in deltas if x),
+                      default=None)
+            ratio = (f"{delta / scale if scale else delta:.2g}, max |d| / |a| "
+                     "= " + ("n/a" if rel is None else f"{rel:.2g}"))
         lines.append(f"{a.name} {name}: {len(changed)} rows changed, "
                      f"max |d| / max |column| = {ratio}")
     return lines
